@@ -12,168 +12,13 @@ granularity comparison over a data-category registry.
 """
 
 from .archive import Archive, DepositResult, LevelSpec
-from .catalog import (
-    MetadataHeader,
-    build_header,
-    catalog_summary,
-    compute_auto_stats,
-    corpus_record,
-    export_catalog,
-    parse_header,
-    write_export,
-)
-from .errors import (
-    CorpusForgeError,
-    DanglingPointerError,
-    DependencyCycleError,
-    EmptyTitleError,
-    MisalignmentError,
-    MissingSpanError,
-    NestingError,
-    NoLevelError,
-    NoPrimaryAnchorError,
-    ParseError,
-    RegistryError,
-    ReversedRangeError,
-    SpanSyntaxError,
-    StoreError,
-    TextMismatchError,
-    UnalignableTokenError,
-    UnknownDependencyError,
-    UnknownEntityError,
-    UnknownTargetError,
-)
-from .formats import (
-    FORMATS,
-    AnnotationItem,
-    Codec,
-    Link,
-    iter_items,
-    resolve_link_targets,
-    syntax_terminals,
-)
-from .model import (
-    COVERAGE_FULL,
-    COVERAGE_NONE,
-    COVERAGE_PARTIAL,
-    KIND_MORPHOSYNTAX,
-    KIND_REFERENCE,
-    KIND_SEGMENTATION,
-    KIND_STRUCTURE,
-    KIND_SYNTAX,
-    PRIMARY,
-    SECONDARY,
-    Corpus,
-    Level,
-    Resource,
-    Violation,
-    slugify,
-)
-from .registry import (
-    SEGMENTATION_GRANULARITY,
-    DataCategory,
-    Granularity,
-    Registry,
-    granularity_of,
-)
-from .service import handle_request, make_server
-from .standoff import (
-    DEFAULT_SPLIT_TABLE,
-    ReferenceUnit,
-    SpanExpr,
-    SplitTable,
-    align_inline,
-    coverage_fingerprint,
-    reconstruct_coverage,
-    resolve_span,
-    segment_text,
-    span_for_indices,
-    tokenize_with_offsets,
-)
-from .versioning import (
-    Classification,
-    Comparison,
-    VersionRecord,
-    classify_submission,
-    compare_granularity,
-)
+from .errors import CorpusForgeError
 
 __version__ = "0.1.0"
 
 __all__ = [
     "Archive",
-    "AnnotationItem",
-    "Classification",
-    "Codec",
-    "Comparison",
-    "Corpus",
     "CorpusForgeError",
-    "COVERAGE_FULL",
-    "COVERAGE_NONE",
-    "COVERAGE_PARTIAL",
-    "DanglingPointerError",
-    "DataCategory",
-    "DEFAULT_SPLIT_TABLE",
-    "DependencyCycleError",
     "DepositResult",
-    "EmptyTitleError",
-    "FORMATS",
-    "Granularity",
-    "KIND_MORPHOSYNTAX",
-    "KIND_REFERENCE",
-    "KIND_SEGMENTATION",
-    "KIND_STRUCTURE",
-    "KIND_SYNTAX",
-    "Level",
     "LevelSpec",
-    "Link",
-    "MetadataHeader",
-    "MisalignmentError",
-    "MissingSpanError",
-    "NestingError",
-    "NoLevelError",
-    "NoPrimaryAnchorError",
-    "ParseError",
-    "PRIMARY",
-    "ReferenceUnit",
-    "Registry",
-    "RegistryError",
-    "Resource",
-    "ReversedRangeError",
-    "SECONDARY",
-    "SEGMENTATION_GRANULARITY",
-    "SpanExpr",
-    "SpanSyntaxError",
-    "SplitTable",
-    "StoreError",
-    "TextMismatchError",
-    "UnalignableTokenError",
-    "UnknownDependencyError",
-    "UnknownEntityError",
-    "UnknownTargetError",
-    "VersionRecord",
-    "Violation",
-    "align_inline",
-    "build_header",
-    "catalog_summary",
-    "classify_submission",
-    "compare_granularity",
-    "compute_auto_stats",
-    "corpus_record",
-    "coverage_fingerprint",
-    "export_catalog",
-    "granularity_of",
-    "handle_request",
-    "iter_items",
-    "make_server",
-    "parse_header",
-    "reconstruct_coverage",
-    "resolve_link_targets",
-    "resolve_span",
-    "segment_text",
-    "slugify",
-    "span_for_indices",
-    "syntax_terminals",
-    "tokenize_with_offsets",
-    "write_export",
 ]

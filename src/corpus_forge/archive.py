@@ -40,7 +40,6 @@ from .formats import (
     AnnotationItem,
     iter_items,
     resolve_link_targets,
-    syntax_terminals,
 )
 from .model import (
     COVERAGE_FULL,
@@ -347,10 +346,8 @@ class Archive:
 
             # Parse once per target level before touching any state, so a
             # malformed payload can never leave a half-applied deposit.
-            parsed: list[tuple[Level, str, object]] = []
-            for level in targets:
-                parsed.append(
-                    (level,) + self._parse_for(format, text, level, pending))
+            parsed = [(level, self._parse_for(format, text, level, pending))
+                      for level in targets]
 
             number = 1 + sum(1 for r in self._resources.values()
                              if r.corpus_id == corpus_id)
@@ -374,12 +371,9 @@ class Archive:
             self._levels.update(pending)
             self._resources[resource_id] = resource
             fresh_by_kind: dict[str, list[AnnotationItem]] = {}
-            for level, shape, value in parsed:
-                if shape == "units":
-                    self._merge_units(level.id, value)
-                else:
-                    self._items.setdefault(level.id, []).extend(value)
-                    fresh_by_kind.setdefault(level.kind, []).extend(value)
+            for level, value in parsed:
+                fresh_by_kind.setdefault(level.kind, []).extend(
+                    self._add_parsed(level.id, format, value))
 
             records = self._record_versions(
                 corpus, resource, targets, fresh_by_kind, now)
@@ -398,51 +392,61 @@ class Archive:
                 records=tuple(records))
 
     def _parse_for(self, format: str, text: str, level: Level,
-                   pending: dict[str, Level]) -> tuple[str, object]:
+                   pending: dict[str, Level]) -> list:
         codec = FORMATS[format]
-        if format == "segmentation":
-            if level.kind != KIND_SEGMENTATION:
-                raise StoreError(
-                    "segmentation payloads materialize segmentation levels, "
-                    f"not {level.kind!r}")
-            return "units", codec.parse(text)
-        if format == "syntax-constituency":
-            trees = codec.parse(text)
-            if level.kind == KIND_MORPHOSYNTAX:
-                return "items", syntax_terminals(trees)
-            return "items", trees
-        if codec.needs_units == "no":
-            return "items", codec.parse(text)
-        units = self._anchor_units(level, pending)
-        if units is None:
-            if codec.needs_units == "required":
-                raise NoPrimaryAnchorError(
-                    f"format {format!r} aligns against reference units, but "
-                    f"the dependency chain of level {level.id!r} reaches no "
-                    "materialized segmentation")
-            return "items", codec.parse(text)
-        return "items", codec.parse(text, units)
+        if codec.yields_units and level.kind != KIND_SEGMENTATION:
+            raise StoreError(
+                f"{format} payloads materialize segmentation levels, "
+                f"not {level.kind!r}")
+        anchor = (self._anchor(level, pending)
+                  if codec.needs_units != "no" else None)
+        if anchor is not None:
+            value = codec.parse(text, self._units[anchor])
+        elif codec.needs_units == "required":
+            raise NoPrimaryAnchorError(
+                f"format {format!r} aligns against reference units, but "
+                f"the dependency chain of level {level.id!r} reaches no "
+                "segmentation holding reference units")
+        else:
+            value = codec.parse(text)
+        project = codec.project.get(level.kind)
+        return value if project is None else project(value)
 
-    def _anchor_units(self, level: Level,
-                      pending: dict[str, Level] | None = None):
-        """Reference units of the nearest materialized segmentation level
-        in the dependency closure, or None."""
-        known = dict(self._levels)
-        known.update(pending or {})
+    def _add_parsed(self, level_id: str, format: str, value: list) -> list:
+        """Store what ``format`` parsed for one level; return the new items."""
+        if FORMATS[format].yields_units:
+            self._merge_units(level_id, value)
+            return []
+        self._items.setdefault(level_id, []).extend(value)
+        return value
+
+    def _closure(self, level: Level, pending: dict[str, Level] | None = None):
+        """Yield the levels ``level`` depends on, directly or not, nearest
+        first, ties by id; ``pending`` holds levels not yet committed."""
+        pending = pending or {}
         seen = {level.id}
-        queue = [d for d, _ in level.depends_on]
-        while queue:
-            next_queue = []
-            for dep_id in sorted(queue):
-                if dep_id in seen or dep_id not in known:
-                    continue
-                seen.add(dep_id)
-                dep = known[dep_id]
-                if dep.kind == KIND_SEGMENTATION and self._units.get(dep_id):
-                    return list(self._units[dep_id])
-                next_queue.extend(d for d, _ in dep.depends_on)
-            queue = next_queue
-        return None
+        frontier = [level]
+        while frontier:
+            ids = sorted({d for l in frontier for d, _ in l.depends_on} - seen)
+            seen.update(ids)
+            frontier = [l for l in (pending.get(i) or self._levels.get(i)
+                                    for i in ids) if l is not None]
+            yield from frontier
+
+    def _anchor(self, level: Level,
+                pending: dict[str, Level] | None = None) -> str | None:
+        """The level's anchor: the nearest segmentation in its dependency
+        closure that holds reference units."""
+        return next((l.id for l in self._closure(level, pending)
+                     if l.kind == KIND_SEGMENTATION and self._units.get(l.id)),
+                    None)
+
+    def _coverage(self, level: Level) -> list[str]:
+        anchor = self._anchor(level)
+        return reconstruct_coverage(
+            level.kind, self._units.get(level.id, []),
+            self._items.get(level.id, []),
+            self._units[anchor] if anchor is not None else None)
 
     def _merge_units(self, level_id: str, units) -> None:
         merged = self._units.get(level_id, [])
@@ -485,7 +489,7 @@ class Archive:
                     groups[item.group] = groups.get(item.group, 0) + 1
             coverage = ""
             try:
-                tokens = reconstruct_coverage(kind_levels[0].id, self)
+                tokens = self._coverage(kind_levels[0])
                 coverage = coverage_fingerprint(tokens)
             except (DanglingPointerError, NoPrimaryAnchorError):
                 pass
@@ -519,7 +523,7 @@ class Archive:
             if not self.level_is_materialized(level.id):
                 continue
             try:
-                tokens = reconstruct_coverage(level.id, self)
+                tokens = self._coverage(level)
             except (DanglingPointerError, NoPrimaryAnchorError):
                 continue
             if tokens:
@@ -568,12 +572,9 @@ class Archive:
                 continue
             if level_id not in self._levels:
                 continue  # reported by validate() as dangling level
-            level = self._levels[level_id]
-            shape, value = self._parse_for(resource.format, text, level, {})
-            if shape == "units":
-                self._merge_units(level_id, value)
-            else:
-                self._items.setdefault(level_id, []).extend(value)
+            value = self._parse_for(
+                resource.format, text, self._levels[level_id], {})
+            self._add_parsed(level_id, resource.format, value)
 
     # -- accessors ----------------------------------------------------------
 
@@ -675,30 +676,19 @@ class Archive:
         """The level and everything reachable through depends-on edges,
         nearest dependencies first, ties by id."""
         with self._lock:
-            self._require_level(level_id)
-            order = [level_id]
-            seen = {level_id}
-            frontier = [level_id]
-            while frontier:
-                next_frontier = []
-                for lid in frontier:
-                    level = self._levels.get(lid)
-                    if level is None:
-                        continue
-                    for dep_id, _ in level.depends_on:
-                        if dep_id in seen:
-                            continue
-                        seen.add(dep_id)
-                        next_frontier.append(dep_id)
-                next_frontier.sort()
-                order.extend(
-                    d for d in next_frontier if d in self._levels)
-                frontier = next_frontier
-            return order
+            level = self._require_level(level_id)
+            return [level_id] + [l.id for l in self._closure(level)]
+
+    def anchor(self, level_id: str) -> str | None:
+        """Id of the segmentation the level's spans resolve against: the
+        nearest one in its dependency closure that holds reference units,
+        or None while there is none."""
+        with self._lock:
+            return self._anchor(self._require_level(level_id))
 
     def coverage(self, level_id: str) -> list[str]:
         with self._lock:
-            return reconstruct_coverage(level_id, self)
+            return self._coverage(self._require_level(level_id))
 
     def _level_granularity(self, level_id: str) -> Granularity:
         level = self._require_level(level_id)
@@ -768,7 +758,7 @@ class Archive:
                 # the cycle violation already covers these levels.
                 continue
             try:
-                tokens = reconstruct_coverage(level.id, self)
+                tokens = self._coverage(level)
             except DanglingPointerError as err:
                 out.append(Violation(
                     "dangling-pointer", level.id, err.message))

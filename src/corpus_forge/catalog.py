@@ -210,11 +210,7 @@ def level_header(archive, level_id: str) -> MetadataHeader:
         "materialized": ("true" if archive.level_is_materialized(level_id)
                          else "false"),
     }
-    anchor = None
-    for other_id in archive.dependency_closure(level_id)[1:]:
-        if archive.level(other_id).kind == KIND_SEGMENTATION:
-            anchor = other_id
-            break
+    anchor = archive.anchor(level_id)
     if anchor is not None:
         computed["anchor"] = anchor
     if level.depends_on:

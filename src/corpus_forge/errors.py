@@ -59,7 +59,7 @@ class ReversedRangeError(CorpusForgeError):
 
 
 class NoPrimaryAnchorError(CorpusForgeError):
-    """Dependency chain never reaches a level that carries surface forms."""
+    """Dependency chain reaches no segmentation holding reference units."""
 
     code = "no-primary-anchor"
 

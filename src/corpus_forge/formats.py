@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, Mapping
 
 from . import _markup
 from .errors import (
@@ -22,6 +22,7 @@ from .errors import (
     UnalignableTokenError,
     UnknownTargetError,
 )
+from .model import KIND_MORPHOSYNTAX
 from .standoff import (
     DEFAULT_SPLIT_TABLE,
     ReferenceUnit,
@@ -277,11 +278,7 @@ def parse_inline_coref(
             if item.id in ids:
                 raise ParseError(f"duplicate markable id {item.id!r}")
             ids.add(item.id)
-    for item in items:
-        for link in item.links:
-            for target in link.targets:
-                if target not in ids:
-                    raise UnknownTargetError(target)
+    resolve_link_targets(items)
     return items
 
 
@@ -649,33 +646,31 @@ def parse_standoff_items(text: str) -> list[AnnotationItem]:
 
 @dataclass(frozen=True)
 class Codec:
-    """Deposit format entry: how to parse a payload and what level kind
-    it produces by default.  ``needs_units`` says whether the parser must
-    be given the reference units of the anchoring segmentation."""
+    """Deposit format entry and the shape of what it parses.
+
+    ``needs_units`` says whether ``parse`` must be given the reference
+    units of the anchoring segmentation.  ``yields_units`` marks a codec
+    that produces reference units instead of items; only segmentation
+    levels take those.  ``project`` maps a level kind to the projection
+    of the parsed items that a level of that kind keeps.
+    """
 
     tag: str
     parse: Callable
-    serialize: Callable | None
-    needs_units: str  # "no" | "optional" | "required"
-    default_kind: str
+    needs_units: str = "no"  # "no" | "optional" | "required"
+    yields_units: bool = False
+    project: Mapping[str, Callable] = field(default_factory=dict)
 
 
 FORMATS: dict[str, Codec] = {c.tag: c for c in [
-    Codec("segmentation", parse_segmentation, serialize_segmentation,
-          "no", "segmentation"),
-    Codec("tabular-morpho", parse_tabular_morpho, serialize_tabular_morpho,
-          "no", "morphosyntax"),
-    Codec("standoff-morpho", parse_standoff_morpho, serialize_standoff_morpho,
-          "no", "morphosyntax"),
-    Codec("inline-morpho", parse_inline_morpho, serialize_inline_morpho,
-          "optional", "morphosyntax"),
-    Codec("inline-coref", parse_inline_coref, None, "required", "reference"),
-    Codec("referential-standoff", parse_referential_standoff,
-          serialize_referential_standoff, "no", "reference"),
-    Codec("structural-inline", parse_structural_inline, None, "no",
-          "structure"),
-    Codec("syntax-constituency", parse_syntax_constituency, None, "no",
-          "syntax"),
-    Codec("standoff-items", parse_standoff_items, serialize_standoff_items,
-          "no", "annotation"),
+    Codec("segmentation", parse_segmentation, yields_units=True),
+    Codec("tabular-morpho", parse_tabular_morpho),
+    Codec("standoff-morpho", parse_standoff_morpho),
+    Codec("inline-morpho", parse_inline_morpho, "optional"),
+    Codec("inline-coref", parse_inline_coref, "required"),
+    Codec("referential-standoff", parse_referential_standoff),
+    Codec("structural-inline", parse_structural_inline),
+    Codec("syntax-constituency", parse_syntax_constituency,
+          project={KIND_MORPHOSYNTAX: syntax_terminals}),
+    Codec("standoff-items", parse_standoff_items),
 ]}

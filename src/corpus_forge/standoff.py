@@ -2,9 +2,9 @@
 
 A corpus is identified by its linguistic coverage: the flat sequence of
 minimal reference units.  Pointer-only annotation levels reconstruct that
-coverage by dereferencing span expressions through their dependency chain
-until a form-carrying level is reached.  Everything in this module is a
-pure function over immutable inputs.
+coverage by dereferencing span expressions against the reference units
+of their anchoring segmentation.  Everything in this module is a pure
+function over immutable inputs.
 """
 
 from __future__ import annotations
@@ -361,45 +361,32 @@ def _carried_surfaces(items) -> list[str]:
     return out
 
 
-def reconstruct_coverage(level_id: str, archive) -> list[str]:
+def reconstruct_coverage(kind: str, units: list[ReferenceUnit], items,
+                         anchor_units: list[ReferenceUnit] | None) -> list[str]:
     """Rebuild the surface token stream a description level accounts for.
 
-    A form-carrying level returns its own tokens: the content of its
-    shallowest surfaced nodes, whether those sit at the top (paragraph
-    trees) or at the leaves (constituency terminals).  A pointer-only
-    level is dereferenced through its dependency closure down to the
-    first form-carrying level; the result covers exactly the units
-    referenced, in document order.
+    ``units`` and ``items`` are the level's own; ``anchor_units`` are the
+    reference units of its anchoring segmentation, or None when it has
+    none.  A segmentation returns its own unit forms.  A form-carrying
+    level returns its own tokens: the content of its shallowest surfaced
+    nodes, whether those sit at the top (paragraph trees) or at the
+    leaves (constituency terminals).  A pointer level covers exactly the
+    anchor units its spans reference, in document order.
     """
-    closure = archive.dependency_closure(level_id)
-    level = archive.level(level_id)
-
-    if level.kind == "segmentation":
-        return [u.form for u in archive.level_units(level_id)]
-
-    items = archive.level_items(level_id)
-    if items and all(_accounted_for(item) for item in items):
+    if kind == "segmentation":
+        return [u.form for u in units]
+    if not items:
+        return []
+    if all(_accounted_for(item) for item in items):
         carried = _carried_surfaces(items)
         if not carried:
             return []  # purely relational level
         # carrier level: re-segmenting its own surfaces is a fixed point
         return [u.form for u in segment_text(" ".join(carried))]
-
-    anchor_units = None
-    for dep_id in closure[1:]:
-        dep = archive.level(dep_id)
-        if dep.kind == "segmentation" and archive.level_is_materialized(dep_id):
-            anchor_units = archive.level_units(dep_id)
-            break
-        dep_items = archive.level_items(dep_id)
-        if dep_items and all(i.surface is not None for i in dep_items):
-            break  # carrier without unit ids cannot anchor pointers
     if anchor_units is None:
-        if not items:
-            return []
         raise NoPrimaryAnchorError(
-            f"dependency chain of level {level_id} reaches no "
-            "form-carrying segmentation")
+            "dependency chain reaches no segmentation holding reference "
+            "units")
 
     covered: set[int] = set()
     for item in _iter_leaves(items):

@@ -2,13 +2,17 @@
 persistence, and concurrency."""
 
 import pathlib
+import tempfile
 import threading
 from datetime import datetime, timezone
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from corpus_forge import archive as archive_mod
 from corpus_forge.archive import Archive, LevelSpec
-from corpus_forge.catalog import export_catalog
+from corpus_forge.catalog import export_catalog, level_header
 from corpus_forge.errors import (
     DependencyCycleError,
     EmptyTitleError,
@@ -21,7 +25,11 @@ from corpus_forge.errors import (
 )
 from corpus_forge.manifest import dumps_corpus
 from corpus_forge.model import Corpus, Level, Resource
-from corpus_forge.standoff import coverage_fingerprint, segment_text
+from corpus_forge.standoff import (
+    coverage_fingerprint,
+    reconstruct_coverage,
+    segment_text,
+)
 from corpus_forge.versioning import Classification
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
@@ -593,6 +601,133 @@ class TestClosureAndAccessors:
         corpus_id, seg_id = goriot(archive)
         assert archive.level_granularity(seg_id).categories == frozenset(
             {"reference-unit"})
+
+
+class TestAnchorRule:
+    """Alignment, coverage and the level header share one anchor rule:
+    the nearest segmentation in the dependency closure that holds
+    reference units."""
+
+    COREF = "<coref id=\"m1\">Madame Vauquer</coref> ,"
+
+    @staticmethod
+    def segmentation(first: int = 1) -> str:
+        return "\n".join(
+            f"<word id=\"word_{first + i}\">{form}</word>"
+            for i, form in enumerate(["Madame", "Vauquer", ","]))
+
+    def test_reference_over_structure_over_segmentation(self, archive):
+        archive.register_corpus("P", corpus_id="p")
+        seg = archive.add_level("p", "segmentation", "full")
+        archive.deposit("p", self.segmentation(), "segmentation",
+                        levels=[seg.id])
+        struct = archive.add_level("p", "structure", "full",
+                                   depends_on=[seg.id])
+        archive.deposit("p", "<p>Madame Vauquer ,</p>", "structural-inline",
+                        levels=[struct.id])
+        ref = archive.add_level("p", "reference", "none",
+                                depends_on=[struct.id])
+        result = archive.deposit("p", self.COREF, "inline-coref",
+                                 levels=[ref.id])
+        assert str(archive.level_items(ref.id)[0].span) == "word_1..word_2"
+        assert archive.validate("p") == []
+        assert archive.coverage(ref.id) == ["Madame", "Vauquer"]
+        assert result.records[0].coverage == coverage_fingerprint(
+            ["Madame", "Vauquer"])
+
+    def test_header_anchor_names_the_aligned_segmentation(self, archive):
+        archive.register_corpus("Q", corpus_id="q")
+        deep = archive.add_level("q", "segmentation", "full")
+        archive.deposit("q", self.segmentation(), "segmentation",
+                        levels=[deep.id])
+        empty = archive.add_level("q", "segmentation", "partial",
+                                  depends_on=[deep.id])
+        ref = archive.add_level("q", "reference", "none",
+                                depends_on=[empty.id])
+        archive.deposit("q", self.COREF, "inline-coref", levels=[ref.id])
+        assert level_header(archive, ref.id).computed_map()["anchor"] == deep.id
+        assert archive.anchor(ref.id) == deep.id
+
+    def test_header_omits_anchor_until_units_exist(self, archive):
+        archive.register_corpus("E", corpus_id="e")
+        seg = archive.add_level("e", "segmentation", "full")
+        ref = archive.add_level("e", "reference", "none", depends_on=[seg.id])
+        assert archive.anchor(ref.id) is None
+        assert "anchor" not in level_header(archive, ref.id).computed_map()
+        archive.deposit("e", self.segmentation(), "segmentation",
+                        levels=[seg.id])
+        assert level_header(archive, ref.id).computed_map()["anchor"] == seg.id
+
+    @staticmethod
+    @st.composite
+    def level_dags(draw):
+        """Levels in topological order: (kind, dependency positions,
+        materialized), plus the dependencies of a reference level on top."""
+        levels = []
+        for i in range(draw(st.integers(1, 6))):
+            kind = draw(st.sampled_from(
+                ["segmentation", "structure", "morphosyntax"]))
+            deps = draw(st.sets(st.integers(0, i - 1))) if i else set()
+            levels.append((kind, sorted(deps), draw(st.booleans())))
+        top = draw(st.sets(st.integers(0, len(levels) - 1), min_size=1))
+        return levels, sorted(top)
+
+    @settings(max_examples=40, deadline=None)
+    @given(dag=level_dags())
+    def test_every_consumer_uses_the_same_anchor(self, dag):
+        levels, top_deps = dag
+        with tempfile.TemporaryDirectory() as root:
+            archive = Archive(root, clock=lambda: FIXED_MOMENT)
+            archive.register_corpus("D", corpus_id="d")
+            ids, unit_owner = [], {}
+            for position, (kind, deps, filled) in enumerate(levels):
+                level = archive.add_level(
+                    "d", kind, "full", depends_on=[ids[d] for d in deps])
+                ids.append(level.id)
+                if filled and kind == "segmentation":
+                    # distinct unit ids name the segmentation they come from
+                    archive.deposit("d", self.segmentation(10 * position + 1),
+                                    "segmentation", levels=[level.id])
+                    unit_owner[10 * position + 1] = level.id
+                elif filled and kind == "structure":
+                    archive.deposit("d", "<p>Madame Vauquer ,</p>",
+                                    "structural-inline", levels=[level.id])
+            top = archive.add_level("d", "reference", "none",
+                                    depends_on=[ids[d] for d in top_deps])
+
+            # oracle: breadth-first depth, then id, over materialized
+            # segmentations reachable from the top level
+            depth, frontier = {}, [top.id]
+            for distance in range(1, len(ids) + 1):
+                frontier = sorted({d for lid in frontier
+                                   for d, _ in archive.level(lid).depends_on}
+                                  - set(depth))
+                depth.update((lid, distance) for lid in frontier)
+            anchored = sorted(
+                (depth[lid], lid) for lid in unit_owner.values()
+                if lid in depth)
+            expected = anchored[0][1] if anchored else None
+
+            if expected is None:
+                with pytest.raises(NoPrimaryAnchorError):
+                    archive.deposit("d", self.COREF, "inline-coref",
+                                    levels=[top.id])
+                aligned = None
+            else:
+                archive.deposit("d", self.COREF, "inline-coref",
+                                levels=[top.id])
+                span = archive.level_items(top.id)[0].span
+                aligned = unit_owner[int(span.parts[0][0][5:])]
+            header = level_header(archive, top.id).computed_map().get("anchor")
+            with mock.patch.object(archive_mod, "reconstruct_coverage",
+                                   wraps=reconstruct_coverage) as spy:
+                covered = archive.coverage(top.id)
+            anchor_units = spy.call_args.args[3]
+            resolved = (None if anchor_units is None
+                        else unit_owner[int(anchor_units[0].id[5:])])
+            assert aligned == header == resolved == archive.anchor(top.id) \
+                == expected
+            assert covered == (["Madame", "Vauquer"] if expected else [])
 
 
 class TestWithdraw:

@@ -499,8 +499,8 @@ class TestFormatRegistry:
         assert FORMATS["inline-coref"].needs_units == "required"
         assert FORMATS["inline-morpho"].needs_units == "optional"
 
-    def test_default_kinds(self):
-        assert FORMATS["segmentation"].default_kind == "segmentation"
-        assert FORMATS["structural-inline"].default_kind == "structure"
-        assert FORMATS["syntax-constituency"].default_kind == "syntax"
-        assert FORMATS["referential-standoff"].default_kind == "reference"
+    def test_shapes_are_declared(self):
+        assert [tag for tag, codec in FORMATS.items()
+                if codec.yields_units] == ["segmentation"]
+        assert list(FORMATS["syntax-constituency"].project) == [
+            "morphosyntax"]

@@ -300,11 +300,6 @@ class TestAlignInline:
         assert spans == ["word_1..word_7", "word_1..word_2", "word_5..word_6"]
 
 
-class _FakeLevel:
-    def __init__(self, kind):
-        self.kind = kind
-
-
 class _FakeItem:
     def __init__(self, span=None, surface=None, children=()):
         self.span = span
@@ -312,105 +307,47 @@ class _FakeItem:
         self.children = tuple(children)
 
 
-class _FakeArchive:
-    """Just enough of the archive surface for coverage reconstruction."""
-
-    def __init__(self):
-        self.levels = {}
-        self.units = {}
-        self.items = {}
-        self.closures = {}
-
-    def level(self, level_id):
-        return self.levels[level_id]
-
-    def dependency_closure(self, level_id):
-        return self.closures[level_id]
-
-    def level_units(self, level_id):
-        return self.units.get(level_id, [])
-
-    def level_items(self, level_id):
-        return self.items.get(level_id, [])
-
-    def level_is_materialized(self, level_id):
-        return level_id in self.units or level_id in self.items
+SEG_UNITS = segment_text("Madame Vauquer, née De Conflans,")
 
 
 class TestReconstructCoverage:
-    def _archive(self):
-        arc = _FakeArchive()
-        arc.levels["seg"] = _FakeLevel("segmentation")
-        arc.units["seg"] = segment_text("Madame Vauquer, née De Conflans,")
-        arc.closures["seg"] = ["seg"]
-        return arc
-
     def test_segmentation_returns_own_forms(self):
-        arc = self._archive()
-        assert reconstruct_coverage("seg", arc) == [
+        assert reconstruct_coverage("segmentation", SEG_UNITS, [], None) == [
             "Madame", "Vauquer", ",", "née", "De", "Conflans", ","]
 
     def test_pointer_level_dereferences_to_anchor(self):
-        arc = self._archive()
-        arc.levels["morpho"] = _FakeLevel("morphosyntax")
-        arc.closures["morpho"] = ["morpho", "seg"]
-        arc.items["morpho"] = [
-            _FakeItem(span=SpanExpr.parse("word_2")),
-            _FakeItem(span=SpanExpr.parse("word_4..word_5")),
-        ]
-        assert reconstruct_coverage("morpho", arc) == ["Vauquer", "née", "De"]
+        items = [_FakeItem(span=SpanExpr.parse("word_2")),
+                 _FakeItem(span=SpanExpr.parse("word_4..word_5"))]
+        assert reconstruct_coverage(
+            "morphosyntax", [], items, SEG_UNITS) == ["Vauquer", "née", "De"]
 
     def test_duplicated_references_count_once(self):
-        arc = self._archive()
-        arc.levels["ref"] = _FakeLevel("reference")
-        arc.closures["ref"] = ["ref", "seg"]
-        arc.items["ref"] = [
-            _FakeItem(span=SpanExpr.parse("word_1..word_2")),
-            _FakeItem(span=SpanExpr.parse("word_2")),
-        ]
-        assert reconstruct_coverage("ref", arc) == ["Madame", "Vauquer"]
+        items = [_FakeItem(span=SpanExpr.parse("word_1..word_2")),
+                 _FakeItem(span=SpanExpr.parse("word_2"))]
+        assert reconstruct_coverage(
+            "reference", [], items, SEG_UNITS) == ["Madame", "Vauquer"]
 
     def test_transitive_chain_through_pointer_level(self):
-        arc = self._archive()
-        arc.levels["morpho"] = _FakeLevel("morphosyntax")
-        arc.closures["morpho"] = ["morpho", "seg"]
-        arc.items["morpho"] = [_FakeItem(span=SpanExpr.parse("word_1"))]
-        arc.levels["syntax"] = _FakeLevel("syntax")
-        arc.closures["syntax"] = ["syntax", "morpho", "seg"]
-        arc.items["syntax"] = [
-            _FakeItem(children=[_FakeItem(span=SpanExpr.parse("word_3"))]),
-        ]
-        assert reconstruct_coverage("syntax", arc) == [","]
+        # a syntax level over morphology resolves nested spans against
+        # the segmentation both depend on
+        items = [_FakeItem(children=[_FakeItem(span=SpanExpr.parse("word_3"))])]
+        assert reconstruct_coverage("syntax", [], items, SEG_UNITS) == [","]
 
     def test_carrier_level_resegments_own_surfaces(self):
-        arc = self._archive()
-        arc.levels["struct"] = _FakeLevel("structure")
-        arc.closures["struct"] = ["struct"]
-        arc.items["struct"] = [_FakeItem(surface="Madame Vauquer,"),
-                               _FakeItem(surface="née De Conflans,")]
-        assert reconstruct_coverage("struct", arc) == [
+        items = [_FakeItem(surface="Madame Vauquer,"),
+                 _FakeItem(surface="née De Conflans,")]
+        assert reconstruct_coverage("structure", [], items, None) == [
             "Madame", "Vauquer", ",", "née", "De", "Conflans", ","]
 
     def test_unmaterialized_level_covers_nothing(self):
-        arc = self._archive()
-        arc.levels["empty"] = _FakeLevel("reference")
-        arc.closures["empty"] = ["empty", "seg"]
-        assert reconstruct_coverage("empty", arc) == []
+        assert reconstruct_coverage("reference", [], [], SEG_UNITS) == []
 
     def test_dangling_pointer_is_reported(self):
-        arc = self._archive()
-        arc.levels["morpho"] = _FakeLevel("morphosyntax")
-        arc.closures["morpho"] = ["morpho", "seg"]
-        arc.items["morpho"] = [_FakeItem(span=SpanExpr.parse("word_99"))]
+        items = [_FakeItem(span=SpanExpr.parse("word_99"))]
         with pytest.raises(DanglingPointerError):
-            reconstruct_coverage("morpho", arc)
+            reconstruct_coverage("morphosyntax", [], items, SEG_UNITS)
 
     def test_chain_without_form_carrier_is_rejected(self):
-        arc = _FakeArchive()
-        arc.levels["a"] = _FakeLevel("reference")
-        arc.levels["b"] = _FakeLevel("reference")
-        arc.closures["a"] = ["a", "b"]
-        arc.items["a"] = [_FakeItem(span=SpanExpr.parse("word_1"))]
-        arc.items["b"] = [_FakeItem(span=SpanExpr.parse("word_1"))]
+        items = [_FakeItem(span=SpanExpr.parse("word_1"))]
         with pytest.raises(NoPrimaryAnchorError):
-            reconstruct_coverage("a", arc)
+            reconstruct_coverage("reference", [], items, None)
