@@ -6,14 +6,19 @@ One :class:`Archive` owns a directory tree::
     <root>/corpora/<corpus-id>/resources/<resource-id>.<format>
     <root>/corpora/<corpus-id>/resources/<resource-id>.header
 
-All mutation happens under a single writer lock and is flushed to the
-manifest before returning; readers get defensive copies, so a snapshot
-taken by one thread never mutates under it.
+Reads never wait: each is answered from the last published
+:class:`Snapshot`, and ``Archive.snapshot()`` returns it, so several
+reads see one commit.  Writers take one lock, build the next snapshot
+as a draft, write payload, header and manifest from it and publish it
+last with one assignment, so a write that fails changes nothing.
+Accessors return copies of the entities they find.
 """
 
 from __future__ import annotations
 
 import copy
+import dataclasses
+import functools
 import graphlib
 import hashlib
 import threading
@@ -90,21 +95,34 @@ class DepositResult:
     records: tuple[VersionRecord, ...]
 
 
-class Archive:
-    def __init__(self, root, registry: Registry | None = None, clock=None):
-        self.root = Path(root)
-        self.registry = registry or Registry.default()
-        self._clock = clock or (lambda: datetime.now(timezone.utc))
-        self._lock = threading.RLock()
+class Snapshot:
+    """One commit of an archive, and every read of it.
+
+    A writer changes only a draft (``_draft``): its maps are new, and it
+    replaces an entity or a list instead of changing it, so nothing a
+    published snapshot holds ever changes.
+    """
+
+    def __init__(self, root: Path, registry: Registry):
+        self.root = root
+        self.registry = registry
         self._corpora: dict[str, Corpus] = {}
         self._levels: dict[str, Level] = {}
         self._resources: dict[str, Resource] = {}
         self._versions: dict[str, VersionRecord] = {}
         self._units: dict[str, list[ReferenceUnit]] = {}
         self._items: dict[str, list[AnnotationItem]] = {}
-        self._load()
 
-    # -- storage ----------------------------------------------------------
+    def _draft(self) -> Snapshot:
+        draft = Snapshot(self.root, self.registry)
+        for name, value in vars(self).items():
+            if isinstance(value, dict):
+                setattr(draft, name, dict(value))
+        return draft
+
+    def snapshot(self) -> Snapshot:
+        """The last published snapshot; reads on it all see one commit."""
+        return self
 
     def _corpus_dir(self, corpus_id: str) -> Path:
         return self.root / "corpora" / corpus_id
@@ -112,471 +130,10 @@ class Archive:
     def _resource_path(self, resource: Resource) -> Path:
         return self._corpus_dir(resource.corpus_id) / "resources" / resource.filename
 
-    def _load(self) -> None:
-        corpora_dir = self.root / "corpora"
-        if not corpora_dir.is_dir():
-            return
-        for entry in sorted(corpora_dir.iterdir()):
-            manifest_path = entry / "manifest"
-            if not entry.is_dir() or not manifest_path.is_file():
-                continue
-            text = manifest_path.read_text(encoding="utf-8")
-            corpus, levels, resources, versions = manifest_mod.loads_corpus(text)
-            self._corpora[corpus.id] = corpus
-            for level in levels:
-                self._levels[level.id] = level
-            for resource in resources:
-                self._resources[resource.id] = resource
-            for record in versions:
-                self._versions[record.id] = record
-        for resource in sorted(self._resources.values(), key=lambda r: r.id):
-            if not resource.available:
-                continue
-            path = self._resource_path(resource)
-            if not path.is_file():
-                continue  # reported by validate() as missing-payload
-            self._materialize(resource, path.read_text(encoding="utf-8"))
-
-    def _save_corpus(self, corpus_id: str) -> None:
-        corpus = self._corpora[corpus_id]
-        levels = [l for l in self._levels.values() if l.corpus_id == corpus_id]
-        resources = [r for r in self._resources.values()
-                     if r.corpus_id == corpus_id]
-        versions = [v for v in self._versions.values()
-                    if v.corpus_id == corpus_id]
-        levels.sort(key=lambda l: l.id)
-        resources.sort(key=lambda r: r.id)
-        versions.sort(key=lambda v: (v.level_kind, v.number))
-        directory = self._corpus_dir(corpus_id)
-        directory.mkdir(parents=True, exist_ok=True)
-        text = manifest_mod.dumps_corpus(corpus, levels, resources, versions)
-        tmp = directory / "manifest.tmp"
-        tmp.write_text(text, encoding="utf-8")
-        tmp.replace(directory / "manifest")
-
-    # -- registration ------------------------------------------------------
-
-    def register_corpus(self, title: str, language: str = "",
-                        meta: dict[str, str] | None = None,
-                        corpus_id: str | None = None) -> Corpus:
-        with self._lock:
-            if not title or not title.strip():
-                raise EmptyTitleError("a corpus requires a non-empty title")
-            title = title.strip()
-            if corpus_id is not None:
-                if corpus_id in self._corpora:
-                    raise StoreError(f"corpus id {corpus_id!r} already exists")
-            else:
-                base = slugify(title)
-                corpus_id, n = base, 1
-                while corpus_id in self._corpora:
-                    n += 1
-                    corpus_id = f"{base}-{n}"
-            corpus = Corpus(
-                id=corpus_id, title=title, language=language,
-                declared_meta=dict(meta or {}),
-                created_at=_iso(self._clock()))
-            self._corpora[corpus_id] = corpus
-            self._save_corpus(corpus_id)
-            return copy.deepcopy(corpus)
-
-    def add_level(self, corpus_id: str, kind: str, coverage: str,
-                  depends_on=(), meta: dict[str, str] | None = None) -> Level:
-        with self._lock:
-            self._require_corpus(corpus_id)
-            level = self._build_level(corpus_id, LevelSpec(
-                kind=kind, coverage=coverage, depends_on=tuple(depends_on),
-                meta=tuple(sorted((meta or {}).items()))))
-            self._levels[level.id] = level
-            self._save_corpus(corpus_id)
-            return copy.deepcopy(level)
-
-    def _build_level(self, corpus_id: str, spec: LevelSpec,
-                     pending: dict[str, Level] | None = None) -> Level:
-        kind = (spec.kind or "").strip()
-        if not kind or any(c.isspace() for c in kind):
-            raise StoreError(f"invalid level kind {spec.kind!r}")
-        if spec.coverage not in COVERAGE_VALUES:
-            raise StoreError(
-                f"coverage must be one of {', '.join(COVERAGE_VALUES)}, "
-                f"got {spec.coverage!r}")
-        deps = []
-        known = dict(self._levels)
-        known.update(pending or {})
-        for entry in spec.depends_on:
-            dep_id, purpose = (entry if isinstance(entry, tuple)
-                               else (entry, "anchors-to"))
-            if dep_id not in known:
-                raise UnknownDependencyError(
-                    f"dependency {dep_id!r} does not exist")
-            if known[dep_id].corpus_id != corpus_id:
-                raise UnknownDependencyError(
-                    f"dependency {dep_id!r} belongs to another corpus")
-            deps.append((dep_id, purpose))
-        number = 1 + sum(
-            1 for l in known.values()
-            if l.corpus_id == corpus_id and l.kind == kind)
-        return Level(
-            id=f"{corpus_id}-{kind}-{number}",
-            corpus_id=corpus_id,
-            kind=kind,
-            coverage=spec.coverage,
-            depends_on=tuple(deps),
-            declared_meta=dict(spec.meta),
-            created_at=_iso(self._clock()))
-
-    def register_table(self, text: str, language: str = "") -> list[Corpus]:
-        """Bulk-register corpora from a tab-separated table.
-
-        Columns: title, declared word count ('-' if unknown), genre,
-        comma-separated level kinds.  Each corpus gets the standard
-        dependency chain for its kinds: segmentation and structure carry
-        full coverage; morphosyntax anchors on segmentation; syntax on
-        morphosyntax when present, else segmentation; everything else on
-        segmentation.  A segmentation level is added implicitly whenever
-        some declared kind needs an anchor.
-        """
-        with self._lock:
-            out: list[Corpus] = []
-            for lineno, raw in enumerate(text.splitlines(), 1):
-                if not raw.strip() or raw.lstrip().startswith("#"):
-                    continue
-                cols = [c.strip() for c in raw.split("\t")]
-                if len(cols) != 4:
-                    raise StoreError(
-                        f"corpus table line {lineno}: expected 4 "
-                        f"tab-separated columns, got {len(cols)}")
-                title, words, genre, kinds_field = cols
-                kinds_check = [k for k in
-                               (k.strip() for k in kinds_field.split(","))
-                               if k and k != "-"]
-                for kind in kinds_check:
-                    if any(c.isspace() for c in kind):
-                        raise StoreError(
-                            f"corpus table line {lineno}: invalid level "
-                            f"kind {kind!r}")
-                meta = {}
-                if genre and genre != "-":
-                    meta["genre"] = genre
-                if words and words != "-":
-                    meta["word-count"] = words
-                corpus = self.register_corpus(
-                    title, language=language, meta=meta)
-                kinds = list(kinds_check)
-                anchored = [k for k in kinds if k not in
-                            (KIND_SEGMENTATION, KIND_STRUCTURE)]
-                if anchored and KIND_SEGMENTATION not in kinds:
-                    kinds.append(KIND_SEGMENTATION)
-                rank = {KIND_SEGMENTATION: 0, KIND_STRUCTURE: 1,
-                        KIND_MORPHOSYNTAX: 2, KIND_SYNTAX: 3}
-                kinds.sort(key=lambda k: (rank.get(k, 9), k))
-                created: dict[str, Level] = {}
-                for kind in kinds:
-                    if kind in (KIND_SEGMENTATION, KIND_STRUCTURE):
-                        level = self.add_level(corpus.id, kind, COVERAGE_FULL)
-                    else:
-                        anchor = created.get(
-                            KIND_MORPHOSYNTAX if kind == KIND_SYNTAX
-                            else KIND_SEGMENTATION,
-                            created.get(KIND_SEGMENTATION))
-                        deps = [anchor.id] if anchor else []
-                        level = self.add_level(
-                            corpus.id, kind, COVERAGE_NONE, depends_on=deps)
-                    created[kind] = level
-                out.append(corpus)
-            return out
-
-    def add_dependency(self, level_id: str, dep_id: str,
-                       purpose: str = "anchors-to") -> Level:
-        """Wire an existing level onto another one, refusing cycles."""
-        with self._lock:
-            level = self._require_level(level_id)
-            dep = self._require_level(dep_id)
-            if dep.corpus_id != level.corpus_id:
-                raise UnknownDependencyError(
-                    f"dependency {dep_id!r} belongs to another corpus")
-            graph = {
-                l.id: {d for d, _ in l.depends_on}
-                for l in self._levels.values()
-                if l.corpus_id == level.corpus_id}
-            graph[level_id] = graph[level_id] | {dep_id}
-            try:
-                graphlib.TopologicalSorter(graph).prepare()
-            except graphlib.CycleError as err:
-                raise DependencyCycleError(
-                    f"adding {dep_id!r} under {level_id!r} closes a "
-                    f"dependency cycle") from err
-            level.depends_on = level.depends_on + ((dep_id, purpose),)
-            self._save_corpus(level.corpus_id)
-            return copy.deepcopy(level)
-
-    # -- deposit -----------------------------------------------------------
-
-    def deposit(self, corpus_id: str, payload, format: str,
-                levels=(), new_levels=(), depositor: str = "",
-                validated: bool = False, validator: str | None = None,
-                meta: dict[str, str] | None = None) -> DepositResult:
-        with self._lock:
-            corpus = self._require_corpus(corpus_id)
-            if format not in FORMATS:
-                raise StoreError(f"unknown deposit format {format!r}")
-            if isinstance(payload, bytes):
-                try:
-                    text = payload.decode("utf-8")
-                except UnicodeDecodeError as err:
-                    raise ParseError(f"payload is not valid UTF-8: {err}")
-            else:
-                text = payload
-
-            targets: list[Level] = []
-            pending: dict[str, Level] = {}
-            for level_id in levels:
-                level = self._require_level(level_id)
-                if level.corpus_id != corpus_id:
-                    raise UnknownEntityError(
-                        f"level {level_id!r} belongs to another corpus")
-                targets.append(level)
-            for spec in new_levels:
-                level = self._build_level(corpus_id, spec, pending=pending)
-                pending[level.id] = level
-                targets.append(level)
-            if not targets:
-                raise NoLevelError(
-                    "a deposit must target at least one description level")
-
-            # Parse once per target level before touching any state, so a
-            # malformed payload can never leave a half-applied deposit.
-            parsed = [(level, self._parse_for(format, text, level, pending))
-                      for level in targets]
-
-            number = 1 + sum(1 for r in self._resources.values()
-                             if r.corpus_id == corpus_id)
-            resource_id = f"{corpus_id}-r{number:03d}"
-            now = _iso(self._clock())
-            resource = Resource(
-                id=resource_id,
-                corpus_id=corpus_id,
-                format=format,
-                filename=f"{resource_id}.{format}",
-                levels=tuple(l.id for l in targets),
-                depositor=depositor,
-                deposited_at=now,
-                validated=validated,
-                validator=validator,
-                sha256=hashlib.sha256(text.encode("utf-8")).hexdigest(),
-                size=len(text.encode("utf-8")),
-                declared_meta=dict(meta or {}))
-
-            # commit
-            self._levels.update(pending)
-            self._resources[resource_id] = resource
-            fresh_by_kind: dict[str, list[AnnotationItem]] = {}
-            for level, value in parsed:
-                fresh_by_kind.setdefault(level.kind, []).extend(
-                    self._add_parsed(level.id, format, value))
-
-            records = self._record_versions(
-                corpus, resource, targets, fresh_by_kind, now)
-            self._set_fingerprint_if_ready(corpus, targets)
-
-            path = self._resource_path(resource)
-            path.parent.mkdir(parents=True, exist_ok=True)
-            path.write_text(text, encoding="utf-8")
-            header = catalog_mod.resource_header(resource)
-            path.with_name(f"{resource_id}.header").write_text(
-                header, encoding="utf-8")
-            self._save_corpus(corpus_id)
-            return DepositResult(
-                resource=copy.deepcopy(resource),
-                levels=tuple(l.id for l in targets),
-                records=tuple(records))
-
-    def _parse_for(self, format: str, text: str, level: Level,
-                   pending: dict[str, Level]) -> list:
-        codec = FORMATS[format]
-        if codec.yields_units and level.kind != KIND_SEGMENTATION:
-            raise StoreError(
-                f"{format} payloads materialize segmentation levels, "
-                f"not {level.kind!r}")
-        anchor = (self._anchor(level, pending)
-                  if codec.needs_units != "no" else None)
-        if anchor is not None:
-            value = codec.parse(text, self._units[anchor])
-        elif codec.needs_units == "required":
-            raise NoPrimaryAnchorError(
-                f"format {format!r} aligns against reference units, but "
-                f"the dependency chain of level {level.id!r} reaches no "
-                "segmentation holding reference units")
-        else:
-            value = codec.parse(text)
-        project = codec.project.get(level.kind)
-        return value if project is None else project(value)
-
-    def _add_parsed(self, level_id: str, format: str, value: list) -> list:
-        """Store what ``format`` parsed for one level; return the new items."""
-        if FORMATS[format].yields_units:
-            self._merge_units(level_id, value)
-            return []
-        self._items.setdefault(level_id, []).extend(value)
-        return value
-
-    def _closure(self, level: Level, pending: dict[str, Level] | None = None):
-        """Yield the levels ``level`` depends on, directly or not, nearest
-        first, ties by id; ``pending`` holds levels not yet committed."""
-        pending = pending or {}
-        seen = {level.id}
-        frontier = [level]
-        while frontier:
-            ids = sorted({d for l in frontier for d, _ in l.depends_on} - seen)
-            seen.update(ids)
-            frontier = [l for l in (pending.get(i) or self._levels.get(i)
-                                    for i in ids) if l is not None]
-            yield from frontier
-
-    def _anchor(self, level: Level,
-                pending: dict[str, Level] | None = None) -> str | None:
-        """The level's anchor: the nearest segmentation in its dependency
-        closure that holds reference units."""
-        return next((l.id for l in self._closure(level, pending)
-                     if l.kind == KIND_SEGMENTATION and self._units.get(l.id)),
-                    None)
-
-    def _coverage(self, level: Level) -> list[str]:
-        anchor = self._anchor(level)
-        return reconstruct_coverage(
-            level.kind, self._units.get(level.id, []),
-            self._items.get(level.id, []),
-            self._units[anchor] if anchor is not None else None)
-
-    def _merge_units(self, level_id: str, units) -> None:
-        merged = self._units.get(level_id, [])
-        existing_ids = {u.id for u in merged}
-        for unit in units:
-            if unit.id in existing_ids:
-                raise StoreError(
-                    f"unit id {unit.id!r} already materialized on level "
-                    f"{level_id!r}")
-            existing_ids.add(unit.id)
-        base = len(merged)
-        merged = merged + [
-            ReferenceUnit(id=u.id, form=u.form, index=base + i)
-            for i, u in enumerate(units)]
-        self._units[level_id] = merged
-
-    def _record_versions(self, corpus: Corpus, resource: Resource,
-                         targets: list[Level],
-                         fresh_by_kind: dict[str, list[AnnotationItem]],
-                         now: str) -> list[VersionRecord]:
-        records = []
-        kinds: list[str] = []
-        for level in targets:
-            if level.kind not in kinds:
-                kinds.append(level.kind)
-        for kind in kinds:
-            chain = self.version_chain(corpus.id, kind)
-            prior = chain[-1] if chain else None
-            kind_levels = [l for l in targets if l.kind == kind]
-            categories: set[str] = set()
-            for level in kind_levels:
-                categories |= self._level_granularity(level.id).categories
-            granularity = frozenset(categories)
-            classification = classify_submission(
-                granularity, prior.granularity if prior else None,
-                self.registry, validated=resource.validated)
-            groups: dict[str, int] = {}
-            for item in iter_items(fresh_by_kind.get(kind, [])):
-                if item.group is not None:
-                    groups[item.group] = groups.get(item.group, 0) + 1
-            coverage = ""
-            try:
-                tokens = self._coverage(kind_levels[0])
-                coverage = coverage_fingerprint(tokens)
-            except (DanglingPointerError, NoPrimaryAnchorError):
-                pass
-            record = VersionRecord(
-                id=f"{corpus.id}-{kind}-v{len(chain) + 1}",
-                corpus_id=corpus.id,
-                level_kind=kind,
-                level_id=kind_levels[0].id,
-                resource_id=resource.id,
-                number=len(chain) + 1,
-                classification=classification,
-                granularity=granularity,
-                validated=resource.validated,
-                validator=resource.validator,
-                coverage=coverage,
-                variant_groups=tuple(sorted(groups.items())),
-                supersedes=(prior.id if prior and classification.is_correction
-                            else None),
-                created_at=now)
-            self._versions[record.id] = record
-            records.append(record)
-        return records
-
-    def _set_fingerprint_if_ready(self, corpus: Corpus,
-                                  targets: list[Level]) -> None:
-        if corpus.coverage_fingerprint is not None:
-            return
-        for level in targets:
-            if level.coverage != COVERAGE_FULL:
-                continue
-            if not self.level_is_materialized(level.id):
-                continue
-            try:
-                tokens = self._coverage(level)
-            except (DanglingPointerError, NoPrimaryAnchorError):
-                continue
-            if tokens:
-                corpus.coverage_fingerprint = coverage_fingerprint(tokens)
-                return
-
-    def withdraw(self, resource_id: str) -> Resource:
-        """Delete a resource's payload, keeping its descriptive record.
-
-        The header survives and is refreshed, so the catalog keeps
-        listing the resource with ``available: false``.
-        """
-        with self._lock:
-            resource = self._require_resource(resource_id)
-            if resource.available:
-                path = self._resource_path(resource)
-                if path.is_file():
-                    path.unlink()
-                resource.available = False
-                header_path = path.with_name(f"{resource_id}.header")
-                header_path.write_text(
-                    catalog_mod.resource_header(resource), encoding="utf-8")
-                self._rematerialize_levels(resource.levels)
-                self._save_corpus(resource.corpus_id)
-            return copy.deepcopy(resource)
-
-    def _rematerialize_levels(self, level_ids) -> None:
-        for level_id in level_ids:
-            self._units.pop(level_id, None)
-            self._items.pop(level_id, None)
-        contributors = sorted(
-            (r for r in self._resources.values()
-             if r.available and any(l in r.levels for l in level_ids)),
-            key=lambda r: r.id)
-        for resource in contributors:
-            path = self._resource_path(resource)
-            if not path.is_file():
-                continue
-            text = path.read_text(encoding="utf-8")
-            self._materialize(resource, text, only=set(level_ids))
-
-    def _materialize(self, resource: Resource, text: str,
-                     only: set[str] | None = None) -> None:
-        for level_id in resource.levels:
-            if only is not None and level_id not in only:
-                continue
-            if level_id not in self._levels:
-                continue  # reported by validate() as dangling level
-            value = self._parse_for(
-                resource.format, text, self._levels[level_id], {})
-            self._add_parsed(level_id, resource.format, value)
-
-    # -- accessors ----------------------------------------------------------
+    def _of(self, entities: dict, corpus_id: str) -> list:
+        """The members of ``entities`` that belong to one corpus, by id."""
+        return sorted((e for e in entities.values()
+                       if e.corpus_id == corpus_id), key=lambda e: e.id)
 
     def _require_corpus(self, corpus_id: str) -> Corpus:
         if corpus_id not in self._corpora:
@@ -594,129 +151,113 @@ class Archive:
         return self._resources[resource_id]
 
     def corpus(self, corpus_id: str) -> Corpus:
-        with self._lock:
-            return copy.deepcopy(self._require_corpus(corpus_id))
+        return copy.deepcopy(self._require_corpus(corpus_id))
 
     def corpora(self) -> list[Corpus]:
-        with self._lock:
-            return [copy.deepcopy(self._corpora[cid])
-                    for cid in sorted(self._corpora)]
+        return [copy.deepcopy(self._corpora[cid])
+                for cid in sorted(self._corpora)]
 
     def level(self, level_id: str) -> Level:
-        with self._lock:
-            return copy.deepcopy(self._require_level(level_id))
+        return copy.deepcopy(self._require_level(level_id))
 
     def levels(self, corpus_id: str) -> list[Level]:
-        with self._lock:
-            self._require_corpus(corpus_id)
-            return [copy.deepcopy(l) for l in
-                    sorted((l for l in self._levels.values()
-                            if l.corpus_id == corpus_id), key=lambda l: l.id)]
+        self._require_corpus(corpus_id)
+        return [copy.deepcopy(l) for l in self._of(self._levels, corpus_id)]
 
     def resource(self, resource_id: str) -> Resource:
-        with self._lock:
-            return copy.deepcopy(self._require_resource(resource_id))
+        return copy.deepcopy(self._require_resource(resource_id))
 
     def resources(self, corpus_id: str) -> list[Resource]:
-        with self._lock:
-            self._require_corpus(corpus_id)
-            return [copy.deepcopy(r) for r in
-                    sorted((r for r in self._resources.values()
-                            if r.corpus_id == corpus_id), key=lambda r: r.id)]
+        self._require_corpus(corpus_id)
+        return [copy.deepcopy(r)
+                for r in self._of(self._resources, corpus_id)]
 
     def resource_payload(self, resource_id: str) -> str:
-        with self._lock:
-            resource = self._require_resource(resource_id)
-            path = self._resource_path(resource)
-            if not resource.available or not path.is_file():
-                raise StoreError(
-                    f"resource {resource_id!r} has no stored payload")
-            return path.read_text(encoding="utf-8")
+        resource = self._require_resource(resource_id)
+        try:
+            if resource.available:
+                return self._resource_path(resource).read_text(
+                    encoding="utf-8")
+        except FileNotFoundError:
+            pass  # lost, or withdrawn after this snapshot was published
+        raise StoreError(f"resource {resource_id!r} has no stored payload")
 
     def resource_header(self, resource_id: str) -> str:
-        with self._lock:
-            resource = self._require_resource(resource_id)
-            return catalog_mod.resource_header(resource)
+        return catalog_mod.resource_header(self._require_resource(resource_id))
 
     def version_chain(self, corpus_id: str, kind: str) -> list[VersionRecord]:
-        with self._lock:
-            return sorted(
-                (v for v in self._versions.values()
-                 if v.corpus_id == corpus_id and v.level_kind == kind),
-                key=lambda v: v.number)
+        return [v for v in self.versions(corpus_id) if v.level_kind == kind]
 
     def versions(self, corpus_id: str) -> list[VersionRecord]:
-        with self._lock:
-            return sorted(
-                (v for v in self._versions.values()
-                 if v.corpus_id == corpus_id),
-                key=lambda v: (v.level_kind, v.number))
+        return sorted(
+            (v for v in self._versions.values() if v.corpus_id == corpus_id),
+            key=lambda v: (v.level_kind, v.number))
 
     def level_units(self, level_id: str) -> list[ReferenceUnit]:
-        with self._lock:
-            self._require_level(level_id)
-            return list(self._units.get(level_id, []))
+        self._require_level(level_id)
+        return list(self._units.get(level_id, []))
 
     def level_items(self, level_id: str) -> list[AnnotationItem]:
-        with self._lock:
-            self._require_level(level_id)
-            return list(self._items.get(level_id, []))
+        self._require_level(level_id)
+        return list(self._items.get(level_id, []))
 
     def level_is_materialized(self, level_id: str) -> bool:
-        with self._lock:
-            self._require_level(level_id)
-            return bool(self._units.get(level_id)
-                        or self._items.get(level_id))
+        self._require_level(level_id)
+        return bool(self._units.get(level_id) or self._items.get(level_id))
 
     def classify_level(self, level_id: str) -> str:
-        with self._lock:
-            return self._require_level(level_id).classify()
+        return self._require_level(level_id).classify()
+
+    def _closure(self, level: Level):
+        """Yield the levels ``level`` depends on, directly or not, nearest
+        first, ties by id."""
+        seen = {level.id}
+        frontier = [level]
+        while frontier:
+            ids = sorted({d for l in frontier for d, _ in l.depends_on} - seen)
+            seen.update(ids)
+            frontier = [self._levels[i] for i in ids if i in self._levels]
+            yield from frontier
 
     def dependency_closure(self, level_id: str) -> list[str]:
         """The level and everything reachable through depends-on edges,
         nearest dependencies first, ties by id."""
-        with self._lock:
-            level = self._require_level(level_id)
-            return [level_id] + [l.id for l in self._closure(level)]
+        level = self._require_level(level_id)
+        return [level_id] + [l.id for l in self._closure(level)]
 
     def anchor(self, level_id: str) -> str | None:
         """Id of the segmentation the level's spans resolve against: the
         nearest one in its dependency closure that holds reference units,
         or None while there is none."""
-        with self._lock:
-            return self._anchor(self._require_level(level_id))
+        return next((l.id for l in self._closure(self._require_level(level_id))
+                     if l.kind == KIND_SEGMENTATION and self._units.get(l.id)),
+                    None)
 
     def coverage(self, level_id: str) -> list[str]:
-        with self._lock:
-            return self._coverage(self._require_level(level_id))
+        level = self._require_level(level_id)
+        anchor = self.anchor(level_id)
+        return reconstruct_coverage(
+            level.kind, self._units.get(level_id, []),
+            self._items.get(level_id, []),
+            self._units[anchor] if anchor is not None else None)
 
-    def _level_granularity(self, level_id: str) -> Granularity:
+    def level_granularity(self, level_id: str) -> Granularity:
         level = self._require_level(level_id)
         if level.kind == KIND_SEGMENTATION and self._units.get(level_id):
             return Granularity(SEGMENTATION_GRANULARITY, ())
         return granularity_of(self._items.get(level_id, []), self.registry)
 
-    def level_granularity(self, level_id: str) -> Granularity:
-        with self._lock:
-            return self._level_granularity(level_id)
-
     # -- validation ----------------------------------------------------------
 
     def validate(self, corpus_id: str | None = None) -> list[Violation]:
-        with self._lock:
-            corpora = ([self._require_corpus(corpus_id)] if corpus_id
-                       else [self._corpora[c] for c in sorted(self._corpora)])
-            out: list[Violation] = []
-            for corpus in corpora:
-                out.extend(self._validate_corpus(corpus))
-            return out
+        corpora = ([self._require_corpus(corpus_id)] if corpus_id
+                   else [self._corpora[c] for c in sorted(self._corpora)])
+        return [v for corpus in corpora for v in self._validate_corpus(corpus)]
 
     def _validate_corpus(self, corpus: Corpus) -> list[Violation]:
         out: list[Violation] = []
-        levels = sorted((l for l in self._levels.values()
-                         if l.corpus_id == corpus.id), key=lambda l: l.id)
-        resources = sorted((r for r in self._resources.values()
-                            if r.corpus_id == corpus.id), key=lambda r: r.id)
+        levels = self._of(self._levels, corpus.id)
+        resources = self._of(self._resources, corpus.id)
 
         graph = {}
         for level in levels:
@@ -740,8 +281,6 @@ class Archive:
                 f"level dependencies form a cycle: {cycle}"))
 
         for level in levels:
-            materialized = bool(self._units.get(level.id)
-                                or self._items.get(level.id))
             if level.coverage == COVERAGE_NONE and not level.depends_on:
                 out.append(Violation(
                     "pointer-level-without-dependency", level.id,
@@ -753,12 +292,21 @@ class Archive:
                         "surface-in-pointer-level", level.id,
                         "declared coverage 'none' but the payload carries "
                         "its own text"))
-            if not materialized or has_cycle:
+            if has_cycle:
                 # Reconstruction through a cyclic graph has no meaning;
                 # the cycle violation already covers these levels.
                 continue
+            if not self.level_is_materialized(level.id):
+                # Payloads aligned on units stay unparsed without an anchor.
+                if self.anchor(level.id) is None and any(
+                        FORMATS[r.format].needs_units == "required"
+                        for r in resources
+                        if r.available and level.id in r.levels):
+                    out.append(Violation("no-primary-anchor", level.id,
+                                         NoPrimaryAnchorError().message))
+                continue
             try:
-                tokens = self._coverage(level)
+                tokens = self.coverage(level.id)
             except DanglingPointerError as err:
                 out.append(Violation(
                     "dangling-pointer", level.id, err.message))
@@ -797,3 +345,445 @@ class Archive:
                     "missing-payload", resource.id,
                     "marked available but its payload file is gone"))
         return out
+
+
+class Archive:
+    """The archive at ``root``.  Each public method of :class:`Snapshot`
+    is also a read of ``Archive``, of its last published snapshot."""
+
+    def __init__(self, root, registry: Registry | None = None, clock=None):
+        self.root = Path(root)
+        self.registry = registry or Registry.default()
+        self._clock = clock or (lambda: datetime.now(timezone.utc))
+        self._lock = threading.Lock()
+        self._view = self._load()
+
+    # -- storage ----------------------------------------------------------
+
+    def _load(self) -> Snapshot:
+        view = Snapshot(self.root, self.registry)
+        corpora_dir = self.root / "corpora"
+        if not corpora_dir.is_dir():
+            return view
+        for entry in sorted(corpora_dir.iterdir()):
+            manifest_path = entry / "manifest"
+            if not entry.is_dir() or not manifest_path.is_file():
+                continue
+            text = manifest_path.read_text(encoding="utf-8")
+            corpus, levels, resources, versions = manifest_mod.loads_corpus(text)
+            view._corpora[corpus.id] = corpus
+            view._levels.update((l.id, l) for l in levels)
+            view._resources.update((r.id, r) for r in resources)
+            view._versions.update((v.id, v) for v in versions)
+        self._parse_stored(view)
+        return view
+
+    def _parse_stored(self, draft: Snapshot,
+                      only: set[str] | None = None) -> None:
+        """Parse each available resource's stored payload into its levels,
+        or into those of them in ``only``."""
+        for resource in sorted(draft._resources.values(), key=lambda r: r.id):
+            if not resource.available or (
+                    only is not None and only.isdisjoint(resource.levels)):
+                continue
+            path = draft._resource_path(resource)
+            if not path.is_file():
+                continue  # reported by validate() as missing-payload
+            self._materialize(draft, resource,
+                              path.read_text(encoding="utf-8"), only)
+
+    def _publish(self, draft: Snapshot, *corpus_ids: str) -> None:
+        """Write the manifests of ``corpus_ids``, then publish ``draft``."""
+        for corpus_id in corpus_ids:
+            text = manifest_mod.dumps_corpus(
+                draft._corpora[corpus_id], draft._of(draft._levels, corpus_id),
+                draft._of(draft._resources, corpus_id),
+                draft.versions(corpus_id))
+            directory = draft._corpus_dir(corpus_id)
+            directory.mkdir(parents=True, exist_ok=True)
+            tmp = directory / "manifest.tmp"
+            tmp.write_text(text, encoding="utf-8")
+            tmp.replace(directory / "manifest")
+        self._view = draft
+
+    # -- registration ------------------------------------------------------
+
+    def register_corpus(self, title: str, language: str = "",
+                        meta: dict[str, str] | None = None,
+                        corpus_id: str | None = None) -> Corpus:
+        with self._lock:
+            draft = self._view._draft()
+            corpus = self._add_corpus(draft, title, language, meta, corpus_id)
+            self._publish(draft, corpus.id)
+            return copy.deepcopy(corpus)
+
+    def _add_corpus(self, draft: Snapshot, title: str, language: str,
+                    meta: dict[str, str] | None,
+                    corpus_id: str | None) -> Corpus:
+        if not title or not title.strip():
+            raise EmptyTitleError("a corpus requires a non-empty title")
+        title = title.strip()
+        if corpus_id is not None:
+            if corpus_id in draft._corpora:
+                raise StoreError(f"corpus id {corpus_id!r} already exists")
+        else:
+            base = slugify(title)
+            corpus_id, n = base, 1
+            while corpus_id in draft._corpora:
+                n += 1
+                corpus_id = f"{base}-{n}"
+        corpus = draft._corpora[corpus_id] = Corpus(
+            id=corpus_id, title=title, language=language,
+            declared_meta=dict(meta or {}),
+            created_at=_iso(self._clock()))
+        return corpus
+
+    def add_level(self, corpus_id: str, kind: str, coverage: str,
+                  depends_on=(), meta: dict[str, str] | None = None) -> Level:
+        with self._lock:
+            draft = self._view._draft()
+            draft._require_corpus(corpus_id)
+            level = self._add_level(draft, corpus_id, LevelSpec(
+                kind=kind, coverage=coverage, depends_on=tuple(depends_on),
+                meta=tuple(sorted((meta or {}).items()))))
+            self._publish(draft, corpus_id)
+            return copy.deepcopy(level)
+
+    def _add_level(self, draft: Snapshot, corpus_id: str,
+                   spec: LevelSpec) -> Level:
+        kind = (spec.kind or "").strip()
+        if not kind or any(c.isspace() for c in kind):
+            raise StoreError(f"invalid level kind {spec.kind!r}")
+        if spec.coverage not in COVERAGE_VALUES:
+            raise StoreError(
+                f"coverage must be one of {', '.join(COVERAGE_VALUES)}, "
+                f"got {spec.coverage!r}")
+        deps = []
+        for entry in spec.depends_on:
+            dep_id, purpose = (entry if isinstance(entry, tuple)
+                               else (entry, "anchors-to"))
+            if dep_id not in draft._levels:
+                raise UnknownDependencyError(
+                    f"dependency {dep_id!r} does not exist")
+            if draft._levels[dep_id].corpus_id != corpus_id:
+                raise UnknownDependencyError(
+                    f"dependency {dep_id!r} belongs to another corpus")
+            deps.append((dep_id, purpose))
+        number = 1 + sum(l.kind == kind
+                         for l in draft._of(draft._levels, corpus_id))
+        level = Level(
+            id=f"{corpus_id}-{kind}-{number}",
+            corpus_id=corpus_id,
+            kind=kind,
+            coverage=spec.coverage,
+            depends_on=tuple(deps),
+            declared_meta=dict(spec.meta),
+            created_at=_iso(self._clock()))
+        draft._levels[level.id] = level
+        return level
+
+    def register_table(self, text: str, language: str = "") -> list[Corpus]:
+        """Bulk-register corpora from a tab-separated table.
+
+        Columns: title, declared word count ('-' if unknown), genre,
+        comma-separated level kinds.  Each corpus gets the standard
+        dependency chain for its kinds: segmentation and structure carry
+        full coverage; morphosyntax anchors on segmentation; syntax on
+        morphosyntax when present, else segmentation; everything else on
+        segmentation.  A segmentation level is added implicitly whenever
+        some declared kind needs an anchor.  A malformed row registers
+        nothing.
+        """
+        with self._lock:
+            draft = self._view._draft()
+            out: list[Corpus] = []
+            for lineno, raw in enumerate(text.splitlines(), 1):
+                if not raw.strip() or raw.lstrip().startswith("#"):
+                    continue
+                cols = [c.strip() for c in raw.split("\t")]
+                if len(cols) != 4:
+                    raise StoreError(
+                        f"corpus table line {lineno}: expected 4 "
+                        f"tab-separated columns, got {len(cols)}")
+                title, words, genre, kinds_field = cols
+                kinds = [k for k in (k.strip() for k in kinds_field.split(","))
+                         if k and k != "-"]
+                meta = {}
+                if genre and genre != "-":
+                    meta["genre"] = genre
+                if words and words != "-":
+                    meta["word-count"] = words
+                corpus = self._add_corpus(draft, title, language, meta, None)
+                anchored = [k for k in kinds if k not in
+                            (KIND_SEGMENTATION, KIND_STRUCTURE)]
+                if anchored and KIND_SEGMENTATION not in kinds:
+                    kinds.append(KIND_SEGMENTATION)
+                rank = {KIND_SEGMENTATION: 0, KIND_STRUCTURE: 1,
+                        KIND_MORPHOSYNTAX: 2, KIND_SYNTAX: 3}
+                kinds.sort(key=lambda k: (rank.get(k, 9), k))
+                created: dict[str, Level] = {}
+                for kind in kinds:
+                    if kind in (KIND_SEGMENTATION, KIND_STRUCTURE):
+                        spec = LevelSpec(kind, COVERAGE_FULL)
+                    else:
+                        anchor = created.get(
+                            KIND_MORPHOSYNTAX if kind == KIND_SYNTAX
+                            else KIND_SEGMENTATION,
+                            created.get(KIND_SEGMENTATION))
+                        spec = LevelSpec(kind, COVERAGE_NONE,
+                                         (anchor.id,) if anchor else ())
+                    created[kind] = self._add_level(draft, corpus.id, spec)
+                out.append(corpus)
+            self._publish(draft, *(corpus.id for corpus in out))
+            return [copy.deepcopy(corpus) for corpus in out]
+
+    def add_dependency(self, level_id: str, dep_id: str,
+                       purpose: str = "anchors-to") -> Level:
+        """Wire an existing level onto another one, refusing cycles."""
+        with self._lock:
+            draft = self._view._draft()
+            level = draft._require_level(level_id)
+            dep = draft._require_level(dep_id)
+            if dep.corpus_id != level.corpus_id:
+                raise UnknownDependencyError(
+                    f"dependency {dep_id!r} belongs to another corpus")
+            graph = {l.id: {d for d, _ in l.depends_on}
+                     for l in draft._of(draft._levels, level.corpus_id)}
+            graph[level_id] = graph[level_id] | {dep_id}
+            try:
+                graphlib.TopologicalSorter(graph).prepare()
+            except graphlib.CycleError as err:
+                raise DependencyCycleError(
+                    f"adding {dep_id!r} under {level_id!r} closes a "
+                    f"dependency cycle") from err
+            level = draft._levels[level_id] = dataclasses.replace(
+                level, depends_on=level.depends_on + ((dep_id, purpose),))
+            self._publish(draft, level.corpus_id)
+            return copy.deepcopy(level)
+
+    # -- deposit -----------------------------------------------------------
+
+    def deposit(self, corpus_id: str, payload, format: str,
+                levels=(), new_levels=(), depositor: str = "",
+                validated: bool = False, validator: str | None = None,
+                meta: dict[str, str] | None = None) -> DepositResult:
+        with self._lock:
+            draft = self._view._draft()
+            corpus = draft._require_corpus(corpus_id)
+            if format not in FORMATS:
+                raise StoreError(f"unknown deposit format {format!r}")
+            if isinstance(payload, bytes):
+                try:
+                    text = payload.decode("utf-8")
+                except UnicodeDecodeError as err:
+                    raise ParseError(f"payload is not valid UTF-8: {err}")
+            else:
+                text = payload
+
+            targets: list[Level] = []
+            for level_id in levels:
+                level = draft._require_level(level_id)
+                if level.corpus_id != corpus_id:
+                    raise UnknownEntityError(
+                        f"level {level_id!r} belongs to another corpus")
+                targets.append(level)
+            for spec in new_levels:
+                targets.append(self._add_level(draft, corpus_id, spec))
+            if not targets:
+                raise NoLevelError(
+                    "a deposit must target at least one description level")
+
+            # Parse for every target before storing any result, so each
+            # aligns on the last commit's anchors.  Only the draft changes
+            # below: a payload that fails to parse or merge publishes nothing.
+            parsed = [(level, self._parse_for(draft, format, text, level))
+                      for level in targets]
+
+            number = 1 + len(draft._of(draft._resources, corpus_id))
+            resource_id = f"{corpus_id}-r{number:03d}"
+            now = _iso(self._clock())
+            resource = draft._resources[resource_id] = Resource(
+                id=resource_id,
+                corpus_id=corpus_id,
+                format=format,
+                filename=f"{resource_id}.{format}",
+                levels=tuple(l.id for l in targets),
+                depositor=depositor,
+                deposited_at=now,
+                validated=validated,
+                validator=validator,
+                sha256=hashlib.sha256(text.encode("utf-8")).hexdigest(),
+                size=len(text.encode("utf-8")),
+                declared_meta=dict(meta or {}))
+            fresh_by_kind: dict[str, list[AnnotationItem]] = {}
+            for level, value in parsed:
+                fresh_by_kind.setdefault(level.kind, []).extend(
+                    self._add_parsed(draft, level.id, format, value))
+
+            records = self._record_versions(
+                draft, corpus, resource, targets, fresh_by_kind, now)
+            self._set_fingerprint_if_ready(draft, corpus, targets)
+
+            path = draft._resource_path(resource)
+            path.parent.mkdir(parents=True, exist_ok=True)
+            path.write_text(text, encoding="utf-8")
+            header = catalog_mod.resource_header(resource)
+            path.with_name(f"{resource_id}.header").write_text(
+                header, encoding="utf-8")
+            self._publish(draft, corpus_id)
+            return DepositResult(
+                resource=copy.deepcopy(resource),
+                levels=tuple(l.id for l in targets),
+                records=tuple(records))
+
+    def _parse_for(self, view: Snapshot, format: str, text: str,
+                   level: Level) -> list:
+        codec = FORMATS[format]
+        if codec.yields_units and level.kind != KIND_SEGMENTATION:
+            raise StoreError(
+                f"{format} payloads materialize segmentation levels, "
+                f"not {level.kind!r}")
+        anchor = (view.anchor(level.id)
+                  if codec.needs_units != "no" else None)
+        if anchor is not None:
+            value = codec.parse(text, view._units[anchor])
+        elif codec.needs_units == "required":
+            raise NoPrimaryAnchorError(
+                f"format {format!r} aligns against reference units, but "
+                f"the dependency chain of level {level.id!r} reaches no "
+                "segmentation holding reference units")
+        else:
+            value = codec.parse(text)
+        project = codec.project.get(level.kind)
+        return value if project is None else project(value)
+
+    def _add_parsed(self, draft: Snapshot, level_id: str, format: str,
+                    value: list) -> list:
+        """Store what ``format`` parsed for one level; return the new items."""
+        if not FORMATS[format].yields_units:
+            draft._items[level_id] = draft._items.get(level_id, []) + value
+            return value
+        merged = draft._units.get(level_id, [])
+        existing_ids = {u.id for u in merged}
+        for unit in value:
+            if unit.id in existing_ids:
+                raise StoreError(
+                    f"unit id {unit.id!r} already materialized on level "
+                    f"{level_id!r}")
+            existing_ids.add(unit.id)
+        draft._units[level_id] = merged + [
+            ReferenceUnit(id=u.id, form=u.form, index=len(merged) + i)
+            for i, u in enumerate(value)]
+        return []
+
+    def _record_versions(self, draft: Snapshot, corpus: Corpus,
+                         resource: Resource, targets: list[Level],
+                         fresh_by_kind: dict[str, list[AnnotationItem]],
+                         now: str) -> list[VersionRecord]:
+        records = []
+        for kind in dict.fromkeys(level.kind for level in targets):
+            chain = draft.version_chain(corpus.id, kind)
+            prior = chain[-1] if chain else None
+            kind_levels = [l for l in targets if l.kind == kind]
+            categories: set[str] = set()
+            for level in kind_levels:
+                categories |= draft.level_granularity(level.id).categories
+            granularity = frozenset(categories)
+            classification = classify_submission(
+                granularity, prior.granularity if prior else None,
+                self.registry, validated=resource.validated)
+            groups: dict[str, int] = {}
+            for item in iter_items(fresh_by_kind.get(kind, [])):
+                if item.group is not None:
+                    groups[item.group] = groups.get(item.group, 0) + 1
+            coverage = ""
+            try:
+                coverage = coverage_fingerprint(
+                    draft.coverage(kind_levels[0].id))
+            except (DanglingPointerError, NoPrimaryAnchorError):
+                pass
+            record = VersionRecord(
+                id=f"{corpus.id}-{kind}-v{len(chain) + 1}",
+                corpus_id=corpus.id,
+                level_kind=kind,
+                level_id=kind_levels[0].id,
+                resource_id=resource.id,
+                number=len(chain) + 1,
+                classification=classification,
+                granularity=granularity,
+                validated=resource.validated,
+                validator=resource.validator,
+                coverage=coverage,
+                variant_groups=tuple(sorted(groups.items())),
+                supersedes=(prior.id if prior and classification.is_correction
+                            else None),
+                created_at=now)
+            draft._versions[record.id] = record
+            records.append(record)
+        return records
+
+    def _set_fingerprint_if_ready(self, draft: Snapshot, corpus: Corpus,
+                                  targets: list[Level]) -> None:
+        if corpus.coverage_fingerprint is not None:
+            return
+        for level in targets:
+            if level.coverage != COVERAGE_FULL:
+                continue
+            try:
+                tokens = draft.coverage(level.id)
+            except (DanglingPointerError, NoPrimaryAnchorError):
+                continue
+            if tokens:
+                draft._corpora[corpus.id] = dataclasses.replace(
+                    corpus, coverage_fingerprint=coverage_fingerprint(tokens))
+                return
+
+    def withdraw(self, resource_id: str) -> Resource:
+        """Delete a resource's payload, keeping its descriptive record.
+
+        The header survives and is refreshed, so the catalog keeps
+        listing the resource with ``available: false``.
+        """
+        with self._lock:
+            draft = self._view._draft()
+            resource = draft._require_resource(resource_id)
+            if resource.available:
+                resource = draft._resources[resource_id] = dataclasses.replace(
+                    resource, available=False)
+                for level_id in resource.levels:
+                    draft._units.pop(level_id, None)
+                    draft._items.pop(level_id, None)
+                self._parse_stored(draft, set(resource.levels))
+                path = draft._resource_path(resource)
+                path.with_name(f"{resource_id}.header").write_text(
+                    catalog_mod.resource_header(resource), encoding="utf-8")
+                self._publish(draft, resource.corpus_id)
+                # Last, so readers of earlier snapshots still find it.
+                path.unlink(missing_ok=True)
+            return copy.deepcopy(resource)
+
+    def _materialize(self, draft: Snapshot, resource: Resource, text: str,
+                     only: set[str] | None = None) -> None:
+        for level_id in resource.levels:
+            if only is not None and level_id not in only:
+                continue
+            if level_id not in draft._levels:
+                continue  # reported by validate() as dangling level
+            try:
+                value = self._parse_for(
+                    draft, resource.format, text, draft._levels[level_id])
+            except NoPrimaryAnchorError:
+                continue  # reported by validate() as no-primary-anchor
+            self._add_parsed(draft, level_id, resource.format, value)
+
+
+def _read(method):
+    @functools.wraps(method)
+    def read(self, *args, **kwargs):
+        return method(self._view, *args, **kwargs)
+    return read
+
+
+for _name, _method in list(vars(Snapshot).items()):
+    if callable(_method) and not _name.startswith("_"):
+        setattr(Archive, _name, _read(_method))

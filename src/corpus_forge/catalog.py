@@ -18,7 +18,7 @@ from pathlib import Path
 from .errors import ParseError, StoreError
 from .formats import iter_items
 from .manifest import escape_value, unescape_value
-from .model import KIND_SEGMENTATION, KIND_STRUCTURE, Resource
+from .model import COVERAGE_FULL, KIND_SEGMENTATION, KIND_STRUCTURE, Resource
 
 CATALOG_FORMAT = "1"
 
@@ -143,11 +143,13 @@ def parse_header(text: str) -> MetadataHeader:
 
 
 def compute_auto_stats(archive, corpus_id: str) -> dict[str, str]:
-    """Engine-measured statistics for the corpus tier."""
+    """Engine-measured statistics for the corpus tier; ``word-count``
+    counts the first segmentation with units, full coverage first, then
+    by id."""
     levels = archive.levels(corpus_id)
     resources = archive.resources(corpus_id)
     word_count = 0
-    for level in levels:
+    for level in sorted(levels, key=lambda l: l.coverage != COVERAGE_FULL):
         if level.kind != KIND_SEGMENTATION:
             continue
         units = archive.level_units(level.id)
@@ -255,6 +257,7 @@ def resource_header(resource: Resource) -> str:
 
 def corpus_record(archive, corpus_id: str) -> str:
     """One catalog record: corpus header, then level and resource headers."""
+    archive = archive.snapshot()
     parts = [corpus_header(archive, corpus_id).render()]
     for level in archive.levels(corpus_id):
         parts.append(level_header(archive, level.id).render())
@@ -267,6 +270,7 @@ def corpus_record(archive, corpus_id: str) -> str:
 
 def export_catalog(archive) -> str:
     """Full catalog: deterministic, stable-ordered, pure in archive state."""
+    archive = archive.snapshot()
     corpora = archive.corpora()
     head = (f"catalog-format: {CATALOG_FORMAT}\n"
             f"generated: {archive_stamp(archive)}\n"
@@ -282,6 +286,7 @@ def catalog_summary(archive, offset: int = 0) -> str:
     ``corpora:`` always reports the total; ``offset`` skips that many
     leading corpora from the listing.
     """
+    archive = archive.snapshot()
     corpora = archive.corpora()
     head = (f"catalog-format: {CATALOG_FORMAT}\n"
             f"generated: {archive_stamp(archive)}\n"

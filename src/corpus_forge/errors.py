@@ -63,6 +63,10 @@ class NoPrimaryAnchorError(CorpusForgeError):
 
     code = "no-primary-anchor"
 
+    def __init__(self, message: str = "dependency chain reaches no "
+                 "segmentation holding reference units"):
+        super().__init__(message)
+
 
 class NoLevelError(CorpusForgeError):
     """Resource deposited with an empty level list."""

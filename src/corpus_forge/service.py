@@ -31,7 +31,7 @@ def _text(status: int, body: str) -> tuple[int, list[tuple[str, str]], bytes]:
 def handle_request(archive, method: str, path: str,
                    query: dict[str, str] | None = None
                    ) -> tuple[int, list[tuple[str, str]], bytes]:
-    """Map one request onto archive reads.
+    """Map one request onto reads of one archive snapshot.
 
     Returns (status, headers, body).  GET only:
 
@@ -40,6 +40,7 @@ def handle_request(archive, method: str, path: str,
     - ``/resources/{id}``         payload bytes, format tagged
     - ``/resources/{id}/header``  header only
     """
+    archive = archive.snapshot()
     query = query or {}
     if method.upper() != "GET":
         return _text(405, "method not allowed: read-only service\n")

@@ -384,9 +384,7 @@ def reconstruct_coverage(kind: str, units: list[ReferenceUnit], items,
         # carrier level: re-segmenting its own surfaces is a fixed point
         return [u.form for u in segment_text(" ".join(carried))]
     if anchor_units is None:
-        raise NoPrimaryAnchorError(
-            "dependency chain reaches no segmentation holding reference "
-            "units")
+        raise NoPrimaryAnchorError()
 
     covered: set[int] = set()
     for item in _iter_leaves(items):

@@ -1,7 +1,10 @@
 """Archive engine: registration, deposits, versioning, validation,
 persistence, and concurrency."""
 
+import dataclasses
 import pathlib
+import re
+import sys
 import tempfile
 import threading
 from datetime import datetime, timezone
@@ -12,7 +15,7 @@ from hypothesis import given, settings, strategies as st
 
 from corpus_forge import archive as archive_mod
 from corpus_forge.archive import Archive, LevelSpec
-from corpus_forge.catalog import export_catalog, level_header
+from corpus_forge.catalog import corpus_record, export_catalog, level_header
 from corpus_forge.errors import (
     DependencyCycleError,
     EmptyTitleError,
@@ -270,6 +273,30 @@ class TestDepositBasics:
         assert [l.id for l in archive.levels(corpus_id)] == before_levels
         assert [r.id for r in archive.resources(corpus_id)] \
             == before_resources
+
+    def test_failed_commit_leaves_no_trace(self, archive, tmp_path):
+        archive.register_corpus("T", corpus_id="t")
+        seg = archive.add_level("t", "segmentation", "full")
+        archive.deposit("t", "\n".join(
+            f'<word id="word_{i}">w{i}</word>' for i in (1, 2, 3)),
+            "segmentation", levels=[seg.id])
+        corpus_dir = tmp_path / "store" / "corpora" / "t"
+        manifest = (corpus_dir / "manifest").read_text(encoding="utf-8")
+        stored = sorted(p.name for p in (corpus_dir / "resources").iterdir())
+        levels, resources = archive.levels("t"), archive.resources("t")
+        with pytest.raises(StoreError):
+            archive.deposit(
+                "t", '<word id="word_2">again</word>', "segmentation",
+                levels=[seg.id],
+                new_levels=[LevelSpec("segmentation", "partial")])
+        assert archive.levels("t") == levels
+        assert archive.resources("t") == resources
+        assert (corpus_dir / "manifest").read_text(encoding="utf-8") \
+            == manifest
+        assert sorted(p.name for p in (corpus_dir / "resources").iterdir()) \
+            == stored
+        archive.add_level("t", "structure", "full")
+        assert archive.validate("t") == []
 
     def test_duplicate_unit_ids_rejected_across_deposits(self, archive):
         corpus_id, seg_id = goriot(archive)
@@ -781,6 +808,22 @@ class TestWithdraw:
         again = archive.withdraw(resource.id)
         assert again.available is False
 
+    def test_withdrawn_anchor_keeps_archive_openable(self, archive, tmp_path):
+        archive.register_corpus("T", corpus_id="t")
+        seg = archive.add_level("t", "segmentation", "full")
+        words = ("Madame", "Vauquer", "tient")
+        segmentation = archive.deposit("t", "\n".join(
+            f'<word id="word_{i}">{w}</word>' for i, w in enumerate(words, 1)),
+            "segmentation", levels=[seg.id])
+        ref = archive.add_level("t", "reference", "none", depends_on=[seg.id])
+        archive.deposit("t", '<coref id="1">Madame Vauquer</coref> tient',
+                        "inline-coref", levels=[ref.id])
+        archive.withdraw(segmentation.resource.id)
+        before = archive.validate("t")
+        assert [(v.code, v.subject) for v in before] \
+            == [("no-primary-anchor", ref.id)]
+        assert Archive(tmp_path / "store").validate("t") == before
+
     def test_withdrawn_archive_still_validates_clean(self, archive):
         corpus_id, morpho, resource = self.seed(archive)
         archive.withdraw(resource.id)
@@ -1004,6 +1047,80 @@ class TestRegisterTable:
 
 
 class TestConcurrency:
+    def test_snapshots_stay_whole_under_concurrent_writers(self, tmp_path):
+        archive = Archive(tmp_path / "store")
+        archive.register_corpus("Stress", corpus_id="s")
+        errors, done = [], threading.Event()
+
+        def writer(i):
+            try:
+                for _ in range(5):
+                    archive.add_level("s", f"kind{i}", "full")
+            except Exception as err:  # pragma: no cover - failure reporting
+                errors.append(err)
+
+        def reader():
+            try:
+                while not done.is_set():
+                    record = corpus_record(archive, "s")
+                    count = re.search(r"computed level-count: (\d+)", record)
+                    assert record.count("header: level") == int(count[1])
+            except Exception as err:  # pragma: no cover - failure reporting
+                errors.append(err)
+
+        readers = [threading.Thread(target=reader) for _ in range(2)]
+        writers = [threading.Thread(target=writer, args=(i,))
+                   for i in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in readers + writers:
+                thread.start()
+            for thread in writers:
+                thread.join(timeout=60)
+            done.set()
+            for thread in readers:
+                thread.join(timeout=60)
+        finally:
+            done.set()
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in readers + writers)
+        assert errors == []
+        assert len(archive.levels("s")) == 20
+        assert len(Archive(tmp_path / "store").levels("s")) == 20
+
+    def test_reads_do_not_wait_for_a_writer(self, archive, monkeypatch):
+        corpus_id, seg_id = goriot(archive)
+        codec = archive_mod.FORMATS["segmentation"]
+        parsing, release = threading.Event(), threading.Event()
+
+        def held_parse(*args):
+            parsing.set()
+            release.wait(timeout=10)
+            return codec.parse(*args)
+        monkeypatch.setitem(archive_mod.FORMATS, "segmentation",
+                            dataclasses.replace(codec, parse=held_parse))
+        level = archive.add_level(corpus_id, "segmentation", "partial")
+        writer = threading.Thread(target=archive.deposit, args=(
+            corpus_id, '<word id="word_1">a</word>', "segmentation",
+            [level.id]))
+        writer.start()
+        try:
+            assert parsing.wait(timeout=10)
+            reads = []
+            reader = threading.Thread(target=lambda: reads.append(
+                export_catalog(archive)))
+            reader.start()
+            reader.join(timeout=5)
+            assert not reader.is_alive()
+            assert writer.is_alive()
+            assert reads and "computed materialized: false" in reads[0]
+        finally:
+            release.set()
+            writer.join(timeout=10)
+        assert not writer.is_alive()
+        assert archive.level_is_materialized(level.id)
+
     def test_parallel_writers_and_readers(self, tmp_path):
         archive = Archive(tmp_path / "store")
         errors = []

@@ -1,10 +1,12 @@
 """Metadata headers, auto statistics, and catalog export."""
 
 import pathlib
+import threading
 from datetime import datetime, timezone
 
 import pytest
 
+from corpus_forge import catalog
 from corpus_forge.archive import Archive
 from corpus_forge.catalog import (
     MetadataHeader,
@@ -122,6 +124,16 @@ class TestAutoStats:
         assert stats["word-count"] == "76"
         assert stats["level-count"] == "1"
         assert stats["resource-count"] == "1"
+
+    def test_word_count_prefers_full_segmentation(self, archive):
+        archive.register_corpus("Two", corpus_id="two")
+        for coverage, words in (("partial", 1), ("full", 3)):
+            seg = archive.add_level("two", "segmentation", coverage)
+            archive.deposit("two", "\n".join(
+                f'<word id="word_{i}">w{i}</word>'
+                for i in range(1, words + 1)), "segmentation",
+                levels=[seg.id])
+        assert compute_auto_stats(archive, "two")["word-count"] == "3"
 
     def test_declared_and_computed_side_by_side(self, archive):
         corpus_id, _ = goriot(archive)
@@ -273,3 +285,28 @@ class TestCatalogSummary:
         corpus_id, _ = goriot(archive)
         record = corpus_record(archive, corpus_id)
         assert record in export_catalog(archive)
+
+
+class TestOneCommitPerRead:
+    def test_record_is_not_torn_by_a_concurrent_commit(self, archive,
+                                                       monkeypatch):
+        corpus_id, _ = goriot(archive)
+        stats = catalog.compute_auto_stats
+        commits = []
+
+        def commit_between_reads(*args):
+            result = stats(*args)
+            if not commits:
+                writer = threading.Thread(
+                    target=lambda: commits.append(archive.add_level(
+                        corpus_id, "structure", "full")))
+                writer.start()
+                writer.join(timeout=10)
+                assert not writer.is_alive()
+            return result
+        monkeypatch.setattr(catalog, "compute_auto_stats",
+                            commit_between_reads)
+        record = corpus_record(archive, corpus_id)
+        assert commits
+        assert "computed level-count: 1" in record
+        assert record.count("header: level") == 1
