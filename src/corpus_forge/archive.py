@@ -29,6 +29,7 @@ from pathlib import Path
 from . import catalog as catalog_mod
 from . import manifest as manifest_mod
 from .errors import (
+    CorpusForgeError,
     DanglingPointerError,
     DependencyCycleError,
     EmptyTitleError,
@@ -109,9 +110,12 @@ class Snapshot:
         self._corpora: dict[str, Corpus] = {}
         self._levels: dict[str, Level] = {}
         self._resources: dict[str, Resource] = {}
-        self._versions: dict[str, VersionRecord] = {}
+        self._versions: dict[str, list[VersionRecord]] = {}  # by corpus
         self._units: dict[str, list[ReferenceUnit]] = {}
         self._items: dict[str, list[AnnotationItem]] = {}
+        # Levels with a stored payload that did not parse: no anchor, or
+        # one that no longer aligns.  ``validate`` reports them.
+        self._unparsed: dict[str, Violation] = {}
 
     def _draft(self) -> Snapshot:
         draft = Snapshot(self.root, self.registry)
@@ -189,9 +193,8 @@ class Snapshot:
         return [v for v in self.versions(corpus_id) if v.level_kind == kind]
 
     def versions(self, corpus_id: str) -> list[VersionRecord]:
-        return sorted(
-            (v for v in self._versions.values() if v.corpus_id == corpus_id),
-            key=lambda v: (v.level_kind, v.number))
+        return sorted(self._versions.get(corpus_id, ()),
+                      key=lambda v: (v.level_kind, v.number))
 
     def level_units(self, level_id: str) -> list[ReferenceUnit]:
         self._require_level(level_id)
@@ -296,14 +299,10 @@ class Snapshot:
                 # Reconstruction through a cyclic graph has no meaning;
                 # the cycle violation already covers these levels.
                 continue
+            if level.id in self._unparsed:
+                out.append(self._unparsed[level.id])
+                continue
             if not self.level_is_materialized(level.id):
-                # Payloads aligned on units stay unparsed without an anchor.
-                if self.anchor(level.id) is None and any(
-                        FORMATS[r.format].needs_units == "required"
-                        for r in resources
-                        if r.available and level.id in r.levels):
-                    out.append(Violation("no-primary-anchor", level.id,
-                                         NoPrimaryAnchorError().message))
                 continue
             try:
                 tokens = self.coverage(level.id)
@@ -374,7 +373,7 @@ class Archive:
             view._corpora[corpus.id] = corpus
             view._levels.update((l.id, l) for l in levels)
             view._resources.update((r.id, r) for r in resources)
-            view._versions.update((v.id, v) for v in versions)
+            view._versions[corpus.id] = versions
         self._parse_stored(view)
         return view
 
@@ -424,6 +423,9 @@ class Archive:
             raise EmptyTitleError("a corpus requires a non-empty title")
         title = title.strip()
         if corpus_id is not None:
+            if slugify(corpus_id) != corpus_id:
+                raise StoreError(f"corpus id {corpus_id!r} is not a slug "
+                                 "(lowercase ascii words joined by '-')")
             if corpus_id in draft._corpora:
                 raise StoreError(f"corpus id {corpus_id!r} already exists")
         else:
@@ -434,7 +436,7 @@ class Archive:
                 corpus_id = f"{base}-{n}"
         corpus = draft._corpora[corpus_id] = Corpus(
             id=corpus_id, title=title, language=language,
-            declared_meta=dict(meta or {}),
+            declared_meta=manifest_mod.storable_meta(meta),
             created_at=_iso(self._clock()))
         return corpus
 
@@ -452,8 +454,9 @@ class Archive:
     def _add_level(self, draft: Snapshot, corpus_id: str,
                    spec: LevelSpec) -> Level:
         kind = (spec.kind or "").strip()
-        if not kind or any(c.isspace() for c in kind):
-            raise StoreError(f"invalid level kind {spec.kind!r}")
+        if not kind or any(c.isspace() or c in ",|" for c in kind):
+            raise StoreError(f"invalid level kind {spec.kind!r}: a kind "
+                             "holds no whitespace, ',' or '|'")
         if spec.coverage not in COVERAGE_VALUES:
             raise StoreError(
                 f"coverage must be one of {', '.join(COVERAGE_VALUES)}, "
@@ -469,15 +472,16 @@ class Archive:
                 raise UnknownDependencyError(
                     f"dependency {dep_id!r} belongs to another corpus")
             deps.append((dep_id, purpose))
-        number = 1 + sum(l.kind == kind
-                         for l in draft._of(draft._levels, corpus_id))
+        number = 1
+        while f"{corpus_id}-{kind}-{number}" in draft._levels:
+            number += 1
         level = Level(
             id=f"{corpus_id}-{kind}-{number}",
             corpus_id=corpus_id,
             kind=kind,
             coverage=spec.coverage,
             depends_on=tuple(deps),
-            declared_meta=dict(spec.meta),
+            declared_meta=manifest_mod.storable_meta(spec.meta),
             created_at=_iso(self._clock()))
         draft._levels[level.id] = level
         return level
@@ -614,7 +618,7 @@ class Archive:
                 validator=validator,
                 sha256=hashlib.sha256(text.encode("utf-8")).hexdigest(),
                 size=len(text.encode("utf-8")),
-                declared_meta=dict(meta or {}))
+                declared_meta=manifest_mod.storable_meta(meta))
             fresh_by_kind: dict[str, list[AnnotationItem]] = {}
             for level, value in parsed:
                 fresh_by_kind.setdefault(level.kind, []).extend(
@@ -718,7 +722,7 @@ class Archive:
                 supersedes=(prior.id if prior and classification.is_correction
                             else None),
                 created_at=now)
-            draft._versions[record.id] = record
+            draft._versions[corpus.id] = draft.versions(corpus.id) + [record]
             records.append(record)
         return records
 
@@ -750,10 +754,15 @@ class Archive:
             if resource.available:
                 resource = draft._resources[resource_id] = dataclasses.replace(
                     resource, available=False)
-                for level_id in resource.levels:
-                    draft._units.pop(level_id, None)
-                    draft._items.pop(level_id, None)
-                self._parse_stored(draft, set(resource.levels))
+                # Re-parse its levels and every level that depends on
+                # them, as a reload would.
+                reparse = set(resource.levels) | {
+                    l.id for l in draft._of(draft._levels, resource.corpus_id)
+                    if any(d.id in resource.levels for d in draft._closure(l))}
+                for level_id in reparse:
+                    for parsed in (draft._units, draft._items, draft._unparsed):
+                        parsed.pop(level_id, None)
+                self._parse_stored(draft, reparse)
                 path = draft._resource_path(resource)
                 path.with_name(f"{resource_id}.header").write_text(
                     catalog_mod.resource_header(resource), encoding="utf-8")
@@ -772,8 +781,11 @@ class Archive:
             try:
                 value = self._parse_for(
                     draft, resource.format, text, draft._levels[level_id])
-            except NoPrimaryAnchorError:
-                continue  # reported by validate() as no-primary-anchor
+            except CorpusForgeError as err:
+                # It parsed at deposit, so its anchor (or the file) changed.
+                draft._unparsed[level_id] = Violation(
+                    err.code, level_id, err.message)
+                continue
             self._add_parsed(draft, level_id, resource.format, value)
 
 

@@ -56,18 +56,13 @@ class MetadataHeader:
         return dict(self.computed)
 
     def render(self) -> str:
-        lines = [
-            f"header: {self.tier}",
-            f"subject: {self.subject_id}",
-            f"generated: {self.generated_at or '-'}",
-        ]
-        lines.extend(f"declared {key}: {escape_value(value)}"
-                     for key, value in self.declared)
-        lines.extend(f"computed {key}: {escape_value(value)}"
-                     for key, value in self.computed)
-        lines.extend(f"warning: {escape_value(message)}"
-                     for message in self.warnings)
-        return "\n".join(lines) + "\n"
+        pairs = [("header", self.tier), ("subject", self.subject_id),
+                 ("generated", self.generated_at or "-")]
+        pairs.extend((f"declared {key}", value) for key, value in self.declared)
+        pairs.extend((f"computed {key}", value) for key, value in self.computed)
+        pairs.extend(("warning", message) for message in self.warnings)
+        return "".join(f"{key}: {escape_value(value)}\n"
+                       for key, value in pairs)
 
 
 def build_header(tier: str, subject_id: str, declared,
@@ -110,7 +105,7 @@ def parse_header(text: str) -> MetadataHeader:
     declared: list[tuple[str, str]] = []
     computed: list[tuple[str, str]] = []
     warnings: list[str] = []
-    for lineno, raw in enumerate(text.splitlines(), 1):
+    for lineno, raw in enumerate(text.split("\n"), 1):
         if not raw.strip():
             continue
         key, sep, value = raw.partition(": ")

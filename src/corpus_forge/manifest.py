@@ -1,200 +1,212 @@
 """Line-oriented manifest persistence.
 
-Each corpus directory holds one ``manifest`` file: blocks of
-``key: value`` lines separated by blank lines, opened by the
-``archive-format: 1`` preamble.  A block's first key names its type
-(corpus, level, resource, version).  Values escape backslash and
-newline so the format stays strictly line-oriented.
+Each corpus directory holds one ``manifest`` file: blocks of ``key: value``
+lines separated by blank lines, opened by ``archive-format: 1``.  The four
+``Block`` declarations below are the format's specification: each row is
+a key, the attribute it holds, its codec and its default (or
+``REQUIRED``), in line order.  A line ends only at ``\\n``: values escape
+backslash, newline and carriage return, and all after the first ``": "``
+is the value.  An empty optional value is ``-``; a literal ``-`` is ``\\-``.
 """
 
 from __future__ import annotations
+
+import re
+from typing import Any, Callable, NamedTuple
 
 from .errors import StoreError
 from .model import Corpus, Level, Resource
 from .versioning import Classification, VersionRecord
 
 ARCHIVE_FORMAT = "1"
+REQUIRED = object()
 
-_BLOCK_KEYS = {
-    "corpus": {"corpus", "title", "language", "fingerprint", "created"},
-    "level": {"level", "corpus", "kind", "coverage", "created", "depends-on"},
-    "resource": {"resource", "corpus", "format", "file", "levels", "depositor",
-                 "deposited", "validated", "validator", "sha256", "size",
-                 "available"},
-    "version": {"version", "corpus", "kind", "level", "resource", "number",
-                "classification", "granularity", "validated", "validator",
-                "coverage", "variant-group", "supersedes", "created"},
-}
+_UNESCAPES = {"\\": "\\", "n": "\n", "r": "\r", "-": "-"}
+_ESCAPED = re.compile(r"\\(.)", re.S)
 
 
 def escape_value(value: str) -> str:
-    return value.replace("\\", "\\\\").replace("\n", "\\n")
+    return (value.replace("\\", "\\\\").replace("\n", "\\n")
+            .replace("\r", "\\r"))
 
 
 def unescape_value(value: str) -> str:
-    out = []
-    i = 0
-    while i < len(value):
-        ch = value[i]
-        if ch == "\\" and i + 1 < len(value):
-            nxt = value[i + 1]
-            if nxt == "n":
-                out.append("\n")
-                i += 2
-                continue
-            if nxt == "\\":
-                out.append("\\")
-                i += 2
-                continue
-        out.append(ch)
-        i += 1
-    return "".join(out)
+    if "\\" not in value:
+        return value
+    return _ESCAPED.sub(lambda m: _UNESCAPES.get(m[1], m[0]), value)
 
 
-def _line(key: str, value: str) -> str:
-    return f"{key}: {escape_value(value)}"
+def storable_meta(meta) -> dict[str, str]:
+    """``meta`` as a new dict, refusing a key no ``meta-`` line can hold."""
+    meta = dict(meta or {})
+    for key in meta:
+        if "\n" in key or "\r" in key or ": " in key:
+            raise StoreError(f"meta key {key!r} holds a line break or ': '")
+    return meta
 
 
-def _opt(value: str | None) -> str:
-    return "-" if value in (None, "") else value
+class Codec(NamedTuple):
+    dump: Callable[[Any], str]
+    load: Callable[[str], Any]  # raises ValueError on a malformed value
+    many: bool = False  # one line per element of a tuple
 
 
-def _corpus_lines(corpus: Corpus) -> list[str]:
-    lines = [
-        _line("corpus", corpus.id),
-        _line("title", corpus.title),
-        _line("language", _opt(corpus.language)),
-        _line("fingerprint", _opt(corpus.coverage_fingerprint)),
-        _line("created", _opt(corpus.created_at)),
-    ]
-    for key in sorted(corpus.declared_meta):
-        lines.append(_line(f"meta-{key}", corpus.declared_meta[key]))
-    return lines
+def _dashed(empty) -> Codec:
+    return Codec(
+        lambda v: "-" if v == empty else "\\-" if v == "-"
+        else escape_value(v),
+        lambda s: empty if s == "-" else unescape_value(s))
 
 
-def _level_lines(level: Level) -> list[str]:
-    lines = [
-        _line("level", level.id),
-        _line("corpus", level.corpus_id),
-        _line("kind", level.kind),
-        _line("coverage", level.coverage),
-        _line("created", _opt(level.created_at)),
-    ]
-    for dep_id, purpose in level.depends_on:
-        lines.append(_line("depends-on", f"{dep_id}|{purpose}"))
-    for key in sorted(level.declared_meta):
-        lines.append(_line(f"meta-{key}", level.declared_meta[key]))
-    return lines
+def _variant_group(text: str) -> tuple[str, int]:
+    group, sep, size = unescape_value(text).rpartition("|")
+    if not sep or not size.isdigit():
+        raise ValueError(text)
+    return group, int(size)
 
 
-def _resource_lines(resource: Resource) -> list[str]:
-    lines = [
-        _line("resource", resource.id),
-        _line("corpus", resource.corpus_id),
-        _line("format", resource.format),
-        _line("file", resource.filename),
-        _line("levels", ",".join(resource.levels)),
-        _line("depositor", _opt(resource.depositor)),
-        _line("deposited", _opt(resource.deposited_at)),
-        _line("validated", "true" if resource.validated else "false"),
-        _line("validator", _opt(resource.validator)),
-        _line("sha256", _opt(resource.sha256)),
-        _line("size", str(resource.size)),
-        _line("available", "true" if resource.available else "false"),
-    ]
-    for key in sorted(resource.declared_meta):
-        lines.append(_line(f"meta-{key}", resource.declared_meta[key]))
-    return lines
+TEXT = Codec(escape_value, unescape_value)
+OPTIONAL = _dashed("")  # "" <-> "-"
+NULLABLE = _dashed(None)  # None <-> "-"
+BOOL = Codec(lambda v: "true" if v else "false", lambda s: s == "true")
+INT = Codec(str, int)
+CLASSIFICATION = Codec(lambda c: c.value, Classification)
+LEVEL_IDS = Codec(
+    lambda ids: escape_value(",".join(ids)),
+    lambda s: tuple(i for i in unescape_value(s).split(",") if i))
+GRANULARITY = Codec(
+    lambda cats: escape_value(",".join(sorted(cats))) or "-",
+    lambda s: frozenset(c for c in unescape_value(s).split(",")
+                        if c and c != "-"))
+DEPENDS_ON = Codec(lambda dep: escape_value(f"{dep[0]}|{dep[1]}"),
+                   lambda s: tuple(unescape_value(s).partition("|")[::2]),
+                   many=True)
+VARIANT_GROUPS = Codec(lambda g: escape_value(f"{g[0]}|{g[1]}"),
+                       _variant_group, many=True)
 
 
-def _version_lines(record: VersionRecord) -> list[str]:
-    lines = [
-        _line("version", record.id),
-        _line("corpus", record.corpus_id),
-        _line("kind", record.level_kind),
-        _line("level", record.level_id),
-        _line("resource", record.resource_id),
-        _line("number", str(record.number)),
-        _line("classification", record.classification.value),
-        _line("granularity", ",".join(sorted(record.granularity)) or "-"),
-        _line("validated", "true" if record.validated else "false"),
-        _line("validator", _opt(record.validator)),
-        _line("coverage", _opt(record.coverage)),
-        _line("supersedes", _opt(record.supersedes)),
-        _line("created", _opt(record.created_at)),
-    ]
-    for group_id, size in record.variant_groups:
-        lines.append(_line("variant-group", f"{group_id}|{size}"))
-    return lines
+class Block:
+    """One block type: ``fields`` are (key, attribute, codec, default)
+    rows in line order; with ``meta``, sorted ``meta-<key>`` lines of
+    ``declared_meta`` follow them."""
+
+    def __init__(self, entity: type, meta: bool, *fields):
+        self.entity, self.meta, self.fields = entity, meta, fields
+        self.name = fields[0][0]
+        self.by_key = {row[0]: row for row in fields}
+
+    def dump(self, entity) -> str:
+        lines = []
+        for key, attr, codec, _ in self.fields:
+            value = getattr(entity, attr)
+            if codec.many:
+                lines.extend(f"{key}: {codec.dump(v)}" for v in value)
+            else:
+                lines.append(f"{key}: {codec.dump(value)}")
+        if self.meta:
+            lines.extend(f"meta-{key}: {escape_value(value)}" for key, value
+                         in sorted(entity.declared_meta.items()))
+        return "\n".join(lines)
+
+    def load(self, pairs: list[tuple[str, str]]):
+        values: dict[str, Any] = {}
+        meta: dict[str, str] = {}
+        for key, raw in pairs:
+            if self.meta and key.startswith("meta-"):
+                target, name, codec = meta, key[len("meta-"):], TEXT
+            elif key in self.by_key:
+                target, (_, name, codec, _) = values, self.by_key[key]
+            else:
+                raise StoreError(f"unknown key {key!r} in {self.name} block")
+            try:
+                value = codec.load(raw)
+            except ValueError:
+                raise StoreError(f"malformed {key!r} value {raw!r} in "
+                                 f"{self.name} block") from None
+            if codec.many:
+                value = target.get(name, ()) + (value,)
+            elif name in target:
+                raise StoreError(f"repeated key {key!r} in {self.name} block")
+            target[name] = value
+        for key, attr, _, default in self.fields:
+            if attr not in values and default is REQUIRED:
+                raise StoreError(f"{self.name} block lacks required key {key!r}")
+            values.setdefault(attr, default)
+        if self.meta:
+            values["declared_meta"] = meta
+        return self.entity(**values)
 
 
-def dumps_corpus(
-    corpus: Corpus,
-    levels: list[Level],
-    resources: list[Resource],
-    versions: list[VersionRecord],
-) -> str:
-    blocks = [["archive-format: " + ARCHIVE_FORMAT]]
-    blocks.append(_corpus_lines(corpus))
-    for level in levels:
-        blocks.append(_level_lines(level))
-    for resource in resources:
-        blocks.append(_resource_lines(resource))
-    for record in versions:
-        blocks.append(_version_lines(record))
-    return "\n\n".join("\n".join(b) for b in blocks) + "\n"
+CORPUS = Block(Corpus, True,
+    ("corpus", "id", TEXT, REQUIRED),
+    ("title", "title", TEXT, REQUIRED),
+    ("language", "language", OPTIONAL, ""),
+    ("fingerprint", "coverage_fingerprint", NULLABLE, None),
+    ("created", "created_at", OPTIONAL, ""),
+)
+LEVEL = Block(Level, True,
+    ("level", "id", TEXT, REQUIRED),
+    ("corpus", "corpus_id", TEXT, REQUIRED),
+    ("kind", "kind", TEXT, REQUIRED),
+    ("coverage", "coverage", TEXT, REQUIRED),
+    ("created", "created_at", OPTIONAL, ""),
+    ("depends-on", "depends_on", DEPENDS_ON, ()),
+)
+RESOURCE = Block(Resource, True,
+    ("resource", "id", TEXT, REQUIRED),
+    ("corpus", "corpus_id", TEXT, REQUIRED),
+    ("format", "format", TEXT, REQUIRED),
+    ("file", "filename", TEXT, REQUIRED),
+    ("levels", "levels", LEVEL_IDS, REQUIRED),
+    ("depositor", "depositor", OPTIONAL, ""),
+    ("deposited", "deposited_at", OPTIONAL, ""),
+    ("validated", "validated", BOOL, False),
+    ("validator", "validator", NULLABLE, None),
+    ("sha256", "sha256", OPTIONAL, ""),
+    ("size", "size", INT, 0),
+    ("available", "available", BOOL, True),
+)
+VERSION = Block(VersionRecord, False,
+    ("version", "id", TEXT, REQUIRED),
+    ("corpus", "corpus_id", TEXT, REQUIRED),
+    ("kind", "level_kind", TEXT, REQUIRED),
+    ("level", "level_id", TEXT, REQUIRED),
+    ("resource", "resource_id", TEXT, REQUIRED),
+    ("number", "number", INT, REQUIRED),
+    ("classification", "classification", CLASSIFICATION, REQUIRED),
+    ("granularity", "granularity", GRANULARITY, frozenset()),
+    ("validated", "validated", BOOL, False),
+    ("validator", "validator", NULLABLE, None),
+    ("coverage", "coverage", OPTIONAL, ""),
+    ("supersedes", "supersedes", NULLABLE, None),
+    ("created", "created_at", OPTIONAL, ""),
+    ("variant-group", "variant_groups", VARIANT_GROUPS, ()),
+)
+_BLOCKS = {block.name: block for block in (CORPUS, LEVEL, RESOURCE, VERSION)}
+
+
+def dumps_corpus(corpus: Corpus, levels: list[Level],
+                 resources: list[Resource],
+                 versions: list[VersionRecord]) -> str:
+    blocks = [f"archive-format: {ARCHIVE_FORMAT}", CORPUS.dump(corpus)]
+    blocks.extend(LEVEL.dump(level) for level in levels)
+    blocks.extend(RESOURCE.dump(resource) for resource in resources)
+    blocks.extend(VERSION.dump(record) for record in versions)
+    return "\n\n".join(blocks) + "\n"
 
 
 def _split_blocks(text: str) -> list[list[tuple[str, str]]]:
-    blocks: list[list[tuple[str, str]]] = []
-    current: list[tuple[str, str]] = []
-    for lineno, raw in enumerate(text.splitlines(), 1):
+    blocks: list[list[tuple[str, str]]] = [[]]
+    for lineno, raw in enumerate(text.split("\n"), 1):
         if not raw.strip():
-            if current:
-                blocks.append(current)
-                current = []
+            if blocks[-1]:
+                blocks.append([])
             continue
-        key, sep, value = raw.partition(":")
+        key, sep, value = raw.partition(": ")
         if not sep:
             raise StoreError(f"manifest line {lineno}: not a key: value pair")
-        current.append((key.strip(), unescape_value(value.strip())))
-    if current:
-        blocks.append(current)
-    return blocks
-
-
-def _block_dict(block: list[tuple[str, str]], btype: str,
-                multi: tuple[str, ...] = ()) -> dict:
-    allowed = _BLOCK_KEYS[btype]
-    out: dict = {key: [] for key in multi}
-    for key, value in block:
-        if key not in allowed:
-            raise StoreError(f"unknown key {key!r} in {btype} block")
-        if key in multi:
-            out[key].append(value)
-        elif key in out:
-            raise StoreError(f"repeated key {key!r} in {btype} block")
-        else:
-            out[key] = value
-    return out
-
-
-def _none_if_dash(value: str | None) -> str | None:
-    return None if value in (None, "-") else value
-
-
-def _required(data: dict, key: str, btype: str) -> str:
-    if key not in data:
-        raise StoreError(f"{btype} block lacks required key {key!r}")
-    return data[key]
-
-
-def _extract_meta(block: list[tuple[str, str]]) -> tuple[
-        dict[str, str], list[tuple[str, str]]]:
-    meta = {key[len("meta-"):]: value for key, value in block
-            if key.startswith("meta-")}
-    rest = [kv for kv in block if not kv[0].startswith("meta-")]
-    return meta, rest
+        blocks[-1].append((key, value))
+    return [block for block in blocks if block]
 
 
 def loads_corpus(text: str) -> tuple[
@@ -203,86 +215,14 @@ def loads_corpus(text: str) -> tuple[
     if not blocks or blocks[0] != [("archive-format", ARCHIVE_FORMAT)]:
         raise StoreError(
             f"manifest must open with 'archive-format: {ARCHIVE_FORMAT}'")
-    corpus = None
-    levels: list[Level] = []
-    resources: list[Resource] = []
-    versions: list[VersionRecord] = []
-    for block in blocks[1:]:
-        btype = block[0][0]
-        if btype == "corpus":
-            if corpus is not None:
-                raise StoreError("manifest holds more than one corpus block")
-            meta, rest = _extract_meta(block)
-            data = _block_dict(rest, "corpus")
-            corpus = Corpus(
-                id=_required(data, "corpus", btype),
-                title=_required(data, "title", btype),
-                language=_none_if_dash(data.get("language")) or "",
-                coverage_fingerprint=_none_if_dash(data.get("fingerprint")),
-                declared_meta=meta,
-                created_at=_none_if_dash(data.get("created")) or "")
-        elif btype == "level":
-            meta, rest = _extract_meta(block)
-            data = _block_dict(rest, "level", multi=("depends-on",))
-            deps = []
-            for entry in data["depends-on"]:
-                dep_id, sep, purpose = entry.partition("|")
-                deps.append((dep_id, purpose if sep else ""))
-            levels.append(Level(
-                id=_required(data, "level", btype),
-                corpus_id=_required(data, "corpus", btype),
-                kind=_required(data, "kind", btype),
-                coverage=_required(data, "coverage", btype),
-                depends_on=tuple(deps),
-                declared_meta=meta,
-                created_at=_none_if_dash(data.get("created")) or ""))
-        elif btype == "resource":
-            meta, rest = _extract_meta(block)
-            data = _block_dict(rest, "resource")
-            level_ids = _required(data, "levels", btype)
-            resources.append(Resource(
-                id=_required(data, "resource", btype),
-                corpus_id=_required(data, "corpus", btype),
-                format=_required(data, "format", btype),
-                filename=_required(data, "file", btype),
-                levels=tuple(l for l in level_ids.split(",") if l),
-                depositor=_none_if_dash(data.get("depositor")) or "",
-                deposited_at=_none_if_dash(data.get("deposited")) or "",
-                validated=data.get("validated") == "true",
-                validator=_none_if_dash(data.get("validator")),
-                sha256=_none_if_dash(data.get("sha256")) or "",
-                size=int(data.get("size", "0")),
-                available=data.get("available", "true") == "true",
-                declared_meta=meta))
-        elif btype == "version":
-            data = _block_dict(block, "version", multi=("variant-group",))
-            groups = []
-            for entry in data["variant-group"]:
-                group_id, sep, size = entry.partition("|")
-                if not sep or not size.isdigit():
-                    raise StoreError(
-                        f"malformed variant-group entry {entry!r}")
-                groups.append((group_id, int(size)))
-            granularity = data.get("granularity", "-")
-            versions.append(VersionRecord(
-                id=_required(data, "version", btype),
-                corpus_id=_required(data, "corpus", btype),
-                level_kind=_required(data, "kind", btype),
-                level_id=_required(data, "level", btype),
-                resource_id=_required(data, "resource", btype),
-                number=int(_required(data, "number", btype)),
-                classification=Classification(
-                    _required(data, "classification", btype)),
-                granularity=frozenset(
-                    g for g in granularity.split(",") if g and g != "-"),
-                validated=data.get("validated") == "true",
-                validator=_none_if_dash(data.get("validator")),
-                coverage=_none_if_dash(data.get("coverage")) or "",
-                variant_groups=tuple(groups),
-                supersedes=_none_if_dash(data.get("supersedes")),
-                created_at=_none_if_dash(data.get("created")) or ""))
-        else:
-            raise StoreError(f"unknown manifest block type {btype!r}")
-    if corpus is None:
-        raise StoreError("manifest holds no corpus block")
-    return corpus, levels, resources, versions
+    loaded: dict[str, list] = {name: [] for name in _BLOCKS}
+    for pairs in blocks[1:]:
+        block = _BLOCKS.get(pairs[0][0])
+        if block is None:
+            raise StoreError(f"unknown manifest block type {pairs[0][0]!r}")
+        loaded[block.name].append(block.load(pairs))
+    if len(loaded["corpus"]) != 1:
+        raise StoreError(f"manifest holds {len(loaded['corpus'])} corpus "
+                         "blocks, not one")
+    return (loaded["corpus"][0], loaded["level"], loaded["resource"],
+            loaded["version"])

@@ -34,6 +34,7 @@ from corpus_forge.standoff import (
     segment_text,
 )
 from corpus_forge.versioning import Classification
+from strategies import kinds, metas, texts, titles
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 
@@ -153,6 +154,79 @@ class TestAddLevel:
                                   meta={"producer": "WinBrill"})
         assert archive.level(level.id).declared_meta == {
             "producer": "WinBrill"}
+
+
+class TestRefusedAtTheBoundary:
+    """What a manifest line cannot hold is refused when it is offered, so
+    the archive stays openable and reloads to the same state."""
+
+    @pytest.mark.parametrize("key", ["bad\nkey", "bad\rkey", "bad: key"])
+    def test_meta_key_refused_everywhere(self, archive, tmp_path, key):
+        seg = archive.add_level(
+            archive.register_corpus("X", corpus_id="x").id,
+            "segmentation", "full")
+        writes = [
+            lambda: archive.register_corpus("Y", meta={key: "v"}),
+            lambda: archive.add_level("x", "structure", "full",
+                                      meta={key: "v"}),
+            lambda: archive.deposit(
+                "x", '<word id="word_1">Madame</word>', "segmentation",
+                new_levels=[LevelSpec("segmentation", "full",
+                                      meta=((key, "v"),))]),
+            lambda: archive.deposit(
+                "x", '<word id="word_1">Madame</word>', "segmentation",
+                levels=[seg.id], meta={key: "v"}),
+        ]
+        for write in writes:
+            with pytest.raises(StoreError, match=re.escape(repr(key))):
+                write()
+        reloaded = Archive(tmp_path / "store")
+        assert export_catalog(reloaded) == export_catalog(archive)
+
+    @pytest.mark.parametrize("kind", ["a,b", "a|b"])
+    def test_kind_with_a_list_separator_refused(self, archive, kind):
+        archive.register_corpus("X", corpus_id="x")
+        with pytest.raises(StoreError, match=re.escape(repr(kind))):
+            archive.add_level("x", kind, "full")
+        assert archive.levels("x") == []
+
+    @pytest.mark.parametrize("corpus_id", [
+        "../escape", "../../x", "a/b", "Goriot", "", "-x", "a--b"])
+    def test_corpus_id_must_be_a_slug(self, archive, tmp_path, corpus_id):
+        with pytest.raises(StoreError, match=re.escape(repr(corpus_id))):
+            archive.register_corpus("T", corpus_id=corpus_id)
+        assert archive.corpora() == []
+        assert sorted(p.name for p in tmp_path.iterdir()) == []
+
+
+class TestIdsAcrossCorpora:
+    """A corpus id may be another corpus's id plus a kind prefix."""
+
+    def test_level_ids_never_collide(self, archive, tmp_path):
+        archive.register_corpus("A", corpus_id="a")
+        archive.register_corpus("A B", corpus_id="a-b")
+        seg = archive.add_level("a-b", "segmentation", "full")
+        odd = archive.add_level("a", "b-segmentation", "full")
+        assert seg.id != odd.id
+        assert [l.id for l in archive.levels("a-b")] == [seg.id]
+        assert [l.id for l in archive.levels("a")] == [odd.id]
+        reloaded = Archive(tmp_path / "store")
+        assert reloaded.levels("a-b") == archive.levels("a-b")
+        assert export_catalog(reloaded) == export_catalog(archive)
+
+    def test_version_records_stay_with_their_corpus(self, archive, tmp_path):
+        table = fixture("fig04_tabular_morpho.tsv")
+        for corpus_id, kind in (("a-b", "morphosyntax"),
+                                ("a", "b-morphosyntax")):
+            archive.register_corpus(corpus_id, corpus_id=corpus_id)
+            archive.deposit(corpus_id, table, "tabular-morpho",
+                            new_levels=[LevelSpec(kind, "partial")])
+        for reader in (archive, Archive(tmp_path / "store")):
+            assert [v.level_kind for v in reader.versions("a-b")] \
+                == ["morphosyntax"]
+            assert [v.level_kind for v in reader.versions("a")] \
+                == ["b-morphosyntax"]
+        assert archive.versions("a")[0].id == archive.versions("a-b")[0].id
 
 
 class TestAddDependency:
@@ -824,6 +898,52 @@ class TestWithdraw:
             == [("no-primary-anchor", ref.id)]
         assert Archive(tmp_path / "store").validate("t") == before
 
+    def test_unaligned_payload_keeps_archive_openable(self, archive,
+                                                      tmp_path):
+        archive.register_corpus("T", corpus_id="t")
+        seg = archive.add_level("t", "segmentation", "full")
+        archive.deposit("t", '<word id="word_1">Madame</word>\n'
+                        '<word id="word_2">Vauquer</word>', "segmentation",
+                        levels=[seg.id])
+        second = archive.deposit("t", '<word id="word_3">tient</word>',
+                                 "segmentation", levels=[seg.id])
+        morpho = morpho_level(archive, "t", seg.id)
+        archive.deposit("t", '<w span="word_1"\tmsd="Nc"\tlemma="madame"/>',
+                        "standoff-morpho", levels=[morpho.id])
+        ref = archive.add_level("t", "reference", "none", depends_on=[seg.id])
+        archive.deposit("t", 'Madame <coref id="1">Vauquer tient</coref>',
+                        "inline-coref", levels=[ref.id])
+        archive.withdraw(second.resource.id)
+        before = archive.validate("t")
+        assert [(v.code, v.subject) for v in before] \
+            == [("text-mismatch", ref.id)]
+        reloaded = Archive(tmp_path / "store")
+        assert reloaded.validate("t") == before
+        assert not reloaded.level_is_materialized(ref.id)
+        for level_id in (seg.id, morpho.id):
+            assert reloaded.level_units(level_id) \
+                == archive.level_units(level_id)
+            assert reloaded.level_items(level_id) \
+                == archive.level_items(level_id)
+        assert reloaded.coverage(morpho.id) == archive.coverage(morpho.id) \
+            == ["Madame"]
+        assert export_catalog(reloaded) == export_catalog(archive)
+
+    def test_withdrawn_anchor_reads_as_a_reload_would(self, archive,
+                                                      tmp_path):
+        archive.register_corpus("T", corpus_id="t")
+        seg = archive.add_level("t", "segmentation", "full")
+        segmentation = archive.deposit(
+            "t", '<word id="word_1">Madame</word>', "segmentation",
+            levels=[seg.id])
+        ref = archive.add_level("t", "reference", "none", depends_on=[seg.id])
+        archive.deposit("t", '<coref id="1">Madame</coref>', "inline-coref",
+                        levels=[ref.id])
+        archive.withdraw(segmentation.resource.id)
+        assert not archive.level_is_materialized(ref.id)
+        assert export_catalog(archive) \
+            == export_catalog(Archive(tmp_path / "store"))
+
     def test_withdrawn_archive_still_validates_clean(self, archive):
         corpus_id, morpho, resource = self.seed(archive)
         archive.withdraw(resource.id)
@@ -1001,6 +1121,32 @@ class TestPersistence:
         corpus_id = self.build(archive)
         reloaded = Archive(tmp_path / "store")
         assert export_catalog(reloaded) == export_catalog(archive)
+
+    @settings(max_examples=20, deadline=None)
+    @given(title=titles, language=texts, meta=metas, kind=kinds,
+           level_meta=metas, depositor=texts,
+           validator=st.none() | texts, resource_meta=metas)
+    def test_any_accepted_entity_survives_a_reload(
+            self, title, language, meta, kind, level_meta, depositor,
+            validator, resource_meta):
+        with tempfile.TemporaryDirectory() as root:
+            archive = Archive(root, clock=lambda: FIXED_MOMENT)
+            corpus = archive.register_corpus(title, language, meta)
+            seg = archive.add_level(corpus.id, "segmentation", "full",
+                                    meta=level_meta)
+            archive.deposit(corpus.id, '<word id="word_1">Madame</word>',
+                            "segmentation", levels=[seg.id],
+                            depositor=depositor, validator=validator,
+                            meta=resource_meta)
+            archive.deposit(corpus.id, '<item span="word_1" group="g"/>',
+                            "standoff-items", validated=True,
+                            validator=validator,
+                            new_levels=[LevelSpec(kind, "none", (seg.id,),
+                                                  tuple(level_meta.items()))])
+            reloaded = Archive(root)
+            assert export_catalog(reloaded) == export_catalog(archive)
+            assert reloaded.resources(corpus.id) \
+                == archive.resources(corpus.id)
 
     def test_mutations_after_reload_continue_numbering(self, archive,
                                                        tmp_path):

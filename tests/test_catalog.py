@@ -5,6 +5,7 @@ import threading
 from datetime import datetime, timezone
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from corpus_forge import catalog
 from corpus_forge.archive import Archive
@@ -23,6 +24,7 @@ from corpus_forge.catalog import (
     write_export,
 )
 from corpus_forge.errors import ParseError, StoreError
+from strategies import metas, texts
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 
@@ -110,6 +112,14 @@ class TestHeaderRoundTrip:
     def test_warnings_round_trip(self):
         header = build_header("corpus", "c", {"color": "blue"})
         assert parse_header(header.render()).warnings == header.warnings
+
+    @settings(max_examples=40, deadline=None)
+    @given(tier=st.sampled_from(sorted(catalog.TIER_FIELDS)), subject=texts,
+           declared=metas, computed=metas, generated=texts)
+    def test_every_header_round_trips(self, tier, subject, declared,
+                                      computed, generated):
+        header = build_header(tier, subject, declared, computed, generated)
+        assert parse_header(header.render()) == header
 
 
 class TestAutoStats:

@@ -1,16 +1,26 @@
 """Manifest persistence: entity round-trips and strict parsing."""
 
-import pytest
+import dataclasses
+import pathlib
 
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from corpus_forge import manifest
 from corpus_forge.errors import StoreError
+from corpus_forge.formats import FORMATS
 from corpus_forge.manifest import (
     dumps_corpus,
     escape_value,
     loads_corpus,
     unescape_value,
 )
-from corpus_forge.model import Corpus, Level, Resource, slugify
+from corpus_forge.model import COVERAGE_VALUES, Corpus, Level, Resource, slugify
+from corpus_forge.registry import Registry
 from corpus_forge.versioning import Classification, VersionRecord
+from strategies import kinds, metas, texts
+
+FORMAT_1 = pathlib.Path(__file__).parent / "fixtures" / "format1.manifest"
 
 
 def full_entities():
@@ -106,6 +116,117 @@ class TestRoundTrip:
         _, _, _, loaded = loads_corpus(text)
         assert loaded[0].granularity == frozenset()
         assert loaded[0].variant_groups == ()
+
+
+@st.composite
+def entities(draw):
+    """A corpus with levels, resources and versions as the archive makes
+    them: level ids are ``<corpus>-<kind>-<n>``, every other text any."""
+    corpus_id = slugify(draw(texts))
+    level_kinds = draw(st.lists(kinds, max_size=3))
+    level_ids = [f"{corpus_id}-{kind}-{n}"
+                 for n, kind in enumerate(level_kinds, 1)]
+    some_levels = (st.lists(st.sampled_from(level_ids), max_size=3).map(tuple)
+                   if level_ids else st.just(()))
+    corpus = Corpus(
+        id=corpus_id, title=draw(texts), language=draw(texts),
+        coverage_fingerprint=draw(st.none() | texts),
+        declared_meta=draw(metas), created_at=draw(texts))
+    levels = [Level(
+        id=level_id, corpus_id=corpus_id, kind=kind,
+        coverage=draw(st.sampled_from(COVERAGE_VALUES)),
+        depends_on=tuple(zip(draw(some_levels), draw(st.lists(texts)))),
+        declared_meta=draw(metas), created_at=draw(texts))
+        for level_id, kind in zip(level_ids, level_kinds)]
+    resources = [Resource(
+        id=draw(texts), corpus_id=corpus_id,
+        format=draw(st.sampled_from(sorted(FORMATS))),
+        filename=draw(texts), levels=draw(some_levels),
+        depositor=draw(texts), deposited_at=draw(texts),
+        validated=draw(st.booleans()), validator=draw(st.none() | texts),
+        sha256=draw(texts), size=draw(st.integers(0, 10**9)),
+        available=draw(st.booleans()), declared_meta=draw(metas))
+        for _ in range(draw(st.integers(0, 2)))]
+    versions = [VersionRecord(
+        id=draw(texts), corpus_id=corpus_id, level_kind=draw(texts),
+        level_id=draw(texts), resource_id=draw(texts),
+        number=draw(st.integers(1, 99)),
+        classification=draw(st.sampled_from(Classification)),
+        granularity=draw(st.frozensets(
+            st.sampled_from(sorted(Registry.default().ids())), max_size=3)),
+        validated=draw(st.booleans()), validator=draw(st.none() | texts),
+        coverage=draw(texts),
+        variant_groups=tuple(draw(st.lists(
+            st.tuples(texts, st.integers(0, 99)), max_size=2))),
+        supersedes=draw(st.none() | texts), created_at=draw(texts))
+        for _ in range(draw(st.integers(0, 2)))]
+    return corpus, levels, resources, versions
+
+
+class TestEveryEntityRoundTrips:
+    @settings(max_examples=30, deadline=None)
+    @given(entities())
+    def test_load_of_dump_is_identity(self, entities):
+        corpus, levels, resources, versions = entities
+        assert loads_corpus(dumps_corpus(*entities)) == (
+            corpus, levels, resources, versions)
+
+    @pytest.mark.parametrize("value", ["-", " padded ", "\\-", "a\rb",
+                                       "\u2028", "\x85", "\x1c\x0b\x0c"])
+    def test_awkward_optional_values(self, value):
+        corpus = Corpus(id="x", title=value, language=value)
+        resource = Resource(id="x-r001", corpus_id="x", format="segmentation",
+                            filename="f", depositor=value, validator=value)
+        loaded = loads_corpus(dumps_corpus(corpus, [], [resource], []))
+        assert loaded == (corpus, [], [resource], [])
+
+    def test_empty_and_missing_validator_differ(self):
+        resources = [Resource(id=f"r{i}", corpus_id="x", format="segmentation",
+                              filename="f", validator=v)
+                     for i, v in enumerate((None, "", "-"))]
+        text = dumps_corpus(Corpus(id="x", title="X"), [], resources, [])
+        assert "validator: -\n" in text and "validator: \\-\n" in text
+        assert loads_corpus(text)[2] == resources
+
+    def test_group_id_with_a_bar(self):
+        corpus, levels, resources, versions = full_entities()
+        versions = [dataclasses.replace(versions[0],
+                                        variant_groups=(("a|b", 2),))]
+        assert loads_corpus(dumps_corpus(corpus, [], [], versions))[3] \
+            == versions
+
+
+class TestFormatOne:
+    """A manifest written before the field table must keep its meaning."""
+
+    def test_written_manifest_reloads_byte_for_byte(self):
+        text = FORMAT_1.read_text(encoding="utf-8")
+        assert "\nlevels: \n" in text  # an empty value keeps its ": "
+        assert dumps_corpus(*loads_corpus(text)) == text
+
+    def test_written_manifest_reads_its_fields(self):
+        corpus, levels, resources, versions = loads_corpus(
+            FORMAT_1.read_text(encoding="utf-8"))
+        assert corpus.title == "Le Père Goriot \\ tome 1"
+        assert levels[1].depends_on == (
+            ("goriot-segmentation-1", "anchors-to"),
+            ("goriot-segmentation-1", ""))
+        assert levels[1].declared_meta["notes"] == "two\nlines"
+        assert levels[1].created_at == ""
+        assert [r.validator for r in resources] == [None, "annotator", None]
+        assert (resources[1].depositor, resources[1].sha256) == ("", "")
+        assert resources[2].levels == ()
+        assert versions[0].variant_groups == (("alt_1", 2), ("alt_2", 3))
+        assert versions[1].granularity == frozenset()
+        assert versions[1].supersedes == "goriot-morphosyntax-v1"
+
+    @pytest.mark.parametrize("block", [manifest.CORPUS, manifest.LEVEL,
+                                       manifest.RESOURCE, manifest.VERSION])
+    def test_each_attribute_has_one_row(self, block):
+        attrs = [row[1] for row in block.fields]
+        attrs += ["declared_meta"] if block.meta else []
+        assert sorted(attrs) == sorted(
+            f.name for f in dataclasses.fields(block.entity))
 
 
 class TestEscaping:

@@ -15,6 +15,7 @@ from corpus_forge.archive import Archive, LevelSpec
 PERFBENCH = pathlib.Path(__file__).resolve().parent.parent / "perfbench"
 
 EXPECTED = ("archive.open", "archive.materialize", "archive.deposit",
+            "manifest.load", "manifest.dump",
             "standoff.reconstruct", "registry.granularity",
             "versioning.classify", "catalog.record", "catalog.stamp",
             "service.handle")
