@@ -19,12 +19,14 @@ TAG_RE = re.compile(r"<(/?)([A-Za-z_][\w.-]*)((?:[^>\"']|\"[^\"]*\"|'[^']*')*?)(
 ATTR_RE = re.compile(r"([\w:.-]+)\s*=\s*(\"[^\"]*\"|'[^']*')")
 
 _ENTITIES = {"&amp;": "&", "&lt;": "<", "&gt;": ">", "&quot;": '"', "&apos;": "'"}
+_ENTITY_RE = re.compile("|".join(_ENTITIES))
 
 
 def unescape(text: str) -> str:
-    for entity, char in _ENTITIES.items():
-        text = text.replace(entity, char)
-    return text
+    """Resolve the five entities in one pass: ``&amp;lt;`` reads ``&lt;``."""
+    if "&" not in text:
+        return text
+    return _ENTITY_RE.sub(lambda m: _ENTITIES[m[0]], text)
 
 
 def escape(text: str) -> str:
@@ -48,18 +50,20 @@ class Tag:
 
 def iter_tags(doc: str):
     """Yield (text_before, Tag) pairs, then a final (tail_text, None)."""
-    pos = 0
+    pos = counted = 0
+    line = 1
     for m in TAG_RE.finditer(doc):
+        line += doc.count("\n", counted, m.start())
+        counted = m.start()
         slash, name, raw_attrs, selfslash = m.groups()
         if slash and selfslash:
-            raise ParseError(f"malformed tag {m.group(0)!r}",
-                             line=doc.count("\n", 0, m.start()) + 1)
+            raise ParseError(f"malformed tag {m.group(0)!r}", line=line)
         kind = "close" if slash else ("selfclose" if selfslash else "open")
         yield doc[pos:m.start()], Tag(
             kind=kind,
             name=name,
             attrs=parse_attrs(raw_attrs) if not slash else {},
-            line=doc.count("\n", 0, m.start()) + 1,
+            line=line,
         )
         pos = m.end()
     yield doc[pos:], None

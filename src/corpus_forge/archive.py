@@ -421,6 +421,7 @@ class Archive:
                     corpus_id: str | None) -> Corpus:
         if not title or not title.strip():
             raise EmptyTitleError("a corpus requires a non-empty title")
+        manifest_mod.storable_text({"title": title, "language": language})
         title = title.strip()
         if corpus_id is not None:
             if slugify(corpus_id) != corpus_id:
@@ -453,6 +454,7 @@ class Archive:
 
     def _add_level(self, draft: Snapshot, corpus_id: str,
                    spec: LevelSpec) -> Level:
+        manifest_mod.storable_text({"level kind": spec.kind})
         kind = (spec.kind or "").strip()
         if not kind or any(c.isspace() or c in ",|" for c in kind):
             raise StoreError(f"invalid level kind {spec.kind!r}: a kind "
@@ -465,6 +467,7 @@ class Archive:
         for entry in spec.depends_on:
             dep_id, purpose = (entry if isinstance(entry, tuple)
                                else (entry, "anchors-to"))
+            manifest_mod.storable_text({"dependency purpose": purpose})
             if dep_id not in draft._levels:
                 raise UnknownDependencyError(
                     f"dependency {dep_id!r} does not exist")
@@ -548,6 +551,7 @@ class Archive:
             draft = self._view._draft()
             level = draft._require_level(level_id)
             dep = draft._require_level(dep_id)
+            manifest_mod.storable_text({"dependency purpose": purpose})
             if dep.corpus_id != level.corpus_id:
                 raise UnknownDependencyError(
                     f"dependency {dep_id!r} belongs to another corpus")
@@ -583,6 +587,8 @@ class Archive:
                     raise ParseError(f"payload is not valid UTF-8: {err}")
             else:
                 text = payload
+            manifest_mod.storable_text({"payload": text, "depositor": depositor,
+                                        "validator": validator})
 
             targets: list[Level] = []
             for level_id in levels:

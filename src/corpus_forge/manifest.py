@@ -36,12 +36,27 @@ def unescape_value(value: str) -> str:
     return _ESCAPED.sub(lambda m: _UNESCAPES.get(m[1], m[0]), value)
 
 
+def storable_text(fields: dict[str, str | None]) -> None:
+    """Refuse a caller string that UTF-8 cannot encode, naming its field.
+
+    Every caller string ends up in a UTF-8 file; a lone surrogate would
+    raise halfway through the writes and leave partial files behind.
+    """
+    for name, value in fields.items():
+        try:
+            (value or "").encode("utf-8")
+        except UnicodeEncodeError as err:
+            raise StoreError(f"{name} holds a lone surrogate at character "
+                             f"{err.start}, which UTF-8 cannot encode") from None
+
+
 def storable_meta(meta) -> dict[str, str]:
     """``meta`` as a new dict, refusing a key no ``meta-`` line can hold."""
     meta = dict(meta or {})
-    for key in meta:
+    for key, value in meta.items():
         if "\n" in key or "\r" in key or ": " in key:
             raise StoreError(f"meta key {key!r} holds a line break or ': '")
+        storable_text({"meta key": key, f"meta {key!r}": value})
     return meta
 
 

@@ -35,7 +35,10 @@ APOSTROPHES = "'’"
 
 @dataclass(frozen=True)
 class ReferenceUnit:
-    """Minimal segmentation token, the anchor target of stand-off pointers."""
+    """Minimal segmentation token, the anchor target of stand-off pointers.
+
+    ``index`` is its position in its segmentation's list: ``units[index]``.
+    """
 
     id: str
     form: str
@@ -104,6 +107,11 @@ def _split_token(token: str) -> list[str]:
                     and token[i - 1].isalpha()):
                 parts.append(token[start:i + 1])
                 start = i + 1
+                # what follows starts a token: detach its leading
+                # punctuation (a run that never reaches the core's end)
+                while token[start] in DETACH_CHARS:
+                    parts.append(token[start])
+                    start += 1
         parts.append(token[start:])
     return lead + parts + trail
 
@@ -232,9 +240,7 @@ def resolve_span(expr: SpanExpr, units: list[ReferenceUnit]) -> list[ReferenceUn
             raise ReversedRangeError(
                 f"range {start}..{end} runs against document order")
         picked.update(range(first.index, last.index + 1))
-    ordered = sorted(picked)
-    by_index = {u.index: u for u in units}
-    return [by_index[i] for i in ordered]
+    return [units[i] for i in sorted(picked)]
 
 
 def coverage_fingerprint(tokens: list[str]) -> str:
@@ -251,7 +257,6 @@ def span_for_indices(units: list[ReferenceUnit], indices: list[int]) -> SpanExpr
     """Build the most compact span expression covering the given unit indices."""
     if not indices:
         raise SpanSyntaxError("cannot build a span over zero units")
-    by_index = {u.index: u for u in units}
     runs: list[tuple[int, int]] = []
     ordered = sorted(set(indices))
     run_start = prev = ordered[0]
@@ -265,9 +270,9 @@ def span_for_indices(units: list[ReferenceUnit], indices: list[int]) -> SpanExpr
     parts = []
     for a, b in runs:
         if a == b:
-            parts.append((by_index[a].id, None))
+            parts.append((units[a].id, None))
         else:
-            parts.append((by_index[a].id, by_index[b].id))
+            parts.append((units[a].id, units[b].id))
     return SpanExpr(tuple(parts))
 
 
@@ -386,14 +391,10 @@ def reconstruct_coverage(kind: str, units: list[ReferenceUnit], items,
     if anchor_units is None:
         raise NoPrimaryAnchorError()
 
-    covered: set[int] = set()
-    for item in _iter_leaves(items):
-        if item.span is None:
-            continue
-        for unit in resolve_span(item.span, anchor_units):
-            covered.add(unit.index)
-    by_index = {u.index: u for u in anchor_units}
-    return [by_index[i].form for i in sorted(covered)]
+    # one resolution over every leaf's parts: document order, no repeats
+    parts = tuple(part for item in _iter_leaves(items) if item.span is not None
+                  for part in item.span.parts)
+    return [u.form for u in resolve_span(SpanExpr(parts), anchor_units)]
 
 
 def _iter_leaves(items):

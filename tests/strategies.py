@@ -1,7 +1,7 @@
 """Hypothesis strategies for values the API accepts.
 
-Text is any string that UTF-8 can encode (a lone surrogate cannot be
-written to a file, so the write raises and publishes nothing), with the
+Text is any string that UTF-8 can encode (``manifest.storable_text``
+refuses a lone surrogate, which no UTF-8 file can hold), with the
 characters that end or split a line, the escape character and the
 separators the manifest uses drawn more often.  A value is left out
 only where the API refuses it, and the strategy names the check.

@@ -37,6 +37,7 @@ from corpus_forge.versioning import Classification
 from strategies import kinds, metas, texts, titles
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
+ONE_WORD = '<word id="word_1">Madame</word>'
 
 FIXED_MOMENT = datetime(2005, 6, 1, 12, 0, 0, tzinfo=timezone.utc)
 FIXED_STAMP = "2005-06-01T12:00:00Z"
@@ -189,6 +190,54 @@ class TestRefusedAtTheBoundary:
         with pytest.raises(StoreError, match=re.escape(repr(kind))):
             archive.add_level("x", kind, "full")
         assert archive.levels("x") == []
+
+    SURROGATE_WRITES = {
+        "depositor": lambda a, seg, st: a.deposit(
+            "x", ONE_WORD, "segmentation",
+            levels=[seg], depositor="\ud800"),
+        "validator": lambda a, seg, st: a.deposit(
+            "x", ONE_WORD, "segmentation",
+            levels=[seg], validated=True, validator="v\udc00"),
+        "payload": lambda a, seg, st: a.deposit(
+            "x", '<word id="word_1">Mad\ud800</word>', "segmentation",
+            levels=[seg]),
+        "title": lambda a, seg, st: a.register_corpus("\ud800x"),
+        "language": lambda a, seg, st: a.register_corpus(
+            "Y", language="fr\udfff"),
+        "meta 'k'": lambda a, seg, st: a.register_corpus(
+            "Y", meta={"k": "\udc00"}),
+        "meta key": lambda a, seg, st: a.add_level(
+            "x", "structure", "full", meta={"\ud800": "v"}),
+        "level kind": lambda a, seg, st: a.add_level(
+            "x", "seg\ud800", "full"),
+        "dependency purpose": lambda a, seg, st: a.add_dependency(
+            st, seg, "\ud800"),
+        "deposit meta": lambda a, seg, st: a.deposit(
+            "x", ONE_WORD, "segmentation",
+            levels=[seg], meta={"k": "\udc00"}),
+        "table title": lambda a, seg, st: a.register_table(
+            "T\ud800\t-\t-\tsegmentation"),
+    }
+    SURROGATE_FIELDS = {"deposit meta": "meta 'k'", "table title": "title"}
+
+    @pytest.mark.parametrize("case", sorted(SURROGATE_WRITES))
+    def test_lone_surrogate_refused_before_any_write(self, archive, tmp_path,
+                                                     case):
+        archive.register_corpus("X", corpus_id="x")
+        seg = archive.add_level("x", "segmentation", "full").id
+        structure = archive.add_level("x", "structure", "full").id
+
+        def tree():
+            return {p.relative_to(tmp_path): p.read_bytes()
+                    for p in sorted(tmp_path.rglob("*")) if p.is_file()}
+
+        before = tree()
+        field = self.SURROGATE_FIELDS.get(case, case)
+        with pytest.raises(StoreError, match=re.escape(field)):
+            self.SURROGATE_WRITES[case](archive, seg, structure)
+        assert tree() == before
+        reloaded = Archive(tmp_path / "store")
+        assert export_catalog(reloaded) == export_catalog(archive)
 
     @pytest.mark.parametrize("corpus_id", [
         "../escape", "../../x", "a/b", "Goriot", "", "-x", "a--b"])

@@ -3,7 +3,7 @@
 import pathlib
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from corpus_forge.errors import (
     MissingSpanError,
@@ -45,6 +45,12 @@ def fixture(name: str) -> str:
     return (FIXTURES / name).read_text(encoding="utf-8")
 
 
+# Text with characters that escape to entities and with entity names:
+# "&lt;" serializes as "&amp;lt;", which must not read back as "<".
+ESCAPABLE = st.lists(st.sampled_from([*"abcéœà'.-&;<>\"", "lt;", "amp;",
+                                      "quot;"]), max_size=6).map("".join)
+
+
 @pytest.fixture(scope="module")
 def full_units():
     return parse_segmentation(fixture("goriot_segmentation_full.xml"))
@@ -76,9 +82,9 @@ class TestSegmentationCodec:
         assert parse_segmentation(text) == [unit]
 
     @given(st.lists(
-        st.text(alphabet="abcéœà'.-", min_size=1, max_size=6).filter(
-            lambda s: s == s.strip()),
+        ESCAPABLE.filter(lambda s: s and s == s.strip()),
         min_size=1, max_size=10))
+    @example(["&lt;", "&amp;quot;x"])
     def test_parse_inverts_serialize(self, forms):
         units = [ReferenceUnit(id=f"word_{i + 1}", form=f, index=i)
                  for i, f in enumerate(forms)]
@@ -105,6 +111,13 @@ class TestSegmentationCodec:
     def test_foreign_element_rejected(self):
         with pytest.raises(ParseError):
             parse_segmentation('<token id="word_1">a</token>')
+
+    def test_error_line_counts_newlines_inside_earlier_tags(self):
+        doc = ('<word id="word_1" note="a\nb">x</word>\n'
+               '<word id="word_2">y</word>\n<token id="word_3">z</token>')
+        with pytest.raises(ParseError) as err:
+            parse_segmentation(doc)
+        assert err.value.line == 4
 
     def test_unclosed_word_rejected(self):
         with pytest.raises(ParseError):
@@ -167,6 +180,23 @@ class TestStandoffMorphoCodec:
     def test_parse_inverts_serialize(self):
         items = parse_standoff_morpho(fixture("fig05_standoff_morpho.xml"))
         assert parse_standoff_morpho(serialize_standoff_morpho(items)) == items
+
+    @given(st.lists(st.tuples(
+        ESCAPABLE.map(str.strip), ESCAPABLE), min_size=1, max_size=8))
+    @example([("&gt;", "&amp;")])
+    def test_parse_inverts_serialize_any_value(self, values):
+        items = [AnnotationItem(span=SpanExpr.single(f"word_{i + 1}"),
+                                element="w",
+                                categories={"msd": msd, "lemma": lemma})
+                 for i, (msd, lemma) in enumerate(values)]
+        assert parse_standoff_morpho(serialize_standoff_morpho(items)) == items
+
+    def test_error_line_counts_newlines_inside_earlier_tags(self):
+        doc = ('<w span="word_1"\tmsd="X"\tlemma="a\n\nb"/>\n'
+               '<w span="word_2"\tmsd="Y"/>')
+        with pytest.raises(ParseError) as err:
+            parse_standoff_morpho(doc)
+        assert err.value.line == 4
 
     def test_extra_attributes_survive(self):
         items = parse_standoff_morpho(

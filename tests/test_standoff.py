@@ -4,7 +4,7 @@ import hashlib
 import unicodedata
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from corpus_forge.errors import (
     DanglingPointerError,
@@ -108,6 +108,8 @@ class TestSegmentation:
                 assert text[s:e] == form
 
     @given(st.text(alphabet=st.characters(blacklist_categories=("Cs",)), max_size=80))
+    @example("A')0")
+    @example("a''b c'('d")
     def test_resegmenting_joined_forms_is_fixed_point(self, text):
         forms = [u.form for u in segment_text(text)]
         assert [u.form for u in segment_text(" ".join(forms))] == forms

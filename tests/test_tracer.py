@@ -15,7 +15,8 @@ from corpus_forge.archive import Archive, LevelSpec
 PERFBENCH = pathlib.Path(__file__).resolve().parent.parent / "perfbench"
 
 EXPECTED = ("archive.open", "archive.materialize", "archive.deposit",
-            "manifest.load", "manifest.dump",
+            "manifest.load", "manifest.dump", "markup.scan", "formats.parse",
+            "standoff.resolve", "standoff.align", "standoff.span_build",
             "standoff.reconstruct", "registry.granularity",
             "versioning.classify", "catalog.record", "catalog.stamp",
             "service.handle")
@@ -37,6 +38,9 @@ def test_traced_sequence_fires_every_layer(tmp_path, monkeypatch):
                         '\tlemma="Vauquer"/>', "standoff-morpho",
                         new_levels=[LevelSpec("morphosyntax", "none",
                                               (seg.id,))])
+        archive.deposit("t", '<coref id="1">Madame Vauquer</coref>',
+                        "inline-coref", new_levels=[
+                            LevelSpec("coreference", "none", (seg.id,))])
         archive = Archive(tmp_path / "store")
         assert archive.coverage(seg.id) == ["Madame", "Vauquer"]
         assert archive.validate() == []
