@@ -91,8 +91,7 @@ def strip_markup(doc: str) -> tuple[str, list[Element]]:
     out: list[str] = []
     length = 0
     stack: list[Element] = []
-    done: list[tuple[int, Element]] = []
-    order = 0
+    done: list[Element] = []
     for text, tag in iter_tags(doc):
         if text:
             plain = unescape(text)
@@ -103,12 +102,10 @@ def strip_markup(doc: str) -> tuple[str, list[Element]]:
         if tag.kind == "open":
             el = Element(tag.name, tag.attrs, length, length, len(stack), tag.line)
             stack.append(el)
-            done.append((order, el))
-            order += 1
+            done.append(el)
         elif tag.kind == "selfclose":
             el = Element(tag.name, tag.attrs, length, length, len(stack), tag.line)
-            done.append((order, el))
-            order += 1
+            done.append(el)
         else:
             if not stack or stack[-1].name != tag.name:
                 raise ParseError(
@@ -118,5 +115,4 @@ def strip_markup(doc: str) -> tuple[str, list[Element]]:
     if stack:
         raise ParseError(f"unclosed element <{stack[-1].name}>",
                          line=stack[-1].line)
-    done.sort(key=lambda pair: pair[0])
-    return "".join(out), [el for _, el in done]
+    return "".join(out), done

@@ -11,12 +11,13 @@ Reads never wait: each is answered from the last published
 reads see one commit.  Writers take one lock, build the next snapshot
 as a draft, write payload, header and manifest from it and publish it
 last with one assignment, so a write that fails changes nothing.
-Accessors return copies of the entities they find.
+Entities are immutable, so reads and writers hand out the snapshot's own.
 """
 
 from __future__ import annotations
 
-import copy
+# Unused here; ``perfbench/tracer.py`` still patches ``archive.copy``.
+import copy  # noqa: F401
 import dataclasses
 import functools
 import graphlib
@@ -64,7 +65,6 @@ from .model import (
 from .registry import (
     SEGMENTATION_GRANULARITY,
     Granularity,
-    Registry,
     granularity_of,
 )
 from .standoff import (
@@ -77,6 +77,13 @@ from .versioning import VersionRecord, classify_submission
 
 def _iso(moment: datetime) -> str:
     return moment.astimezone(timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
+
+
+def _utf8(payload: bytes) -> str:
+    try:
+        return payload.decode("utf-8")
+    except UnicodeDecodeError as err:
+        raise ParseError(f"payload is not valid UTF-8: {err}") from None
 
 
 @dataclass(frozen=True)
@@ -104,9 +111,8 @@ class Snapshot:
     published snapshot holds ever changes.
     """
 
-    def __init__(self, root: Path, registry: Registry):
+    def __init__(self, root: Path):
         self.root = root
-        self.registry = registry
         self._corpora: dict[str, Corpus] = {}
         self._levels: dict[str, Level] = {}
         self._resources: dict[str, Resource] = {}
@@ -116,9 +122,12 @@ class Snapshot:
         # Levels with a stored payload that did not parse: no anchor, or
         # one that no longer aligns.  ``validate`` reports them.
         self._unparsed: dict[str, Violation] = {}
+        # Corpus directories whose manifest did not load, by directory
+        # name: their ids stay taken, and ``validate`` reports them.
+        self._unreadable: dict[str, Violation] = {}
 
     def _draft(self) -> Snapshot:
-        draft = Snapshot(self.root, self.registry)
+        draft = Snapshot(self.root)
         for name, value in vars(self).items():
             if isinstance(value, dict):
                 setattr(draft, name, dict(value))
@@ -155,26 +164,24 @@ class Snapshot:
         return self._resources[resource_id]
 
     def corpus(self, corpus_id: str) -> Corpus:
-        return copy.deepcopy(self._require_corpus(corpus_id))
+        return self._require_corpus(corpus_id)
 
     def corpora(self) -> list[Corpus]:
-        return [copy.deepcopy(self._corpora[cid])
-                for cid in sorted(self._corpora)]
+        return [self._corpora[cid] for cid in sorted(self._corpora)]
 
     def level(self, level_id: str) -> Level:
-        return copy.deepcopy(self._require_level(level_id))
+        return self._require_level(level_id)
 
     def levels(self, corpus_id: str) -> list[Level]:
         self._require_corpus(corpus_id)
-        return [copy.deepcopy(l) for l in self._of(self._levels, corpus_id)]
+        return self._of(self._levels, corpus_id)
 
     def resource(self, resource_id: str) -> Resource:
-        return copy.deepcopy(self._require_resource(resource_id))
+        return self._require_resource(resource_id)
 
     def resources(self, corpus_id: str) -> list[Resource]:
         self._require_corpus(corpus_id)
-        return [copy.deepcopy(r)
-                for r in self._of(self._resources, corpus_id)]
+        return self._of(self._resources, corpus_id)
 
     def resource_payload(self, resource_id: str) -> str:
         resource = self._require_resource(resource_id)
@@ -184,6 +191,9 @@ class Snapshot:
                     encoding="utf-8")
         except FileNotFoundError:
             pass  # lost, or withdrawn after this snapshot was published
+        except UnicodeDecodeError:
+            raise StoreError(f"resource {resource_id!r} has a stored payload "
+                             "that is not valid UTF-8") from None
         raise StoreError(f"resource {resource_id!r} has no stored payload")
 
     def resource_header(self, resource_id: str) -> str:
@@ -248,14 +258,19 @@ class Snapshot:
         level = self._require_level(level_id)
         if level.kind == KIND_SEGMENTATION and self._units.get(level_id):
             return Granularity(SEGMENTATION_GRANULARITY, ())
-        return granularity_of(self._items.get(level_id, []), self.registry)
+        return granularity_of(self._items.get(level_id, []))
 
     # -- validation ----------------------------------------------------------
 
     def validate(self, corpus_id: str | None = None) -> list[Violation]:
-        corpora = ([self._require_corpus(corpus_id)] if corpus_id
-                   else [self._corpora[c] for c in sorted(self._corpora)])
-        return [v for corpus in corpora for v in self._validate_corpus(corpus)]
+        out: list[Violation] = []
+        for cid in ([corpus_id] if corpus_id
+                    else sorted({*self._corpora, *self._unreadable})):
+            if cid in self._unreadable:
+                out.append(self._unreadable[cid])
+            else:
+                out.extend(self._validate_corpus(self._require_corpus(cid)))
+        return out
 
     def _validate_corpus(self, corpus: Corpus) -> list[Violation]:
         out: list[Violation] = []
@@ -350,9 +365,8 @@ class Archive:
     """The archive at ``root``.  Each public method of :class:`Snapshot`
     is also a read of ``Archive``, of its last published snapshot."""
 
-    def __init__(self, root, registry: Registry | None = None, clock=None):
+    def __init__(self, root, clock=None):
         self.root = Path(root)
-        self.registry = registry or Registry.default()
         self._clock = clock or (lambda: datetime.now(timezone.utc))
         self._lock = threading.Lock()
         self._view = self._load()
@@ -360,7 +374,7 @@ class Archive:
     # -- storage ----------------------------------------------------------
 
     def _load(self) -> Snapshot:
-        view = Snapshot(self.root, self.registry)
+        view = Snapshot(self.root)
         corpora_dir = self.root / "corpora"
         if not corpora_dir.is_dir():
             return view
@@ -368,8 +382,14 @@ class Archive:
             manifest_path = entry / "manifest"
             if not entry.is_dir() or not manifest_path.is_file():
                 continue
-            text = manifest_path.read_text(encoding="utf-8")
-            corpus, levels, resources, versions = manifest_mod.loads_corpus(text)
+            try:
+                corpus, levels, resources, versions = manifest_mod.loads_corpus(
+                    manifest_path.read_text(encoding="utf-8"))
+            except (StoreError, UnicodeDecodeError) as err:
+                view._unreadable[entry.name] = Violation(
+                    "unreadable-manifest", entry.name,
+                    f"manifest does not load: {err}")
+                continue
             view._corpora[corpus.id] = corpus
             view._levels.update((l.id, l) for l in levels)
             view._resources.update((r.id, r) for r in resources)
@@ -388,8 +408,7 @@ class Archive:
             path = draft._resource_path(resource)
             if not path.is_file():
                 continue  # reported by validate() as missing-payload
-            self._materialize(draft, resource,
-                              path.read_text(encoding="utf-8"), only)
+            self._materialize(draft, resource, path.read_bytes(), only)
 
     def _publish(self, draft: Snapshot, *corpus_ids: str) -> None:
         """Write the manifests of ``corpus_ids``, then publish ``draft``."""
@@ -414,7 +433,7 @@ class Archive:
             draft = self._view._draft()
             corpus = self._add_corpus(draft, title, language, meta, corpus_id)
             self._publish(draft, corpus.id)
-            return copy.deepcopy(corpus)
+            return corpus
 
     def _add_corpus(self, draft: Snapshot, title: str, language: str,
                     meta: dict[str, str] | None,
@@ -427,12 +446,12 @@ class Archive:
             if slugify(corpus_id) != corpus_id:
                 raise StoreError(f"corpus id {corpus_id!r} is not a slug "
                                  "(lowercase ascii words joined by '-')")
-            if corpus_id in draft._corpora:
+            if corpus_id in draft._corpora or corpus_id in draft._unreadable:
                 raise StoreError(f"corpus id {corpus_id!r} already exists")
         else:
             base = slugify(title)
             corpus_id, n = base, 1
-            while corpus_id in draft._corpora:
+            while corpus_id in draft._corpora or corpus_id in draft._unreadable:
                 n += 1
                 corpus_id = f"{base}-{n}"
         corpus = draft._corpora[corpus_id] = Corpus(
@@ -450,7 +469,7 @@ class Archive:
                 kind=kind, coverage=coverage, depends_on=tuple(depends_on),
                 meta=tuple(sorted((meta or {}).items()))))
             self._publish(draft, corpus_id)
-            return copy.deepcopy(level)
+            return level
 
     def _add_level(self, draft: Snapshot, corpus_id: str,
                    spec: LevelSpec) -> Level:
@@ -542,7 +561,7 @@ class Archive:
                     created[kind] = self._add_level(draft, corpus.id, spec)
                 out.append(corpus)
             self._publish(draft, *(corpus.id for corpus in out))
-            return [copy.deepcopy(corpus) for corpus in out]
+            return out
 
     def add_dependency(self, level_id: str, dep_id: str,
                        purpose: str = "anchors-to") -> Level:
@@ -567,7 +586,7 @@ class Archive:
             level = draft._levels[level_id] = dataclasses.replace(
                 level, depends_on=level.depends_on + ((dep_id, purpose),))
             self._publish(draft, level.corpus_id)
-            return copy.deepcopy(level)
+            return level
 
     # -- deposit -----------------------------------------------------------
 
@@ -580,13 +599,7 @@ class Archive:
             corpus = draft._require_corpus(corpus_id)
             if format not in FORMATS:
                 raise StoreError(f"unknown deposit format {format!r}")
-            if isinstance(payload, bytes):
-                try:
-                    text = payload.decode("utf-8")
-                except UnicodeDecodeError as err:
-                    raise ParseError(f"payload is not valid UTF-8: {err}")
-            else:
-                text = payload
+            text = _utf8(payload) if isinstance(payload, bytes) else payload
             manifest_mod.storable_text({"payload": text, "depositor": depositor,
                                         "validator": validator})
 
@@ -642,7 +655,7 @@ class Archive:
                 header, encoding="utf-8")
             self._publish(draft, corpus_id)
             return DepositResult(
-                resource=copy.deepcopy(resource),
+                resource=resource,
                 levels=tuple(l.id for l in targets),
                 records=tuple(records))
 
@@ -701,7 +714,7 @@ class Archive:
             granularity = frozenset(categories)
             classification = classify_submission(
                 granularity, prior.granularity if prior else None,
-                self.registry, validated=resource.validated)
+                validated=resource.validated)
             groups: dict[str, int] = {}
             for item in iter_items(fresh_by_kind.get(kind, [])):
                 if item.group is not None:
@@ -775,18 +788,18 @@ class Archive:
                 self._publish(draft, resource.corpus_id)
                 # Last, so readers of earlier snapshots still find it.
                 path.unlink(missing_ok=True)
-            return copy.deepcopy(resource)
+            return resource
 
-    def _materialize(self, draft: Snapshot, resource: Resource, text: str,
-                     only: set[str] | None = None) -> None:
+    def _materialize(self, draft: Snapshot, resource: Resource,
+                     payload: bytes, only: set[str] | None = None) -> None:
         for level_id in resource.levels:
             if only is not None and level_id not in only:
                 continue
             if level_id not in draft._levels:
                 continue  # reported by validate() as dangling level
             try:
-                value = self._parse_for(
-                    draft, resource.format, text, draft._levels[level_id])
+                value = self._parse_for(draft, resource.format, _utf8(payload),
+                                        draft._levels[level_id])
             except CorpusForgeError as err:
                 # It parsed at deposit, so its anchor (or the file) changed.
                 draft._unparsed[level_id] = Violation(

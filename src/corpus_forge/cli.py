@@ -139,25 +139,23 @@ def _cmd_list(args) -> int:
 
 def _cmd_show(args) -> int:
     archive = _open_archive(args)
-    if args.corpus:
-        text = catalog_mod.corpus_record(archive, args.corpus)
+    if args.corpus and not args.machine:
+        sys.stdout.write(catalog_mod.corpus_record(archive, args.corpus))
+    elif args.corpus:
         headers = [catalog_mod.corpus_header(archive, args.corpus)]
         headers += [catalog_mod.level_header(archive, l.id)
                     for l in archive.levels(args.corpus)]
         headers += [catalog_mod.build_resource_header(r)
                     for r in archive.resources(args.corpus)]
-        doc = {"headers": [_header_doc(h) for h in headers]}
-    elif args.level:
-        header = catalog_mod.level_header(archive, args.level)
-        text, doc = header.render(), _header_doc(header)
+        _emit(args, [], {"headers": [_header_doc(h) for h in headers]})
     else:
-        archive.resource(args.resource)
-        text = archive.resource_header(args.resource)
-        doc = _header_doc(catalog_mod.parse_header(text))
-    if args.machine:
-        _emit(args, [], doc)
-    else:
-        sys.stdout.write(text)
+        header = (catalog_mod.level_header(archive, args.level) if args.level
+                  else catalog_mod.build_resource_header(
+                      archive.resource(args.resource)))
+        if args.machine:
+            _emit(args, [], _header_doc(header))
+        else:
+            sys.stdout.write(header.render())
     return 0
 
 
@@ -197,7 +195,6 @@ def _cmd_export(args) -> int:
 
 def _cmd_catalog(args) -> int:
     archive = _open_archive(args)
-    text = catalog_mod.export_catalog(archive)
     if args.machine:
         doc = {"corpora": [
             {"id": c.id, "title": c.title,
@@ -206,7 +203,7 @@ def _cmd_catalog(args) -> int:
             for c in archive.corpora()]}
         _emit(args, [], doc)
     else:
-        sys.stdout.write(text)
+        sys.stdout.write(catalog_mod.export_catalog(archive))
     return 0
 
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from types import MappingProxyType
 from typing import Callable, Mapping
 
 from . import _markup
@@ -49,18 +50,24 @@ class AnnotationItem:
     ``span`` anchors the item onto reference units of another level;
     ``surface`` instead carries the covered text directly.  ``group``
     marks membership in a variant group (mutually exclusive readings).
+    ``categories`` is read-only; it wraps the mapping it is given, which
+    its caller must not keep changing.
     """
 
     id: str | None = None
     span: SpanExpr | None = None
     surface: str | None = None
     element: str | None = None
-    categories: dict[str, str] = field(default_factory=dict)
+    categories: Mapping[str, str] = field(default_factory=dict)
     links: tuple[Link, ...] = ()
     children: tuple["AnnotationItem", ...] = ()
     group: str | None = None
 
-    __hash__ = None  # categories dict keeps items unhashable by design
+    __hash__ = None  # a categories mapping keeps items unhashable by design
+
+    def __post_init__(self):
+        object.__setattr__(self, "categories",
+                           MappingProxyType(self.categories))
 
 
 def iter_items(items) -> "list[AnnotationItem]":

@@ -12,7 +12,8 @@ is the value.  An empty optional value is ``-``; a literal ``-`` is ``\\-``.
 from __future__ import annotations
 
 import re
-from typing import Any, Callable, NamedTuple
+from types import MappingProxyType
+from typing import Any, Callable, Mapping, NamedTuple
 
 from .errors import StoreError
 from .model import Corpus, Level, Resource
@@ -50,14 +51,15 @@ def storable_text(fields: dict[str, str | None]) -> None:
                              f"{err.start}, which UTF-8 cannot encode") from None
 
 
-def storable_meta(meta) -> dict[str, str]:
-    """``meta`` as a new dict, refusing a key no ``meta-`` line can hold."""
+def storable_meta(meta) -> Mapping[str, str]:
+    """``meta`` as a new read-only mapping, refusing a key no ``meta-``
+    line can hold."""
     meta = dict(meta or {})
     for key, value in meta.items():
         if "\n" in key or "\r" in key or ": " in key:
             raise StoreError(f"meta key {key!r} holds a line break or ': '")
         storable_text({"meta key": key, f"meta {key!r}": value})
-    return meta
+    return MappingProxyType(meta)
 
 
 class Codec(NamedTuple):
@@ -148,7 +150,7 @@ class Block:
                 raise StoreError(f"{self.name} block lacks required key {key!r}")
             values.setdefault(attr, default)
         if self.meta:
-            values["declared_meta"] = meta
+            values["declared_meta"] = MappingProxyType(meta)
         return self.entity(**values)
 
 

@@ -6,6 +6,8 @@ may depend on each other for coverage reconstruction.  Resources are the
 operational decomposition: the deposited files.  The two decompositions
 are deliberately non-isomorphic — one resource can materialize several
 levels, one level can be spread over several resources.
+
+All three are immutable: derive a changed one with ``dataclasses.replace``.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ from __future__ import annotations
 import re
 import unicodedata
 from dataclasses import dataclass, field
+from typing import Mapping
 
 # Declared coverage contribution of a level.  A level contributing no
 # coverage of its own must reconstruct it through its dependencies.
@@ -29,7 +32,6 @@ KIND_SEGMENTATION = "segmentation"
 KIND_STRUCTURE = "structure"
 KIND_MORPHOSYNTAX = "morphosyntax"
 KIND_SYNTAX = "syntax"
-KIND_REFERENCE = "reference"
 
 
 def slugify(title: str) -> str:
@@ -40,24 +42,24 @@ def slugify(title: str) -> str:
     return slug or "corpus"
 
 
-@dataclass
+@dataclass(frozen=True)
 class Corpus:
     id: str
     title: str
     language: str = ""
     coverage_fingerprint: str | None = None
-    declared_meta: dict[str, str] = field(default_factory=dict)
+    declared_meta: Mapping[str, str] = field(default_factory=dict)
     created_at: str = ""
 
 
-@dataclass
+@dataclass(frozen=True)
 class Level:
     id: str
     corpus_id: str
     kind: str
     coverage: str = COVERAGE_NONE
     depends_on: tuple[tuple[str, str], ...] = ()  # (level id, purpose)
-    declared_meta: dict[str, str] = field(default_factory=dict)
+    declared_meta: Mapping[str, str] = field(default_factory=dict)
     created_at: str = ""
 
     def classify(self) -> str:
@@ -66,7 +68,7 @@ class Level:
         return SECONDARY if self.coverage == COVERAGE_NONE else PRIMARY
 
 
-@dataclass
+@dataclass(frozen=True)
 class Resource:
     id: str
     corpus_id: str
@@ -80,7 +82,7 @@ class Resource:
     sha256: str = ""
     size: int = 0
     available: bool = True
-    declared_meta: dict[str, str] = field(default_factory=dict)
+    declared_meta: Mapping[str, str] = field(default_factory=dict)
 
 
 @dataclass(frozen=True)

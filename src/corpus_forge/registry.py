@@ -81,11 +81,6 @@ class Registry:
         return cls(categories)
 
     @classmethod
-    def load(cls, path) -> "Registry":
-        with open(path, encoding="utf-8") as handle:
-            return cls.from_text(handle.read())
-
-    @classmethod
     def default(cls) -> "Registry":
         global _DEFAULT
         if _DEFAULT is None:

@@ -733,13 +733,56 @@ class TestClosureAndAccessors:
     def test_returned_entities_are_snapshots(self, archive):
         corpus_id, seg_id = goriot(archive)
         corpus = archive.corpus(corpus_id)
-        corpus.title = "Mutated"
-        corpus.declared_meta["k"] = "v"
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            corpus.title = "Mutated"
+        with pytest.raises(TypeError):
+            corpus.declared_meta["k"] = "v"
         assert archive.corpus(corpus_id).title == "Père Goriot"
         assert "k" not in archive.corpus(corpus_id).declared_meta
         units = archive.level_units(seg_id)
         units.clear()
         assert len(archive.level_units(seg_id)) == 76
+
+    def test_no_returned_value_changes_the_archive(self, archive, tmp_path):
+        corpus_id, seg_id = goriot(archive)
+        morpho = morpho_level(archive, corpus_id, seg_id)
+        result = archive.deposit(
+            corpus_id, fixture("goriot_standoff_morpho_full.xml"),
+            "standoff-morpho", levels=[morpho.id], meta={"note": "n"})
+        held = archive.snapshot()
+        before = export_catalog(archive)
+        def put(mapping):
+            mapping["speaker"] = "x"
+
+        attempts = {
+            "corpus": lambda: setattr(archive.corpus(corpus_id), "title", "x"),
+            "corpora": lambda: put(archive.corpora()[0].declared_meta),
+            "level": lambda: setattr(archive.level(seg_id), "kind", "x"),
+            "levels": lambda: put(archive.levels(corpus_id)[0].declared_meta),
+            "resource": lambda: setattr(
+                archive.resource(result.resource.id), "available", False),
+            "resources": lambda: put(
+                archive.resources(corpus_id)[1].declared_meta),
+            "level_items": lambda: put(
+                archive.level_items(morpho.id)[0].categories),
+            "level_units": lambda: setattr(
+                archive.level_units(seg_id)[0], "form", "x"),
+            "versions": lambda: setattr(
+                archive.versions(corpus_id)[0], "number", 9),
+            "DepositResult": lambda: put(result.resource.declared_meta),
+        }
+        for name, attempt in attempts.items():
+            try:
+                attempt()
+            except (dataclasses.FrozenInstanceError, TypeError):
+                continue
+            pytest.fail(f"what {name} returned could be changed")
+        assert held.level_items(morpho.id)[0].categories == {
+            "msd": "SBC:_:s", "lemma": "madame"}
+        assert "x-speaker" not in archive.level_granularity(morpho.id) \
+            .categories
+        assert export_catalog(archive) == before \
+            == export_catalog(Archive(tmp_path / "store"))
 
     def test_classify_level(self, archive):
         corpus_id, seg_id = goriot(archive)
@@ -1133,6 +1176,45 @@ class TestValidateLoadedManifests:
         archive = Archive(tmp_path / "store")
         codes = [v.code for v in archive.validate("x")]
         assert "resource-without-level" in codes
+
+
+    @pytest.mark.parametrize("damage", [b"stray line\n", b"\xff\n"],
+                             ids=["stray-line", "not-utf-8"])
+    def test_unreadable_manifest_is_reported_and_its_id_kept(
+            self, tmp_path, damage):
+        archive = Archive(tmp_path / "store")
+        archive.register_corpus("A", corpus_id="a")
+        archive.register_corpus("B", corpus_id="b")
+        path = tmp_path / "store" / "corpora" / "b" / "manifest"
+        with path.open("ab") as handle:
+            handle.write(damage)
+        damaged = path.read_bytes()
+        reloaded = Archive(tmp_path / "store")
+        assert [c.id for c in reloaded.corpora()] == ["a"]
+        assert [(v.code, v.subject) for v in reloaded.validate()] \
+            == [("unreadable-manifest", "b")]
+        assert reloaded.validate("b") == reloaded.validate()
+        with pytest.raises(StoreError):
+            reloaded.register_corpus("B", corpus_id="b")
+        assert reloaded.register_corpus("B").id == "b-2"
+        assert path.read_bytes() == damaged
+
+    def test_non_utf8_payload_is_left_unparsed(self, archive, tmp_path):
+        corpus_id, seg_id = goriot(archive)
+        morpho = morpho_level(archive, corpus_id, seg_id)
+        result = archive.deposit(
+            corpus_id, fixture("goriot_standoff_morpho_full.xml"),
+            "standoff-morpho", levels=[morpho.id])
+        path = (tmp_path / "store" / "corpora" / corpus_id / "resources"
+                / result.resource.filename)
+        path.write_bytes(b"\xff" + path.read_bytes())
+        reloaded = Archive(tmp_path / "store")
+        assert [(v.code, v.subject) for v in reloaded.validate()] \
+            == [("parse-error", morpho.id)]
+        assert not reloaded.level_is_materialized(morpho.id)
+        assert len(reloaded.level_units(seg_id)) == 76
+        with pytest.raises(StoreError):
+            reloaded.resource_payload(result.resource.id)
 
 
 class TestPersistence:

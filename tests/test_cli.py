@@ -1,12 +1,13 @@
 """Command line behaviour: output lines, exit codes, machine output."""
 
+import hashlib
 import json
 import pathlib
 
 import pytest
 
 from corpus_forge.archive import Archive
-from corpus_forge.catalog import export_catalog
+from corpus_forge.catalog import export_catalog, parse_header
 from corpus_forge.cli import main
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
@@ -159,6 +160,47 @@ class TestListShowClassify:
         assert "header: corpus\n" in out
         assert "declared word-count: 100000\n" in out
         assert "computed word-count: 76\n" in out
+
+    def test_show_resource_machine(self, root, capsys):
+        seeded(root, capsys)
+        argv = ("show", "--root", root, "--resource", "pere-goriot-r001")
+        _, text, _ = run(capsys, *argv)
+        code, out, _ = run(capsys, *argv, "--machine")
+        stamp = parse_header(text).generated_at
+        payload = pathlib.Path(fix("goriot_segmentation_full.xml")).read_bytes()
+        assert code == 0
+        assert out == json.dumps({
+            "tier": "resource", "subject": "pere-goriot-r001",
+            "generated": stamp, "declared": {}, "warnings": [],
+            "computed": {
+                "format": "segmentation",
+                "file": "pere-goriot-r001.segmentation",
+                "levels": "pere-goriot-segmentation-1", "deposited": stamp,
+                "validated": "false",
+                "sha256": hashlib.sha256(payload).hexdigest(),
+                "size": str(len(payload)), "available": "true"}},
+            ensure_ascii=False, sort_keys=True) + "\n"
+
+    def test_show_corpus_machine_holds_the_record_headers(self, root, capsys):
+        seeded(root, capsys)
+        run(capsys, "deposit", "--root", root, "--corpus", "pere-goriot",
+            "--format", "standoff-morpho", "--meta", "note=été",
+            "--levels", "pere-goriot-morphosyntax-1",
+            fix("goriot_standoff_morpho_full.xml"))
+        argv = ("show", "--root", root, "--corpus", "pere-goriot")
+        _, text, _ = run(capsys, *argv)
+        code, out, _ = run(capsys, *argv, "--machine")
+        headers = [parse_header(block) for block in text.split("\n\n")]
+        assert [h.subject_id for h in headers] == [
+            "pere-goriot", "pere-goriot-morphosyntax-1",
+            "pere-goriot-segmentation-1", "pere-goriot-structure-1",
+            "pere-goriot-syntax-1", "pere-goriot-r001", "pere-goriot-r002"]
+        assert code == 0
+        assert out == json.dumps({"headers": [
+            {"tier": h.tier, "subject": h.subject_id,
+             "generated": h.generated_at, "declared": dict(h.declared),
+             "computed": dict(h.computed), "warnings": list(h.warnings)}
+            for h in headers]}, ensure_ascii=False, sort_keys=True) + "\n"
 
     def test_show_requires_exactly_one_subject(self, root, capsys):
         seeded(root, capsys)

@@ -318,7 +318,7 @@ class TestModelHelpers:
         level = Level(id="l", corpus_id="c", kind="morphosyntax",
                       coverage="none")
         assert level.classify() == "Secondary"
-        level.coverage = "partial"
+        level = dataclasses.replace(level, coverage="partial")
         assert level.classify() == "Primary"
-        level.coverage = "full"
+        level = dataclasses.replace(level, coverage="full")
         assert level.classify() == "Primary"
