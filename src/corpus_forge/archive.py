@@ -187,8 +187,8 @@ class Snapshot:
         resource = self._require_resource(resource_id)
         try:
             if resource.available:
-                return self._resource_path(resource).read_text(
-                    encoding="utf-8")
+                # read_text would turn CRLF into LF: serve it verbatim
+                return self._resource_path(resource).read_bytes().decode()
         except FileNotFoundError:
             pass  # lost, or withdrawn after this snapshot was published
         except UnicodeDecodeError:
@@ -197,7 +197,8 @@ class Snapshot:
         raise StoreError(f"resource {resource_id!r} has no stored payload")
 
     def resource_header(self, resource_id: str) -> str:
-        return catalog_mod.resource_header(self._require_resource(resource_id))
+        return catalog_mod.build_resource_header(
+            self._require_resource(resource_id)).render()
 
     def version_chain(self, corpus_id: str, kind: str) -> list[VersionRecord]:
         return [v for v in self.versions(corpus_id) if v.level_kind == kind]
@@ -650,9 +651,8 @@ class Archive:
             path = draft._resource_path(resource)
             path.parent.mkdir(parents=True, exist_ok=True)
             path.write_text(text, encoding="utf-8")
-            header = catalog_mod.resource_header(resource)
             path.with_name(f"{resource_id}.header").write_text(
-                header, encoding="utf-8")
+                draft.resource_header(resource_id), encoding="utf-8")
             self._publish(draft, corpus_id)
             return DepositResult(
                 resource=resource,
@@ -784,7 +784,7 @@ class Archive:
                 self._parse_stored(draft, reparse)
                 path = draft._resource_path(resource)
                 path.with_name(f"{resource_id}.header").write_text(
-                    catalog_mod.resource_header(resource), encoding="utf-8")
+                    draft.resource_header(resource_id), encoding="utf-8")
                 self._publish(draft, resource.corpus_id)
                 # Last, so readers of earlier snapshots still find it.
                 path.unlink(missing_ok=True)

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
+from types import MappingProxyType
 
 from .errors import ParseError, StoreError
 from .formats import iter_items
@@ -49,12 +50,6 @@ class MetadataHeader:
     generated_at: str
     warnings: tuple[str, ...] = ()
 
-    def declared_map(self) -> dict[str, str]:
-        return dict(self.declared)
-
-    def computed_map(self) -> dict[str, str]:
-        return dict(self.computed)
-
     def render(self) -> str:
         pairs = [("header", self.tier), ("subject", self.subject_id),
                  ("generated", self.generated_at or "-")]
@@ -66,7 +61,8 @@ class MetadataHeader:
 
 
 def build_header(tier: str, subject_id: str, declared,
-                 computed=(), generated_at: str = "-") -> MetadataHeader:
+                 computed=MappingProxyType({}),
+                 generated_at: str = "-") -> MetadataHeader:
     """Normalize declared fields against the tier schema.
 
     Unknown fields are kept — nothing a depositor says is dropped — but
@@ -77,8 +73,7 @@ def build_header(tier: str, subject_id: str, declared,
     schema = TIER_FIELDS[tier]
     declared_pairs: list[tuple[str, str]] = []
     warnings: list[str] = []
-    items = declared.items() if hasattr(declared, "items") else declared
-    for key, value in sorted(items):
+    for key, value in sorted(declared.items()):
         value = str(value)
         if key in schema or key.startswith("x-"):
             declared_pairs.append((key, value))
@@ -88,9 +83,8 @@ def build_header(tier: str, subject_id: str, declared,
                 f"stored as x-{key}")
             declared_pairs.append((f"x-{key}", value))
     declared_pairs.sort()
-    computed_items = (computed.items() if hasattr(computed, "items")
-                      else computed)
-    computed_pairs = sorted((key, str(value)) for key, value in computed_items)
+    computed_pairs = sorted((key, str(value))
+                            for key, value in computed.items())
     return MetadataHeader(
         tier=tier,
         subject_id=subject_id,
@@ -246,21 +240,22 @@ def build_resource_header(resource: Resource) -> MetadataHeader:
                         generated_at=resource.deposited_at)
 
 
-def resource_header(resource: Resource) -> str:
-    return build_resource_header(resource).render()
+def corpus_headers(archive, corpus_id: str) -> list[MetadataHeader]:
+    """One corpus's headers in record order: corpus, levels, resources."""
+    archive = archive.snapshot()
+    headers = [corpus_header(archive, corpus_id)]
+    headers.extend(level_header(archive, level.id)
+                   for level in archive.levels(corpus_id))
+    resources = sorted(archive.resources(corpus_id),
+                       key=lambda r: (r.deposited_at, r.id))
+    headers.extend(build_resource_header(resource) for resource in resources)
+    return headers
 
 
 def corpus_record(archive, corpus_id: str) -> str:
     """One catalog record: corpus header, then level and resource headers."""
-    archive = archive.snapshot()
-    parts = [corpus_header(archive, corpus_id).render()]
-    for level in archive.levels(corpus_id):
-        parts.append(level_header(archive, level.id).render())
-    resources = sorted(archive.resources(corpus_id),
-                       key=lambda r: (r.deposited_at, r.id))
-    for resource in resources:
-        parts.append(build_resource_header(resource).render())
-    return "\n".join(parts)
+    return "\n".join(header.render()
+                     for header in corpus_headers(archive, corpus_id))
 
 
 def export_catalog(archive) -> str:

@@ -17,7 +17,7 @@ from pathlib import Path
 
 from . import catalog as catalog_mod
 from .archive import Archive, LevelSpec
-from .errors import CorpusForgeError, StoreError
+from .errors import CorpusForgeError, ParseError, StoreError
 
 
 def _level_spec(value: str) -> LevelSpec:
@@ -64,6 +64,14 @@ def _emit(args, lines: list[str], doc) -> None:
             sys.stdout.write(line + "\n")
 
 
+def _read_input(path: str) -> str:
+    """An input file's text; universal newlines, so CRLF is stored as LF."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as err:
+        raise ParseError(f"{path} is not valid UTF-8: {err}") from None
+
+
 def _open_archive(args) -> Archive:
     root = Path(args.root)
     if not (root / "corpora").is_dir():
@@ -78,7 +86,7 @@ def _cmd_init(args) -> int:
     archive = Archive(root)
     ids: list[str] = []
     if args.corpora:
-        table = Path(args.corpora).read_text(encoding="utf-8")
+        table = _read_input(args.corpora)
         ids = [c.id for c in
                archive.register_table(table, language=args.language)]
     lines = [f"corpus: {cid}" for cid in ids]
@@ -89,7 +97,7 @@ def _cmd_init(args) -> int:
 
 def _cmd_deposit(args) -> int:
     archive = _open_archive(args)
-    payload = Path(args.file).read_text(encoding="utf-8")
+    payload = _read_input(args.file)
     result = archive.deposit(
         args.corpus, payload, args.format,
         levels=_csv(args.levels),
@@ -142,11 +150,7 @@ def _cmd_show(args) -> int:
     if args.corpus and not args.machine:
         sys.stdout.write(catalog_mod.corpus_record(archive, args.corpus))
     elif args.corpus:
-        headers = [catalog_mod.corpus_header(archive, args.corpus)]
-        headers += [catalog_mod.level_header(archive, l.id)
-                    for l in archive.levels(args.corpus)]
-        headers += [catalog_mod.build_resource_header(r)
-                    for r in archive.resources(args.corpus)]
+        headers = catalog_mod.corpus_headers(archive, args.corpus)
         _emit(args, [], {"headers": [_header_doc(h) for h in headers]})
     else:
         header = (catalog_mod.level_header(archive, args.level) if args.level

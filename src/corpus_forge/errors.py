@@ -43,8 +43,8 @@ class DanglingPointerError(CorpusForgeError):
 
     code = "dangling-pointer"
 
-    def __init__(self, unit_id: str, message: str | None = None):
-        super().__init__(message or f"unknown reference unit {unit_id!r}")
+    def __init__(self, unit_id: str):
+        super().__init__(f"unknown reference unit {unit_id!r}")
         self.unit_id = unit_id
 
 
@@ -101,23 +101,9 @@ class TextMismatchError(CorpusForgeError):
 
     code = "text-mismatch"
 
-    def __init__(self, message: str, position: int | None = None):
+    def __init__(self, message: str, position: int):
         super().__init__(message)
         self.position = position
-
-
-class UnalignableTokenError(CorpusForgeError):
-    """A token sequence cannot be mapped onto the reference units."""
-
-    code = "unalignable"
-
-    def __init__(self, token: str, token_pos: int, unit_pos: int):
-        super().__init__(
-            f"token {token!r} at position {token_pos} does not align "
-            f"with reference units from position {unit_pos}")
-        self.token = token
-        self.token_pos = token_pos
-        self.unit_pos = unit_pos
 
 
 class MissingSpanError(CorpusForgeError):
@@ -131,8 +117,8 @@ class UnknownTargetError(CorpusForgeError):
 
     code = "unknown-target"
 
-    def __init__(self, target: str, message: str | None = None):
-        super().__init__(message or f"link target {target!r} is not declared")
+    def __init__(self, target: str):
+        super().__init__(f"link target {target!r} is not declared")
         self.target = target
 
 

@@ -20,18 +20,12 @@ from .errors import (
     MissingSpanError,
     NestingError,
     ParseError,
-    UnalignableTokenError,
     UnknownTargetError,
 )
 from .model import KIND_MORPHOSYNTAX
-from .standoff import (
-    DEFAULT_SPLIT_TABLE,
-    ReferenceUnit,
-    SpanExpr,
-    SplitTable,
-    align_inline,
-    span_for_indices,
-)
+from .standoff import ReferenceUnit, SpanExpr, align_inline, iter_items
+# Unused here; ``perfbench/tracer.py`` still patches it.
+from .standoff import span_for_indices  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -68,17 +62,6 @@ class AnnotationItem:
     def __post_init__(self):
         object.__setattr__(self, "categories",
                            MappingProxyType(self.categories))
-
-
-def iter_items(items) -> "list[AnnotationItem]":
-    """Flatten item trees depth-first, document order."""
-    out = []
-    stack = list(reversed(list(items)))
-    while stack:
-        item = stack.pop()
-        out.append(item)
-        stack.extend(reversed(item.children))
-    return out
 
 
 # --------------------------------------------------------------------------
@@ -213,72 +196,13 @@ def serialize_standoff_morpho(items: list[AnnotationItem]) -> str:
     return "\n".join(lines)
 
 
-def convert_tabular_to_standoff(
-    items: list[AnnotationItem],
-    units: list[ReferenceUnit],
-    table: SplitTable = DEFAULT_SPLIT_TABLE,
-) -> list[AnnotationItem]:
-    """Re-anchor a tabular analysis onto reference units as stand-off rows.
-
-    A row's form may correspond to one unit, to the expansion of one
-    contracted unit (split-table entry), or to the concatenation of
-    several units (compounds the tabulation left unsplit).  The span of
-    each produced item records that correspondence; form and row index
-    disappear into it.
-    """
-    def norm(s: str) -> str:
-        return s.casefold()
-
-    out = []
-    j = 0
-    for pos, item in enumerate(items):
-        form = item.categories.get("form") or item.surface
-        if not form:
-            raise ParseError(f"row {pos + 1} carries no form to align")
-        if j >= len(units):
-            raise UnalignableTokenError(form, pos, j)
-        consumed = 0
-        if norm(units[j].form) == norm(form):
-            consumed = 1
-        else:
-            expansion = table.lookup(form)
-            if expansion is not None and len(units) - j >= len(expansion) and all(
-                    norm(units[j + k].form) == norm(f)
-                    for k, f in enumerate(expansion)):
-                consumed = len(expansion)
-            else:
-                glued = ""
-                for k in range(min(8, len(units) - j)):
-                    glued += norm(units[j + k].form)
-                    if glued == norm(form):
-                        consumed = k + 1
-                        break
-                    if len(glued) > len(norm(form)):
-                        break
-        if not consumed:
-            raise UnalignableTokenError(form, pos, j)
-        span = span_for_indices(units, list(range(units[j].index,
-                                                  units[j + consumed - 1].index + 1)))
-        categories = {"msd": item.categories.get("tag_coarse", ""),
-                      "lemma": item.categories.get("lemma", "")}
-        if "tag_fine" in item.categories:
-            categories["tag_fine"] = item.categories["tag_fine"]
-        out.append(AnnotationItem(span=span, element="w",
-                                  categories=categories))
-        j += consumed
-    return out
-
-
 # --------------------------------------------------------------------------
 # inline-coref:  running text with <coref id=".." type=".." ref="..">…</coref>
 # --------------------------------------------------------------------------
 
-def parse_inline_coref(
-    text: str,
-    units: list[ReferenceUnit],
-    table: SplitTable = DEFAULT_SPLIT_TABLE,
-) -> list[AnnotationItem]:
-    items = align_inline(text, units, table)
+def parse_inline_coref(text: str,
+                       units: list[ReferenceUnit]) -> list[AnnotationItem]:
+    items = align_inline(text, units)
     ids: set[str] = set()
     for item in items:
         if item.id is not None:
@@ -296,7 +220,6 @@ def parse_inline_coref(
 def parse_inline_morpho(
     text: str,
     units: list[ReferenceUnit] | None = None,
-    table: SplitTable = DEFAULT_SPLIT_TABLE,
 ) -> list[AnnotationItem]:
     """Word-wrapping inline morphology.
 
@@ -304,7 +227,7 @@ def parse_inline_morpho(
     each ``<w>`` keeps its covered text as surface (self-anchored payload).
     """
     if units is not None:
-        items = align_inline(text, units, table)
+        items = align_inline(text, units)
         for item in items:
             if item.element != "w":
                 raise ParseError(f"unexpected element <{item.element}>")

@@ -150,8 +150,7 @@ class Granularity:
 SEGMENTATION_GRANULARITY = frozenset({"reference-unit"})
 
 
-def granularity_of(items: list[AnnotationItem],
-                   registry: Registry | None = None) -> Granularity:
+def granularity_of(items: list[AnnotationItem]) -> Granularity:
     """Extract the data-category set a list of annotation items instantiates.
 
     Category keys and link types resolve through the registry; unknown
@@ -161,7 +160,7 @@ def granularity_of(items: list[AnnotationItem],
     attribute values probe compound aliases (``msd:s``) and only count
     when registered.
     """
-    registry = registry or Registry.default()
+    registry = Registry.default()
     categories: set[str] = set()
     provisional: set[str] = set()
     for item in iter_items(items):

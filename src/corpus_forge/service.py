@@ -108,19 +108,26 @@ def serve(root, host: str = "127.0.0.1", port: int = 8080) -> None:
         server.server_close()
 
 
+def _bind(value: str) -> tuple[str, int]:
+    """``HOST:PORT`` for --bind; an empty host means 127.0.0.1."""
+    host, sep, port = value.rpartition(":")
+    if not sep or not port.isdecimal() or int(port) > 65535:
+        raise argparse.ArgumentTypeError(f"expected HOST:PORT, got {value!r}")
+    return host or "127.0.0.1", int(port)
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="corpus-forge-serve",
         description="Serve an archive's catalog and payloads, read-only.")
     parser.add_argument("--root", default=os.environ.get("CORPUS_FORGE_ROOT"),
                         help="archive root (default: $CORPUS_FORGE_ROOT)")
-    parser.add_argument("--bind", default="127.0.0.1:8080",
+    parser.add_argument("--bind", default="127.0.0.1:8080", type=_bind,
                         metavar="HOST:PORT")
     args = parser.parse_args(argv)
     if not args.root:
         parser.error("no archive root: pass --root or set CORPUS_FORGE_ROOT")
-    host, _, port = args.bind.rpartition(":")
-    serve(args.root, host or "127.0.0.1", int(port))
+    serve(args.root, *args.bind)
     return 0
 
 

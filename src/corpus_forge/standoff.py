@@ -76,7 +76,7 @@ class SplitTable:
 
 
 # "des" is deliberately absent: ambiguous between plural article and
-# contraction, so splitting it is left to per-corpus configuration.
+# contraction, so it is never split.
 DEFAULT_SPLIT_TABLE = SplitTable({
     "au": ("à", "le"),
     "aux": ("à", "les"),
@@ -127,10 +127,7 @@ def _token_offsets(pieces: list[str], start: int, whole: str) -> list[tuple[str,
     return out
 
 
-def tokenize_with_offsets(
-    text: str,
-    table: SplitTable = DEFAULT_SPLIT_TABLE,
-) -> list[tuple[str, int, int]]:
+def tokenize_with_offsets(text: str) -> list[tuple[str, int, int]]:
     """Tokenize ``text``, returning (form, start, end) character extents.
 
     All forms produced by expanding one contracted token share that
@@ -141,7 +138,7 @@ def tokenize_with_offsets(
     for match in re.finditer(r"\S+", text):
         raw = match.group(0)
         for piece, s, e in _token_offsets(_split_token(raw), match.start(), text):
-            repl = table.lookup(piece)
+            repl = DEFAULT_SPLIT_TABLE.lookup(piece)
             if repl is not None:
                 tokens.extend((form, s, e) for form in repl)
             else:
@@ -149,10 +146,7 @@ def tokenize_with_offsets(
     return tokens
 
 
-def segment_text(
-    text: str,
-    table: SplitTable = DEFAULT_SPLIT_TABLE,
-) -> list[ReferenceUnit]:
+def segment_text(text: str) -> list[ReferenceUnit]:
     """Segment raw text into reference units with ids ``word_1..word_k``.
 
     Splits on whitespace, detaches punctuation, then expands contracted
@@ -161,7 +155,7 @@ def segment_text(
     """
     return [
         ReferenceUnit(id=f"word_{i + 1}", form=form, index=i)
-        for i, (form, _, _) in enumerate(tokenize_with_offsets(text, table))
+        for i, (form, _, _) in enumerate(tokenize_with_offsets(text))
     ]
 
 
@@ -201,16 +195,6 @@ class SpanExpr:
             else:
                 parts.append((chunk, None))
         return cls(tuple(parts))
-
-    @classmethod
-    def single(cls, unit_id: str) -> "SpanExpr":
-        return cls(((unit_id, None),))
-
-    @classmethod
-    def range(cls, start_id: str, end_id: str) -> "SpanExpr":
-        if start_id == end_id:
-            return cls.single(start_id)
-        return cls(((start_id, end_id),))
 
     def __str__(self) -> str:
         return " ".join(
@@ -276,11 +260,7 @@ def span_for_indices(units: list[ReferenceUnit], indices: list[int]) -> SpanExpr
     return SpanExpr(tuple(parts))
 
 
-def align_inline(
-    inline_doc: str,
-    units: list[ReferenceUnit],
-    table: SplitTable = DEFAULT_SPLIT_TABLE,
-):
+def align_inline(inline_doc: str, units: list[ReferenceUnit]):
     """Re-synchronize inline markup with the reference units.
 
     The markup-stripped character stream of ``inline_doc`` must equal the
@@ -293,7 +273,7 @@ def align_inline(
     from .formats import AnnotationItem, Link  # local import, no cycle
 
     stripped, elements = _markup.strip_markup(inline_doc)
-    tokens = tokenize_with_offsets(stripped, table)
+    tokens = tokenize_with_offsets(stripped)
     if len(tokens) != len(units) or any(
             t[0] != u.form for t, u in zip(tokens, units)):
         position = next(
@@ -339,6 +319,22 @@ def align_inline(
             links=tuple(links),
         ))
     return items
+
+
+def iter_items(items) -> list:
+    """Flatten item trees depth-first, document order.  Iterative, so a
+    tree of any depth the parsers accept flattens."""
+    out = []
+    stack = [iter(items)]
+    while stack:
+        for item in stack[-1]:
+            out.append(item)
+            if item.children:
+                stack.append(iter(item.children))
+                break
+        else:
+            stack.pop()
+    return out
 
 
 def _accounted_for(item) -> bool:
@@ -391,14 +387,7 @@ def reconstruct_coverage(kind: str, units: list[ReferenceUnit], items,
     if anchor_units is None:
         raise NoPrimaryAnchorError()
 
-    # one resolution over every leaf's parts: document order, no repeats
-    parts = tuple(part for item in _iter_leaves(items) if item.span is not None
+    # one resolution over every item's parts: document order, no repeats
+    parts = tuple(part for item in iter_items(items) if item.span is not None
                   for part in item.span.parts)
     return [u.form for u in resolve_span(SpanExpr(parts), anchor_units)]
-
-
-def _iter_leaves(items):
-    for item in items:
-        yield item
-        if item.children:
-            yield from _iter_leaves(item.children)

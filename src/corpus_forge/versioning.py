@@ -15,7 +15,7 @@ The first submission of a chain is always the initial version.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 from .registry import Registry
@@ -57,11 +57,8 @@ _LABELS = {
 }
 
 
-def compare_granularity(
-    new: frozenset[str],
-    old: frozenset[str],
-    registry: Registry | None = None,
-) -> Comparison:
+def compare_granularity(new: frozenset[str],
+                        old: frozenset[str]) -> Comparison:
     """Order two granularities.
 
     Strict set inclusion decides directly; otherwise the comparison
@@ -71,7 +68,7 @@ def compare_granularity(
     different: they describe the same territory with different
     categories.
     """
-    registry = registry or Registry.default()
+    registry = Registry.default()
     if new == old:
         return Comparison.EQUAL
     if new > old:
@@ -89,7 +86,7 @@ def compare_granularity(
 def classify_submission(
     new: frozenset[str],
     prior: frozenset[str] | None,
-    registry: Registry | None = None,
+    *,
     validated: bool = False,
 ) -> Classification:
     """Classify a submission against the latest prior version of its chain.
@@ -100,7 +97,7 @@ def classify_submission(
     """
     if prior is None:
         return Classification.INITIAL
-    comparison = compare_granularity(new, prior, registry)
+    comparison = compare_granularity(new, prior)
     if validated:
         if comparison in (Comparison.EQUAL, Comparison.FINER):
             return Classification.EXHAUSTIVE_CORRECTION

@@ -39,7 +39,6 @@ from corpus_forge.formats import (
 )
 from corpus_forge.manifest import dumps_corpus
 from corpus_forge.model import Corpus, Level
-from corpus_forge.registry import Registry
 from corpus_forge.service import handle_request, make_server
 from corpus_forge.standoff import (
     align_inline,
@@ -188,7 +187,6 @@ def test_declared_coverage_drives_level_classification(tmp_path):
 def test_version_calculus_truth_table_and_validated_correction(tmp_path):
     with criterion(4, "version calculus truth table including validated "
                       "corrections"):
-        registry = Registry.default()
         base = frozenset({"part-of-speech", "lemma"})
         probes = {
             Comparison.EQUAL: base,
@@ -210,13 +208,11 @@ def test_version_calculus_truth_table_and_validated_correction(tmp_path):
         }
         for (comparison, validated), want in expected.items():
             new = probes[comparison]
-            assert compare_granularity(new, base, registry) is comparison
-            got = classify_submission(new, base, registry,
-                                      validated=validated)
+            assert compare_granularity(new, base) is comparison
+            got = classify_submission(new, base, validated=validated)
             assert got is want
         for validated in (False, True):
-            assert (classify_submission(base, None, registry,
-                                        validated=validated)
+            assert (classify_submission(base, None, validated=validated)
                     is Classification.INITIAL)
 
         store = Archive(tmp_path / "store")

@@ -838,7 +838,7 @@ class TestAnchorRule:
         ref = archive.add_level("q", "reference", "none",
                                 depends_on=[empty.id])
         archive.deposit("q", self.COREF, "inline-coref", levels=[ref.id])
-        assert level_header(archive, ref.id).computed_map()["anchor"] == deep.id
+        assert dict(level_header(archive, ref.id).computed)["anchor"] == deep.id
         assert archive.anchor(ref.id) == deep.id
 
     def test_header_omits_anchor_until_units_exist(self, archive):
@@ -846,10 +846,10 @@ class TestAnchorRule:
         seg = archive.add_level("e", "segmentation", "full")
         ref = archive.add_level("e", "reference", "none", depends_on=[seg.id])
         assert archive.anchor(ref.id) is None
-        assert "anchor" not in level_header(archive, ref.id).computed_map()
+        assert "anchor" not in dict(level_header(archive, ref.id).computed)
         archive.deposit("e", self.segmentation(), "segmentation",
                         levels=[seg.id])
-        assert level_header(archive, ref.id).computed_map()["anchor"] == seg.id
+        assert dict(level_header(archive, ref.id).computed)["anchor"] == seg.id
 
     @staticmethod
     @st.composite
@@ -911,7 +911,7 @@ class TestAnchorRule:
                                 levels=[top.id])
                 span = archive.level_items(top.id)[0].span
                 aligned = unit_owner[int(span.parts[0][0][5:])]
-            header = level_header(archive, top.id).computed_map().get("anchor")
+            header = dict(level_header(archive, top.id).computed).get("anchor")
             with mock.patch.object(archive_mod, "reconstruct_coverage",
                                    wraps=reconstruct_coverage) as spy:
                 covered = archive.coverage(top.id)

@@ -53,18 +53,18 @@ def goriot(archive):
 class TestBuildHeader:
     def test_known_fields_kept(self):
         header = build_header("corpus", "c", {"title": "T", "language": "fr"})
-        assert header.declared_map() == {"title": "T", "language": "fr"}
+        assert dict(header.declared) == {"title": "T", "language": "fr"}
         assert header.warnings == ()
 
     def test_unknown_field_moves_under_extension_prefix(self):
         header = build_header("corpus", "c", {"color": "blue"})
-        assert header.declared_map() == {"x-color": "blue"}
+        assert dict(header.declared) == {"x-color": "blue"}
         assert len(header.warnings) == 1
         assert "x-color" in header.warnings[0]
 
     def test_existing_extension_field_silently_kept(self):
         header = build_header("level", "l", {"x-pipeline": "v2"})
-        assert header.declared_map() == {"x-pipeline": "v2"}
+        assert dict(header.declared) == {"x-pipeline": "v2"}
         assert header.warnings == ()
 
     def test_unknown_tier_rejected(self):
@@ -80,8 +80,8 @@ class TestBuildHeader:
     def test_computed_fields_never_merge_into_declared(self):
         header = build_header("corpus", "c", {"word-count": "100000"},
                               {"word-count": "0"})
-        assert header.declared_map()["word-count"] == "100000"
-        assert header.computed_map()["word-count"] == "0"
+        assert dict(header.declared)["word-count"] == "100000"
+        assert dict(header.computed)["word-count"] == "0"
 
 
 class TestHeaderRoundTrip:
@@ -148,8 +148,8 @@ class TestAutoStats:
     def test_declared_and_computed_side_by_side(self, archive):
         corpus_id, _ = goriot(archive)
         header = corpus_header(archive, corpus_id)
-        assert header.declared_map()["word-count"] == "100000"
-        assert header.computed_map()["word-count"] == "76"
+        assert dict(header.declared)["word-count"] == "100000"
+        assert dict(header.computed)["word-count"] == "76"
 
     def test_turn_count_only_with_dialogue_structure(self, archive):
         corpus_id, _ = goriot(archive)
@@ -170,10 +170,10 @@ class TestLevelHeaders:
                                    depends_on=[seg_id],
                                    meta={"producer": "WinBrill"})
         header = level_header(archive, morpho.id)
-        assert header.declared_map()["producer"] == "WinBrill"
-        assert header.computed_map()["anchor"] == seg_id
-        assert header.computed_map()["classification"] == "Secondary"
-        assert header.computed_map()["materialized"] == "false"
+        assert dict(header.declared)["producer"] == "WinBrill"
+        assert dict(header.computed)["anchor"] == seg_id
+        assert dict(header.computed)["classification"] == "Secondary"
+        assert dict(header.computed)["materialized"] == "false"
 
     def test_materialized_with_counts_and_granularity(self, archive):
         corpus_id, seg_id = goriot(archive)
@@ -182,7 +182,7 @@ class TestLevelHeaders:
         archive.deposit(corpus_id, fixture("goriot_standoff_morpho_full.xml"),
                         "standoff-morpho", levels=[morpho.id])
         header = level_header(archive, morpho.id)
-        computed = header.computed_map()
+        computed = dict(header.computed)
         assert computed["materialized"] == "true"
         assert computed["items"] == "76"
         assert computed["granularity"] == "inflection,lemma,part-of-speech"
@@ -190,8 +190,8 @@ class TestLevelHeaders:
     def test_segmentation_items_are_units(self, archive):
         corpus_id, seg_id = goriot(archive)
         header = level_header(archive, seg_id)
-        assert header.computed_map()["items"] == "76"
-        assert "anchor" not in header.computed_map()
+        assert dict(header.computed)["items"] == "76"
+        assert "anchor" not in dict(header.computed)
 
 
 class TestResourceHeaders:
@@ -199,9 +199,9 @@ class TestResourceHeaders:
         corpus_id, _ = goriot(archive)
         resource = archive.resources(corpus_id)[0]
         header = build_resource_header(resource)
-        assert header.declared_map()["depositor"] == "atilf"
-        assert header.computed_map()["deposited"] == "2005-06-01T12:00:00Z"
-        assert header.computed_map()["format"] == "segmentation"
+        assert dict(header.declared)["depositor"] == "atilf"
+        assert dict(header.computed)["deposited"] == "2005-06-01T12:00:00Z"
+        assert dict(header.computed)["format"] == "segmentation"
         assert header.generated_at == "2005-06-01T12:00:00Z"
 
     def test_license_note_declared(self, archive):
@@ -212,7 +212,7 @@ class TestResourceHeaders:
                         meta={"license": "research-only"})
         resource = archive.resources(corpus_id)[-1]
         header = build_resource_header(resource)
-        assert header.declared_map()["license"] == "research-only"
+        assert dict(header.declared)["license"] == "research-only"
 
 
 class TestExportCatalog:

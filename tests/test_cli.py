@@ -3,10 +3,11 @@
 import hashlib
 import json
 import pathlib
+from datetime import datetime, timedelta, timezone
 
 import pytest
 
-from corpus_forge.archive import Archive
+from corpus_forge.archive import Archive, LevelSpec
 from corpus_forge.catalog import export_catalog, parse_header
 from corpus_forge.cli import main
 
@@ -202,6 +203,28 @@ class TestListShowClassify:
              "computed": dict(h.computed), "warnings": list(h.warnings)}
             for h in headers]}, ensure_ascii=False, sort_keys=True) + "\n"
 
+    def test_show_corpus_machine_orders_headers_as_the_record(self, root,
+                                                              capsys):
+        run(capsys, "init", "--root", root)
+        start = datetime(2005, 6, 1, 12, 0, 0, tzinfo=timezone.utc)
+        moments = (start - timedelta(seconds=s) for s in range(100))
+        store = Archive(root, clock=lambda: next(moments))
+        store.register_corpus("Clock", corpus_id="t")
+        payload = pathlib.Path(fix("fig03_segmentation.xml")).read_text(
+            encoding="utf-8")
+        for _ in range(2):
+            store.deposit("t", payload, "segmentation",
+                          new_levels=[LevelSpec("segmentation", "full")])
+        argv = ("show", "--root", root, "--corpus", "t")
+        _, text, _ = run(capsys, *argv)
+        code, out, _ = run(capsys, *argv, "--machine")
+        assert code == 0
+        record = [parse_header(block).subject_id
+                  for block in text.split("\n\n")]
+        assert record == ["t", "t-segmentation-1", "t-segmentation-2",
+                          "t-r002", "t-r001"]
+        assert [h["subject"] for h in json.loads(out)["headers"]] == record
+
     def test_show_requires_exactly_one_subject(self, root, capsys):
         seeded(root, capsys)
         with pytest.raises(SystemExit) as exc:
@@ -324,6 +347,21 @@ class TestUsageAndEnvironment:
         code, out, err = run(capsys, "list", "--root", root)
         assert code == 1
         assert "not initialized" in err
+
+    def test_input_that_is_not_utf8_is_a_one_line_error(self, root, capsys,
+                                                        tmp_path):
+        bad = tmp_path / "bad.xml"
+        bad.write_bytes(b'<word id="word_1">caf\xe9</word>\n')
+        seeded(root, capsys)
+        for argv in (("init", "--corpora", str(bad)),
+                     ("deposit", "--corpus", "pere-goriot",
+                      "--format", "segmentation",
+                      "--levels", "pere-goriot-segmentation-1", str(bad))):
+            code, _, err = run(capsys, *argv, "--root", root)
+            assert code == 1
+            assert err.startswith(
+                f"error: parse-error: {bad} is not valid UTF-8")
+            assert err.count("\n") == 1
 
     def test_bad_new_level_spec_exits_2(self, root, capsys):
         seeded(root, capsys)

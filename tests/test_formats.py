@@ -9,14 +9,12 @@ from corpus_forge.errors import (
     MissingSpanError,
     NestingError,
     ParseError,
-    UnalignableTokenError,
     UnknownTargetError,
 )
 from corpus_forge.formats import (
     FORMATS,
     AnnotationItem,
     Link,
-    convert_tabular_to_standoff,
     iter_items,
     parse_inline_coref,
     parse_inline_morpho,
@@ -185,7 +183,7 @@ class TestStandoffMorphoCodec:
         ESCAPABLE.map(str.strip), ESCAPABLE), min_size=1, max_size=8))
     @example([("&gt;", "&amp;")])
     def test_parse_inverts_serialize_any_value(self, values):
-        items = [AnnotationItem(span=SpanExpr.single(f"word_{i + 1}"),
+        items = [AnnotationItem(span=SpanExpr(((f"word_{i + 1}", None),)),
                                 element="w",
                                 categories={"msd": msd, "lemma": lemma})
                  for i, (msd, lemma) in enumerate(values)]
@@ -229,56 +227,7 @@ class TestStandoffMorphoCodec:
                 [AnnotationItem(categories={"lemma": "x"})])
         with pytest.raises(ParseError):
             serialize_standoff_morpho(
-                [AnnotationItem(span=SpanExpr.single("word_1"))])
-
-
-class TestConvertTabularToStandoff:
-    def test_fixture_rows_map_one_to_one(self, full_units):
-        rows = parse_tabular_morpho(fixture("fig04_tabular_morpho.tsv"))
-        items = convert_tabular_to_standoff(rows, full_units)
-        assert [str(i.span) for i in items] == [
-            f"word_{n}" for n in range(27, 36)]
-        assert items[0].categories == {
-            "msd": "NCFIN", "lemma": "madame", "tag_fine": "Ncf."}
-        assert all("form" not in i.categories and "index" not in i.categories
-                   for i in items)
-
-    def test_contracted_row_consumes_expansion_units(self):
-        units = segment_text("va au four")  # -> va à le four
-        rows = parse_tabular_morpho(
-            "1\tva\taller\tV\tVx\n2\tau\tau\tDETC\tDc\n3\tfour\tfour\tNC\tNc")
-        items = convert_tabular_to_standoff(rows, units)
-        assert [str(i.span) for i in items] == [
-            "word_1", "word_2..word_3", "word_4"]
-
-    def test_compound_row_consumes_glued_units(self):
-        units = [ReferenceUnit("word_1", "New", 0),
-                 ReferenceUnit("word_2", "York", 1)]
-        rows = parse_tabular_morpho("1\tNewYork\tNew York\tNP\tNp")
-        items = convert_tabular_to_standoff(rows, units)
-        assert str(items[0].span) == "word_1..word_2"
-
-    def test_case_differences_tolerated(self):
-        units = segment_text("PARIS")
-        rows = parse_tabular_morpho("1\tParis\tParis\tNP\tNp")
-        items = convert_tabular_to_standoff(rows, units)
-        assert str(items[0].span) == "word_1"
-
-    def test_unalignable_row_reports_both_positions(self):
-        units = segment_text("salut tout le monde")
-        rows = parse_tabular_morpho("1\tsalut\tsalut\tI\tI\n2\tbonjour\tbonjour\tI\tI")
-        with pytest.raises(UnalignableTokenError) as err:
-            convert_tabular_to_standoff(rows, units)
-        assert err.value.token == "bonjour"
-        assert err.value.token_pos == 1
-        assert err.value.unit_pos == 1
-        assert "unalignable" in str(err.value)
-
-    def test_rows_beyond_units_rejected(self):
-        units = segment_text("un")
-        rows = parse_tabular_morpho("1\tun\tun\tD\tD\n2\tdeux\tdeux\tD\tD")
-        with pytest.raises(UnalignableTokenError):
-            convert_tabular_to_standoff(rows, units)
+                [AnnotationItem(span=SpanExpr((("word_1", None),)))])
 
 
 class TestInlineCorefCodec:

@@ -8,7 +8,6 @@ from corpus_forge.errors import RegistryError
 from corpus_forge.formats import (
     AnnotationItem,
     Link,
-    convert_tabular_to_standoff,
     parse_inline_coref,
     parse_inline_morpho,
     parse_referential_standoff,
@@ -127,12 +126,6 @@ class TestGranularityExtraction:
         got = granularity_of(items)
         assert got.categories == {"part-of-speech", "inflection", "lemma"}
         assert got.provisional == ()
-
-    def test_converted_tabular_footprint(self):
-        units = parse_segmentation(fixture("goriot_segmentation_full.xml"))
-        rows = parse_tabular_morpho(fixture("fig04_tabular_morpho.tsv"))
-        got = granularity_of(convert_tabular_to_standoff(rows, units))
-        assert got.categories == {"part-of-speech", "lemma", "fine-pos"}
 
     def test_inline_morpho_footprint(self):
         items = parse_inline_morpho(fixture("fig11_inline_morpho.xml"))

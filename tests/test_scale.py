@@ -26,7 +26,7 @@ N = 1_000
 def payloads(tokens: int) -> tuple[str, str]:
     units = [ReferenceUnit(f"word_{i + 1}", WORDS[i % len(WORDS)], i)
              for i in range(tokens)]
-    items = [AnnotationItem(span=SpanExpr.single(u.id), element="w",
+    items = [AnnotationItem(span=SpanExpr(((u.id, None),)), element="w",
                             categories={"msd": "X", "lemma": u.form.lower()})
              for u in units]
     return serialize_segmentation(units), serialize_standoff_morpho(items)

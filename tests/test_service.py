@@ -1,5 +1,6 @@
 """HTTP facade: request handling, status codes, referential integrity."""
 
+import hashlib
 import pathlib
 import threading
 import urllib.error
@@ -7,9 +8,9 @@ import urllib.request
 
 import pytest
 
-from corpus_forge.archive import Archive
+from corpus_forge.archive import Archive, LevelSpec
 from corpus_forge.catalog import export_catalog
-from corpus_forge.service import handle_request, make_server
+from corpus_forge.service import handle_request, main, make_server
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 
@@ -133,6 +134,30 @@ class TestReferentialIntegrity:
             assert get(archive, f"/resources/{rid}/header")[0] == 200
 
 
+def test_crlf_payload_is_served_verbatim(tmp_path):
+    store = Archive(tmp_path / "store")
+    store.register_corpus("CRLF", corpus_id="crlf")
+    payload = ('<word id="word_1">Madame</word>\r\n'
+               '<word id="word_2">Vauquer</word>\r\n')
+    resource = store.deposit(
+        "crlf", payload, "segmentation",
+        new_levels=[LevelSpec("segmentation", "full")]).resource
+    assert store.resource_payload(resource.id) == payload
+    status, _, body = get(store, f"/resources/{resource.id}")
+    assert status == 200
+    assert hashlib.sha256(body).hexdigest() == resource.sha256
+    assert len(body) == resource.size
+
+
+@pytest.mark.parametrize("bind", ["localhost", "localhost:", "localhost:http",
+                                  "localhost:70000"])
+def test_bind_without_a_port_number_is_a_usage_error(tmp_path, capsys, bind):
+    with pytest.raises(SystemExit) as exc:
+        main(["--root", str(tmp_path), "--bind", bind])
+    assert exc.value.code == 2
+    assert "expected HOST:PORT" in capsys.readouterr().err
+
+
 class TestLiveServer:
     @pytest.fixture
     def base_url(self, archive):
@@ -162,6 +187,7 @@ class TestLiveServer:
     def test_404_over_the_wire(self, base_url):
         with pytest.raises(urllib.error.HTTPError) as exc:
             urllib.request.urlopen(f"{base_url}/corpora/ghost")
+        exc.value.close()
         assert exc.value.code == 404
 
     def test_post_rejected_over_the_wire(self, base_url):
@@ -169,4 +195,5 @@ class TestLiveServer:
                                          data=b"x", method="POST")
         with pytest.raises(urllib.error.HTTPError) as exc:
             urllib.request.urlopen(request)
+        exc.value.close()
         assert exc.value.code == 405

@@ -128,11 +128,6 @@ class TestSplitTable:
         assert DEFAULT_SPLIT_TABLE.lookup("AUX") == ("à", "les")
         assert DEFAULT_SPLIT_TABLE.lookup("des") is None
 
-    def test_custom_table(self):
-        table = SplitTable({"des": ("de", "les")})
-        assert [u.form for u in segment_text("des hommes", table)] == \
-            ["de", "les", "hommes"]
-
 
 class TestReferenceUnit:
     def test_rejects_malformed_ids(self):
@@ -171,9 +166,6 @@ class TestSpanExpr:
                     "token_3", "word_0"]:
             with pytest.raises(SpanSyntaxError):
                 SpanExpr.parse(bad)
-
-    def test_range_constructor_collapses_identical_endpoints(self):
-        assert SpanExpr.range("word_3", "word_3") == SpanExpr.single("word_3")
 
 
 class TestResolveSpan:

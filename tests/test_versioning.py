@@ -21,48 +21,48 @@ DIFFERENT = frozenset({"referential-markable"})
 
 class TestCompareGranularity:
     def test_equal(self):
-        assert compare_granularity(BASE, frozenset(BASE), REG) is Comparison.EQUAL
+        assert compare_granularity(BASE, frozenset(BASE)) is Comparison.EQUAL
 
     def test_strict_superset_is_finer(self):
-        assert compare_granularity(FINER, BASE, REG) is Comparison.FINER
+        assert compare_granularity(FINER, BASE) is Comparison.FINER
 
     def test_strict_subset_is_coarser(self):
-        assert compare_granularity(COARSER, BASE, REG) is Comparison.COARSER
+        assert compare_granularity(COARSER, BASE) is Comparison.COARSER
 
     def test_disjoint_is_different(self):
-        assert compare_granularity(DIFFERENT, BASE, REG) is Comparison.DIFFERENT
+        assert compare_granularity(DIFFERENT, BASE) is Comparison.DIFFERENT
 
     def test_overlapping_incomparable_is_different(self):
         a = frozenset({"lemma", "inflection"})
         b = frozenset({"lemma", "token-index"})
-        assert compare_granularity(a, b, REG) is Comparison.DIFFERENT
+        assert compare_granularity(a, b) is Comparison.DIFFERENT
 
     def test_narrower_category_counts_as_finer_through_closure(self):
         a = frozenset({"fine-pos", "lemma"})
         b = frozenset({"part-of-speech", "lemma"})
-        assert compare_granularity(a, b, REG) is Comparison.FINER
-        assert compare_granularity(b, a, REG) is Comparison.COARSER
+        assert compare_granularity(a, b) is Comparison.FINER
+        assert compare_granularity(b, a) is Comparison.COARSER
 
     def test_empty_set_is_coarser_than_anything(self):
-        assert compare_granularity(frozenset(), BASE, REG) is Comparison.COARSER
-        assert compare_granularity(BASE, frozenset(), REG) is Comparison.FINER
-        assert compare_granularity(frozenset(), frozenset(), REG) is Comparison.EQUAL
+        assert compare_granularity(frozenset(), BASE) is Comparison.COARSER
+        assert compare_granularity(BASE, frozenset()) is Comparison.FINER
+        assert compare_granularity(frozenset(), frozenset()) is Comparison.EQUAL
 
     def test_provisional_categories_compare_by_name(self):
         a = frozenset({"x-speaker"})
-        assert compare_granularity(a, frozenset({"x-speaker"}), REG) is Comparison.EQUAL
-        assert compare_granularity(a, frozenset({"x-other"}), REG) is Comparison.DIFFERENT
+        assert compare_granularity(a, frozenset({"x-speaker"})) is Comparison.EQUAL
+        assert compare_granularity(a, frozenset({"x-other"})) is Comparison.DIFFERENT
 
     cats = st.frozensets(st.sampled_from(sorted(REG.ids())), max_size=6)
 
     @given(cats)
     def test_reflexive(self, a):
-        assert compare_granularity(a, a, REG) is Comparison.EQUAL
+        assert compare_granularity(a, a) is Comparison.EQUAL
 
     @given(cats, cats)
     def test_antisymmetric(self, a, b):
-        ab = compare_granularity(a, b, REG)
-        ba = compare_granularity(b, a, REG)
+        ab = compare_granularity(a, b)
+        ba = compare_granularity(b, a)
         flip = {Comparison.EQUAL: Comparison.EQUAL,
                 Comparison.FINER: Comparison.COARSER,
                 Comparison.COARSER: Comparison.FINER,
@@ -71,14 +71,14 @@ class TestCompareGranularity:
 
     @given(cats, cats)
     def test_equal_only_for_identical_sets(self, a, b):
-        if compare_granularity(a, b, REG) is Comparison.EQUAL:
+        if compare_granularity(a, b) is Comparison.EQUAL:
             assert a == b
 
 
 class TestClassifySubmission:
     def test_first_submission_is_initial(self):
-        assert classify_submission(BASE, None, REG) is Classification.INITIAL
-        assert classify_submission(BASE, None, REG, validated=True) is \
+        assert classify_submission(BASE, None) is Classification.INITIAL
+        assert classify_submission(BASE, None, validated=True) is \
             Classification.INITIAL
 
     # the full decision table: comparison x validation
@@ -95,7 +95,7 @@ class TestClassifySubmission:
 
     @pytest.mark.parametrize("new,prior,validated,expected", TABLE)
     def test_decision_table(self, new, prior, validated, expected):
-        assert classify_submission(new, prior, REG, validated=validated) is expected
+        assert classify_submission(new, prior, validated=validated) is expected
 
     def test_corrections_flagged_as_corrections(self):
         assert Classification.EXHAUSTIVE_CORRECTION.is_correction
@@ -107,7 +107,7 @@ class TestClassifySubmission:
            st.frozensets(st.sampled_from(sorted(REG.ids())), max_size=5),
            st.booleans())
     def test_total_function(self, new, prior, validated):
-        got = classify_submission(new, prior, REG, validated=validated)
+        got = classify_submission(new, prior, validated=validated)
         assert isinstance(got, Classification)
         assert got is not Classification.INITIAL
 
@@ -116,5 +116,5 @@ class TestClassifySubmission:
         file) classifies as an exhaustive correction."""
         faulty = frozenset({"lemma"})
         fixed = frozenset({"lemma"})
-        assert classify_submission(fixed, faulty, REG, validated=True) is \
+        assert classify_submission(fixed, faulty, validated=True) is \
             Classification.EXHAUSTIVE_CORRECTION
