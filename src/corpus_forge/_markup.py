@@ -15,7 +15,11 @@ from dataclasses import dataclass
 
 from .errors import ParseError
 
-TAG_RE = re.compile(r"<(/?)([A-Za-z_][\w.-]*)((?:[^>\"']|\"[^\"]*\"|'[^']*')*?)(/?)>")
+# Possessive: the attribute alternatives start on disjoint characters, so
+# the attribute loop never backtracks, and it stops where ``/>`` or ``>``
+# first closes the tag outside quotes, as a lazy loop would.
+TAG_RE = re.compile(r"<(/?)([A-Za-z_][\w.-]*)"
+                    r"((?:[^>\"'/]++|/(?!>)|\"[^\"]*+\"|'[^']*+')*+)(/?)>")
 ATTR_RE = re.compile(r"([\w:.-]+)\s*=\s*(\"[^\"]*\"|'[^']*')")
 
 _ENTITIES = {"&amp;": "&", "&lt;": "<", "&gt;": ">", "&quot;": '"', "&apos;": "'"}
@@ -35,7 +39,8 @@ def escape(text: str) -> str:
 
 
 def parse_attrs(raw: str) -> dict[str, str]:
-    return {m.group(1): unescape(m.group(2)[1:-1]) for m in ATTR_RE.finditer(raw)}
+    return {name: unescape(value[1:-1])
+            for name, value in ATTR_RE.findall(raw)}
 
 
 @dataclass

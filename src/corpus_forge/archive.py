@@ -8,10 +8,14 @@ One :class:`Archive` owns a directory tree::
 
 Reads never wait: each is answered from the last published
 :class:`Snapshot`, and ``Archive.snapshot()`` returns it, so several
-reads see one commit.  Writers take one lock, build the next snapshot
-as a draft, write payload, header and manifest from it and publish it
-last with one assignment, so a write that fails changes nothing.
-Entities are immutable, so reads and writers hand out the snapshot's own.
+reads see one commit.  A snapshot maps each corpus id to that corpus's
+:class:`CorpusState`, so a read of one corpus touches no other.  Writers
+take one lock and build the next snapshot as a draft: it copies the map
+of corpora and the state of each corpus it writes, and shares every
+other state with the published snapshot.  They write payload, header and
+manifest from the draft and publish it last with one assignment, so a
+write that fails changes nothing.  Entities are immutable, so reads and
+writers hand out the snapshot's own.
 """
 
 from __future__ import annotations
@@ -23,7 +27,7 @@ import functools
 import graphlib
 import hashlib
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -86,6 +90,10 @@ def _utf8(payload: bytes) -> str:
         raise ParseError(f"payload is not valid UTF-8: {err}") from None
 
 
+def _by_id(entities: dict) -> list:
+    return [entities[key] for key in sorted(entities)]
+
+
 @dataclass(frozen=True)
 class LevelSpec:
     """Description level to create as part of a deposit."""
@@ -103,35 +111,102 @@ class DepositResult:
     records: tuple[VersionRecord, ...]
 
 
+@dataclass
+class CorpusState:
+    """One corpus in one snapshot: the corpus, its levels and resources by
+    id, its version records, and what its stored payloads parsed into.
+
+    A published state never changes: a draft changes only its own copy
+    (``Snapshot._writable``), and replaces an entity or a list there
+    instead of changing it.
+    """
+
+    corpus: Corpus
+    levels: dict[str, Level] = field(default_factory=dict)
+    resources: dict[str, Resource] = field(default_factory=dict)
+    versions: tuple[VersionRecord, ...] = ()
+    units: dict[str, list[ReferenceUnit]] = field(default_factory=dict)
+    items: dict[str, list[AnnotationItem]] = field(default_factory=dict)
+    # Levels with a stored payload that did not parse: no anchor, or
+    # one that no longer aligns.  ``validate`` reports them.
+    unparsed: dict[str, Violation] = field(default_factory=dict)
+
+    def copy(self) -> CorpusState:
+        return CorpusState(self.corpus, dict(self.levels),
+                           dict(self.resources), self.versions,
+                           dict(self.units), dict(self.items),
+                           dict(self.unparsed))
+
+    def closure(self, level: Level):
+        """Yield the levels ``level`` depends on, directly or not, nearest
+        first, ties by id."""
+        seen = {level.id}
+        frontier = [level]
+        while frontier:
+            ids = sorted({d for l in frontier for d, _ in l.depends_on} - seen)
+            seen.update(ids)
+            frontier = [self.levels[i] for i in ids if i in self.levels]
+            yield from frontier
+
+    def anchor(self, level_id: str) -> str | None:
+        return next((l.id for l in self.closure(self.levels[level_id])
+                     if l.kind == KIND_SEGMENTATION and self.units.get(l.id)),
+                    None)
+
+    def coverage(self, level_id: str) -> list[str]:
+        anchor = self.anchor(level_id)
+        return reconstruct_coverage(
+            self.levels[level_id].kind, self.units.get(level_id, []),
+            self.items.get(level_id, []),
+            self.units[anchor] if anchor is not None else None)
+
+    def granularity(self, level_id: str) -> Granularity:
+        if (self.levels[level_id].kind == KIND_SEGMENTATION
+                and self.units.get(level_id)):
+            return Granularity(SEGMENTATION_GRANULARITY, ())
+        return granularity_of(self.items.get(level_id, []))
+
+    def materialized(self, level_id: str) -> bool:
+        return bool(self.units.get(level_id) or self.items.get(level_id))
+
+
 class Snapshot:
     """One commit of an archive, and every read of it.
 
-    A writer changes only a draft (``_draft``): its maps are new, and it
-    replaces an entity or a list instead of changing it, so nothing a
-    published snapshot holds ever changes.
+    It maps each corpus id to that corpus's :class:`CorpusState`.  A
+    writer changes only a draft (``_draft``): a new map of corpora in
+    which each corpus it writes gets a copy of its state (``_writable``)
+    and every other corpus keeps the published one.  No index from
+    level or resource ids to corpora is kept or copied: ``_holder``
+    finds the corpus from the id.
     """
 
     def __init__(self, root: Path):
         self.root = root
-        self._corpora: dict[str, Corpus] = {}
-        self._levels: dict[str, Level] = {}
-        self._resources: dict[str, Resource] = {}
-        self._versions: dict[str, list[VersionRecord]] = {}  # by corpus
-        self._units: dict[str, list[ReferenceUnit]] = {}
-        self._items: dict[str, list[AnnotationItem]] = {}
-        # Levels with a stored payload that did not parse: no anchor, or
-        # one that no longer aligns.  ``validate`` reports them.
-        self._unparsed: dict[str, Violation] = {}
+        self._corpora: dict[str, CorpusState] = {}
         # Corpus directories whose manifest did not load, by directory
         # name: their ids stay taken, and ``validate`` reports them.
         self._unreadable: dict[str, Violation] = {}
+        # ("levels" or "resources", id) -> corpus id, for the ids a loaded
+        # manifest holds that do not start with "<its corpus id>-".  The
+        # archive mints none, so this never changes after a load.
+        self._strays: dict[tuple[str, str], str] = {}
+        # Corpora whose state this draft has copied.
+        self._written: set[str] = set()
 
     def _draft(self) -> Snapshot:
         draft = Snapshot(self.root)
-        for name, value in vars(self).items():
-            if isinstance(value, dict):
-                setattr(draft, name, dict(value))
+        draft._corpora = dict(self._corpora)
+        draft._unreadable, draft._strays = self._unreadable, self._strays
         return draft
+
+    def _writable(self, corpus_id: str) -> CorpusState:
+        """This draft's own copy of one corpus's state."""
+        state = self._state(corpus_id)
+        if corpus_id not in self._written:
+            state = self._corpora[corpus_id] = state.copy()
+            self._written.add(corpus_id)
+        return state
 
     def snapshot(self) -> Snapshot:
         """The last published snapshot; reads on it all see one commit."""
@@ -140,55 +215,67 @@ class Snapshot:
     def _corpus_dir(self, corpus_id: str) -> Path:
         return self.root / "corpora" / corpus_id
 
-    def _resource_path(self, resource: Resource) -> Path:
-        return self._corpus_dir(resource.corpus_id) / "resources" / resource.filename
+    def _resource_path(self, corpus_id: str, resource: Resource) -> Path:
+        return self._corpus_dir(corpus_id) / "resources" / resource.filename
 
-    def _of(self, entities: dict, corpus_id: str) -> list:
-        """The members of ``entities`` that belong to one corpus, by id."""
-        return sorted((e for e in entities.values()
-                       if e.corpus_id == corpus_id), key=lambda e: e.id)
-
-    def _require_corpus(self, corpus_id: str) -> Corpus:
+    def _state(self, corpus_id: str) -> CorpusState:
         if corpus_id not in self._corpora:
             raise UnknownEntityError(f"unknown corpus {corpus_id!r}")
         return self._corpora[corpus_id]
 
-    def _require_level(self, level_id: str) -> Level:
-        if level_id not in self._levels:
-            raise UnknownEntityError(f"unknown level {level_id!r}")
-        return self._levels[level_id]
+    def _holder(self, kind: str, entity_id: str) -> CorpusState | None:
+        """The state that holds a level or resource (``kind`` is "levels"
+        or "resources"), or None.
 
-    def _require_resource(self, resource_id: str) -> Resource:
-        if resource_id not in self._resources:
+        The archive mints these ids as "<corpus id>-...", so only the
+        corpora whose id ends at one of its '-' are tried, longest first.
+        """
+        head = entity_id
+        while "-" in head:
+            head = head.rpartition("-")[0]
+            state = self._corpora.get(head)
+            if state is not None and entity_id in getattr(state, kind):
+                return state
+        return self._corpora.get(self._strays.get((kind, entity_id)))
+
+    def _level_state(self, level_id: str) -> CorpusState:
+        state = self._holder("levels", level_id)
+        if state is None:
+            raise UnknownEntityError(f"unknown level {level_id!r}")
+        return state
+
+    def _resource_state(self, resource_id: str) -> CorpusState:
+        state = self._holder("resources", resource_id)
+        if state is None:
             raise UnknownEntityError(f"unknown resource {resource_id!r}")
-        return self._resources[resource_id]
+        return state
 
     def corpus(self, corpus_id: str) -> Corpus:
-        return self._require_corpus(corpus_id)
+        return self._state(corpus_id).corpus
 
     def corpora(self) -> list[Corpus]:
-        return [self._corpora[cid] for cid in sorted(self._corpora)]
+        return [self._corpora[cid].corpus for cid in sorted(self._corpora)]
 
     def level(self, level_id: str) -> Level:
-        return self._require_level(level_id)
+        return self._level_state(level_id).levels[level_id]
 
     def levels(self, corpus_id: str) -> list[Level]:
-        self._require_corpus(corpus_id)
-        return self._of(self._levels, corpus_id)
+        return _by_id(self._state(corpus_id).levels)
 
     def resource(self, resource_id: str) -> Resource:
-        return self._require_resource(resource_id)
+        return self._resource_state(resource_id).resources[resource_id]
 
     def resources(self, corpus_id: str) -> list[Resource]:
-        self._require_corpus(corpus_id)
-        return self._of(self._resources, corpus_id)
+        return _by_id(self._state(corpus_id).resources)
 
     def resource_payload(self, resource_id: str) -> str:
-        resource = self._require_resource(resource_id)
+        state = self._resource_state(resource_id)
+        resource = state.resources[resource_id]
         try:
             if resource.available:
                 # read_text would turn CRLF into LF: serve it verbatim
-                return self._resource_path(resource).read_bytes().decode()
+                return self._resource_path(
+                    state.corpus.id, resource).read_bytes().decode()
         except FileNotFoundError:
             pass  # lost, or withdrawn after this snapshot was published
         except UnicodeDecodeError:
@@ -198,68 +285,46 @@ class Snapshot:
 
     def resource_header(self, resource_id: str) -> str:
         return catalog_mod.build_resource_header(
-            self._require_resource(resource_id)).render()
+            self.resource(resource_id)).render()
 
     def version_chain(self, corpus_id: str, kind: str) -> list[VersionRecord]:
         return [v for v in self.versions(corpus_id) if v.level_kind == kind]
 
     def versions(self, corpus_id: str) -> list[VersionRecord]:
-        return sorted(self._versions.get(corpus_id, ()),
+        state = self._corpora.get(corpus_id)
+        return sorted(state.versions if state else (),
                       key=lambda v: (v.level_kind, v.number))
 
     def level_units(self, level_id: str) -> list[ReferenceUnit]:
-        self._require_level(level_id)
-        return list(self._units.get(level_id, []))
+        return list(self._level_state(level_id).units.get(level_id, []))
 
     def level_items(self, level_id: str) -> list[AnnotationItem]:
-        self._require_level(level_id)
-        return list(self._items.get(level_id, []))
+        return list(self._level_state(level_id).items.get(level_id, []))
 
     def level_is_materialized(self, level_id: str) -> bool:
-        self._require_level(level_id)
-        return bool(self._units.get(level_id) or self._items.get(level_id))
+        return self._level_state(level_id).materialized(level_id)
 
     def classify_level(self, level_id: str) -> str:
-        return self._require_level(level_id).classify()
-
-    def _closure(self, level: Level):
-        """Yield the levels ``level`` depends on, directly or not, nearest
-        first, ties by id."""
-        seen = {level.id}
-        frontier = [level]
-        while frontier:
-            ids = sorted({d for l in frontier for d, _ in l.depends_on} - seen)
-            seen.update(ids)
-            frontier = [self._levels[i] for i in ids if i in self._levels]
-            yield from frontier
+        return self.level(level_id).classify()
 
     def dependency_closure(self, level_id: str) -> list[str]:
         """The level and everything reachable through depends-on edges,
         nearest dependencies first, ties by id."""
-        level = self._require_level(level_id)
-        return [level_id] + [l.id for l in self._closure(level)]
+        state = self._level_state(level_id)
+        return [level_id] + [l.id for l in
+                             state.closure(state.levels[level_id])]
 
     def anchor(self, level_id: str) -> str | None:
         """Id of the segmentation the level's spans resolve against: the
         nearest one in its dependency closure that holds reference units,
         or None while there is none."""
-        return next((l.id for l in self._closure(self._require_level(level_id))
-                     if l.kind == KIND_SEGMENTATION and self._units.get(l.id)),
-                    None)
+        return self._level_state(level_id).anchor(level_id)
 
     def coverage(self, level_id: str) -> list[str]:
-        level = self._require_level(level_id)
-        anchor = self.anchor(level_id)
-        return reconstruct_coverage(
-            level.kind, self._units.get(level_id, []),
-            self._items.get(level_id, []),
-            self._units[anchor] if anchor is not None else None)
+        return self._level_state(level_id).coverage(level_id)
 
     def level_granularity(self, level_id: str) -> Granularity:
-        level = self._require_level(level_id)
-        if level.kind == KIND_SEGMENTATION and self._units.get(level_id):
-            return Granularity(SEGMENTATION_GRANULARITY, ())
-        return granularity_of(self._items.get(level_id, []))
+        return self._level_state(level_id).granularity(level_id)
 
     # -- validation ----------------------------------------------------------
 
@@ -270,19 +335,27 @@ class Snapshot:
             if cid in self._unreadable:
                 out.append(self._unreadable[cid])
             else:
-                out.extend(self._validate_corpus(self._require_corpus(cid)))
+                out.extend(self._validate_corpus(self._state(cid)))
         return out
 
-    def _validate_corpus(self, corpus: Corpus) -> list[Violation]:
+    def _validate_corpus(self, state: CorpusState) -> list[Violation]:
         out: list[Violation] = []
-        levels = self._of(self._levels, corpus.id)
-        resources = self._of(self._resources, corpus.id)
+        corpus = state.corpus
+        levels = _by_id(state.levels)
+        resources = _by_id(state.resources)
+
+        for entity in (*levels, *resources, *state.versions):
+            if entity.corpus_id != corpus.id:
+                out.append(Violation(
+                    "corpus-mismatch", entity.id,
+                    f"names corpus {entity.corpus_id!r} but the manifest of "
+                    f"{corpus.id!r} holds it"))
 
         graph = {}
         for level in levels:
             deps = set()
             for dep_id, _ in level.depends_on:
-                if dep_id not in self._levels:
+                if dep_id not in state.levels:
                     out.append(Violation(
                         "dangling-dependency", level.id,
                         f"depends on unknown level {dep_id!r}"))
@@ -305,7 +378,7 @@ class Snapshot:
                     "pointer-level-without-dependency", level.id,
                     "contributes no coverage but depends on nothing"))
             if level.coverage == COVERAGE_NONE:
-                roots = self._items.get(level.id, [])
+                roots = state.items.get(level.id, [])
                 if roots and all(i.surface is not None for i in roots):
                     out.append(Violation(
                         "surface-in-pointer-level", level.id,
@@ -315,13 +388,13 @@ class Snapshot:
                 # Reconstruction through a cyclic graph has no meaning;
                 # the cycle violation already covers these levels.
                 continue
-            if level.id in self._unparsed:
-                out.append(self._unparsed[level.id])
+            if level.id in state.unparsed:
+                out.append(state.unparsed[level.id])
                 continue
-            if not self.level_is_materialized(level.id):
+            if not state.materialized(level.id):
                 continue
             try:
-                tokens = self.coverage(level.id)
+                tokens = state.coverage(level.id)
             except DanglingPointerError as err:
                 out.append(Violation(
                     "dangling-pointer", level.id, err.message))
@@ -339,7 +412,7 @@ class Snapshot:
                     "full-coverage level does not reconstruct the corpus "
                     "coverage"))
             try:
-                resolve_link_targets(self._items.get(level.id, []))
+                resolve_link_targets(state.items.get(level.id, []))
             except UnknownTargetError as err:
                 out.append(Violation(
                     "unknown-target", level.id,
@@ -351,11 +424,12 @@ class Snapshot:
                     "resource-without-level", resource.id,
                     "deposited without any description level"))
             for level_id in resource.levels:
-                if level_id not in self._levels:
+                if level_id not in state.levels:
                     out.append(Violation(
                         "dangling-level", resource.id,
                         f"references unknown level {level_id!r}"))
-            if resource.available and not self._resource_path(resource).is_file():
+            if (resource.available and not self._resource_path(
+                    corpus.id, resource).is_file()):
                 out.append(Violation(
                     "missing-payload", resource.id,
                     "marked available but its payload file is gone"))
@@ -391,32 +465,37 @@ class Archive:
                     "unreadable-manifest", entry.name,
                     f"manifest does not load: {err}")
                 continue
-            view._corpora[corpus.id] = corpus
-            view._levels.update((l.id, l) for l in levels)
-            view._resources.update((r.id, r) for r in resources)
-            view._versions[corpus.id] = versions
-        self._parse_stored(view)
+            state = view._corpora[corpus.id] = CorpusState(
+                corpus, {l.id: l for l in levels},
+                {r.id: r for r in resources}, tuple(versions))
+            for kind in ("levels", "resources"):
+                view._strays.update(
+                    ((kind, entity_id), corpus.id)
+                    for entity_id in getattr(state, kind)
+                    if not entity_id.startswith(f"{corpus.id}-"))
+        for state in view._corpora.values():
+            self._parse_stored(view, state)
         return view
 
-    def _parse_stored(self, draft: Snapshot,
+    def _parse_stored(self, view: Snapshot, state: CorpusState,
                       only: set[str] | None = None) -> None:
         """Parse each available resource's stored payload into its levels,
         or into those of them in ``only``."""
-        for resource in sorted(draft._resources.values(), key=lambda r: r.id):
+        for resource in _by_id(state.resources):
             if not resource.available or (
                     only is not None and only.isdisjoint(resource.levels)):
                 continue
-            path = draft._resource_path(resource)
+            path = view._resource_path(state.corpus.id, resource)
             if not path.is_file():
                 continue  # reported by validate() as missing-payload
-            self._materialize(draft, resource, path.read_bytes(), only)
+            self._materialize(state, resource, path.read_bytes(), only)
 
     def _publish(self, draft: Snapshot, *corpus_ids: str) -> None:
         """Write the manifests of ``corpus_ids``, then publish ``draft``."""
         for corpus_id in corpus_ids:
+            state = draft._corpora[corpus_id]
             text = manifest_mod.dumps_corpus(
-                draft._corpora[corpus_id], draft._of(draft._levels, corpus_id),
-                draft._of(draft._resources, corpus_id),
+                state.corpus, _by_id(state.levels), _by_id(state.resources),
                 draft.versions(corpus_id))
             directory = draft._corpus_dir(corpus_id)
             directory.mkdir(parents=True, exist_ok=True)
@@ -455,17 +534,18 @@ class Archive:
             while corpus_id in draft._corpora or corpus_id in draft._unreadable:
                 n += 1
                 corpus_id = f"{base}-{n}"
-        corpus = draft._corpora[corpus_id] = Corpus(
+        corpus = Corpus(
             id=corpus_id, title=title, language=language,
             declared_meta=manifest_mod.storable_meta(meta),
             created_at=_iso(self._clock()))
+        draft._corpora[corpus_id] = CorpusState(corpus)
+        draft._written.add(corpus_id)
         return corpus
 
     def add_level(self, corpus_id: str, kind: str, coverage: str,
                   depends_on=(), meta: dict[str, str] | None = None) -> Level:
         with self._lock:
             draft = self._view._draft()
-            draft._require_corpus(corpus_id)
             level = self._add_level(draft, corpus_id, LevelSpec(
                 kind=kind, coverage=coverage, depends_on=tuple(depends_on),
                 meta=tuple(sorted((meta or {}).items()))))
@@ -474,6 +554,7 @@ class Archive:
 
     def _add_level(self, draft: Snapshot, corpus_id: str,
                    spec: LevelSpec) -> Level:
+        state = draft._writable(corpus_id)
         manifest_mod.storable_text({"level kind": spec.kind})
         kind = (spec.kind or "").strip()
         if not kind or any(c.isspace() or c in ",|" for c in kind):
@@ -488,15 +569,17 @@ class Archive:
             dep_id, purpose = (entry if isinstance(entry, tuple)
                                else (entry, "anchors-to"))
             manifest_mod.storable_text({"dependency purpose": purpose})
-            if dep_id not in draft._levels:
+            if draft._holder("levels", dep_id) is None:
                 raise UnknownDependencyError(
                     f"dependency {dep_id!r} does not exist")
-            if draft._levels[dep_id].corpus_id != corpus_id:
+            if dep_id not in state.levels:
                 raise UnknownDependencyError(
                     f"dependency {dep_id!r} belongs to another corpus")
             deps.append((dep_id, purpose))
+        # Level ids are unique across corpora: "a" + "b-x" is "a-b" + "x".
         number = 1
-        while f"{corpus_id}-{kind}-{number}" in draft._levels:
+        while draft._holder("levels",
+                            f"{corpus_id}-{kind}-{number}") is not None:
             number += 1
         level = Level(
             id=f"{corpus_id}-{kind}-{number}",
@@ -506,7 +589,7 @@ class Archive:
             depends_on=tuple(deps),
             declared_meta=manifest_mod.storable_meta(spec.meta),
             created_at=_iso(self._clock()))
-        draft._levels[level.id] = level
+        state.levels[level.id] = level
         return level
 
     def register_table(self, text: str, language: str = "") -> list[Corpus]:
@@ -569,14 +652,16 @@ class Archive:
         """Wire an existing level onto another one, refusing cycles."""
         with self._lock:
             draft = self._view._draft()
-            level = draft._require_level(level_id)
-            dep = draft._require_level(dep_id)
+            state = draft._level_state(level_id)
+            draft.level(dep_id)
             manifest_mod.storable_text({"dependency purpose": purpose})
-            if dep.corpus_id != level.corpus_id:
+            if dep_id not in state.levels:
                 raise UnknownDependencyError(
                     f"dependency {dep_id!r} belongs to another corpus")
+            state = draft._writable(state.corpus.id)
+            level = state.levels[level_id]
             graph = {l.id: {d for d, _ in l.depends_on}
-                     for l in draft._of(draft._levels, level.corpus_id)}
+                     for l in state.levels.values()}
             graph[level_id] = graph[level_id] | {dep_id}
             try:
                 graphlib.TopologicalSorter(graph).prepare()
@@ -584,9 +669,9 @@ class Archive:
                 raise DependencyCycleError(
                     f"adding {dep_id!r} under {level_id!r} closes a "
                     f"dependency cycle") from err
-            level = draft._levels[level_id] = dataclasses.replace(
+            level = state.levels[level_id] = dataclasses.replace(
                 level, depends_on=level.depends_on + ((dep_id, purpose),))
-            self._publish(draft, level.corpus_id)
+            self._publish(draft, state.corpus.id)
             return level
 
     # -- deposit -----------------------------------------------------------
@@ -597,7 +682,7 @@ class Archive:
                 meta: dict[str, str] | None = None) -> DepositResult:
         with self._lock:
             draft = self._view._draft()
-            corpus = draft._require_corpus(corpus_id)
+            state = draft._writable(corpus_id)
             if format not in FORMATS:
                 raise StoreError(f"unknown deposit format {format!r}")
             text = _utf8(payload) if isinstance(payload, bytes) else payload
@@ -606,8 +691,8 @@ class Archive:
 
             targets: list[Level] = []
             for level_id in levels:
-                level = draft._require_level(level_id)
-                if level.corpus_id != corpus_id:
+                level = draft.level(level_id)
+                if level_id not in state.levels:
                     raise UnknownEntityError(
                         f"level {level_id!r} belongs to another corpus")
                 targets.append(level)
@@ -620,13 +705,13 @@ class Archive:
             # Parse for every target before storing any result, so each
             # aligns on the last commit's anchors.  Only the draft changes
             # below: a payload that fails to parse or merge publishes nothing.
-            parsed = [(level, self._parse_for(draft, format, text, level))
+            parsed = [(level, self._parse_for(state, format, text, level))
                       for level in targets]
 
-            number = 1 + len(draft._of(draft._resources, corpus_id))
+            number = 1 + len(state.resources)
             resource_id = f"{corpus_id}-r{number:03d}"
             now = _iso(self._clock())
-            resource = draft._resources[resource_id] = Resource(
+            resource = state.resources[resource_id] = Resource(
                 id=resource_id,
                 corpus_id=corpus_id,
                 format=format,
@@ -642,13 +727,13 @@ class Archive:
             fresh_by_kind: dict[str, list[AnnotationItem]] = {}
             for level, value in parsed:
                 fresh_by_kind.setdefault(level.kind, []).extend(
-                    self._add_parsed(draft, level.id, format, value))
+                    self._add_parsed(state, level.id, format, value))
 
             records = self._record_versions(
-                draft, corpus, resource, targets, fresh_by_kind, now)
-            self._set_fingerprint_if_ready(draft, corpus, targets)
+                state, resource, targets, fresh_by_kind, now)
+            self._set_fingerprint_if_ready(state, targets)
 
-            path = draft._resource_path(resource)
+            path = draft._resource_path(corpus_id, resource)
             path.parent.mkdir(parents=True, exist_ok=True)
             path.write_text(text, encoding="utf-8")
             path.with_name(f"{resource_id}.header").write_text(
@@ -659,17 +744,17 @@ class Archive:
                 levels=tuple(l.id for l in targets),
                 records=tuple(records))
 
-    def _parse_for(self, view: Snapshot, format: str, text: str,
+    def _parse_for(self, state: CorpusState, format: str, text: str,
                    level: Level) -> list:
         codec = FORMATS[format]
         if codec.yields_units and level.kind != KIND_SEGMENTATION:
             raise StoreError(
                 f"{format} payloads materialize segmentation levels, "
                 f"not {level.kind!r}")
-        anchor = (view.anchor(level.id)
+        anchor = (state.anchor(level.id)
                   if codec.needs_units != "no" else None)
         if anchor is not None:
-            value = codec.parse(text, view._units[anchor])
+            value = codec.parse(text, state.units[anchor])
         elif codec.needs_units == "required":
             raise NoPrimaryAnchorError(
                 f"format {format!r} aligns against reference units, but "
@@ -680,13 +765,18 @@ class Archive:
         project = codec.project.get(level.kind)
         return value if project is None else project(value)
 
-    def _add_parsed(self, draft: Snapshot, level_id: str, format: str,
+    def _add_parsed(self, state: CorpusState, level_id: str, format: str,
                     value: list) -> list:
         """Store what ``format`` parsed for one level; return the new items."""
         if not FORMATS[format].yields_units:
-            draft._items[level_id] = draft._items.get(level_id, []) + value
+            state.items[level_id] = state.items.get(level_id, []) + value
             return value
-        merged = draft._units.get(level_id, [])
+        merged = state.units.get(level_id)
+        if not merged:
+            # The codec numbered its units by position and refused a
+            # repeated id: they are stored as they are.
+            state.units[level_id] = value
+            return []
         existing_ids = {u.id for u in merged}
         for unit in value:
             if unit.id in existing_ids:
@@ -694,23 +784,25 @@ class Archive:
                     f"unit id {unit.id!r} already materialized on level "
                     f"{level_id!r}")
             existing_ids.add(unit.id)
-        draft._units[level_id] = merged + [
+        state.units[level_id] = merged + [
             ReferenceUnit(id=u.id, form=u.form, index=len(merged) + i)
             for i, u in enumerate(value)]
         return []
 
-    def _record_versions(self, draft: Snapshot, corpus: Corpus,
-                         resource: Resource, targets: list[Level],
+    def _record_versions(self, state: CorpusState, resource: Resource,
+                         targets: list[Level],
                          fresh_by_kind: dict[str, list[AnnotationItem]],
                          now: str) -> list[VersionRecord]:
+        corpus = state.corpus
         records = []
         for kind in dict.fromkeys(level.kind for level in targets):
-            chain = draft.version_chain(corpus.id, kind)
+            chain = sorted((v for v in state.versions if v.level_kind == kind),
+                           key=lambda v: v.number)
             prior = chain[-1] if chain else None
             kind_levels = [l for l in targets if l.kind == kind]
             categories: set[str] = set()
             for level in kind_levels:
-                categories |= draft.level_granularity(level.id).categories
+                categories |= state.granularity(level.id).categories
             granularity = frozenset(categories)
             classification = classify_submission(
                 granularity, prior.granularity if prior else None,
@@ -722,7 +814,7 @@ class Archive:
             coverage = ""
             try:
                 coverage = coverage_fingerprint(
-                    draft.coverage(kind_levels[0].id))
+                    state.coverage(kind_levels[0].id))
             except (DanglingPointerError, NoPrimaryAnchorError):
                 pass
             record = VersionRecord(
@@ -741,24 +833,25 @@ class Archive:
                 supersedes=(prior.id if prior and classification.is_correction
                             else None),
                 created_at=now)
-            draft._versions[corpus.id] = draft.versions(corpus.id) + [record]
+            state.versions += (record,)
             records.append(record)
         return records
 
-    def _set_fingerprint_if_ready(self, draft: Snapshot, corpus: Corpus,
+    def _set_fingerprint_if_ready(self, state: CorpusState,
                                   targets: list[Level]) -> None:
-        if corpus.coverage_fingerprint is not None:
+        if state.corpus.coverage_fingerprint is not None:
             return
         for level in targets:
             if level.coverage != COVERAGE_FULL:
                 continue
             try:
-                tokens = draft.coverage(level.id)
+                tokens = state.coverage(level.id)
             except (DanglingPointerError, NoPrimaryAnchorError):
                 continue
             if tokens:
-                draft._corpora[corpus.id] = dataclasses.replace(
-                    corpus, coverage_fingerprint=coverage_fingerprint(tokens))
+                state.corpus = dataclasses.replace(
+                    state.corpus,
+                    coverage_fingerprint=coverage_fingerprint(tokens))
                 return
 
     def withdraw(self, resource_id: str) -> Resource:
@@ -769,43 +862,46 @@ class Archive:
         """
         with self._lock:
             draft = self._view._draft()
-            resource = draft._require_resource(resource_id)
+            state = draft._resource_state(resource_id)
+            resource = state.resources[resource_id]
             if resource.available:
-                resource = draft._resources[resource_id] = dataclasses.replace(
+                corpus_id = state.corpus.id
+                state = draft._writable(corpus_id)
+                resource = state.resources[resource_id] = dataclasses.replace(
                     resource, available=False)
                 # Re-parse its levels and every level that depends on
                 # them, as a reload would.
                 reparse = set(resource.levels) | {
-                    l.id for l in draft._of(draft._levels, resource.corpus_id)
-                    if any(d.id in resource.levels for d in draft._closure(l))}
+                    l.id for l in state.levels.values()
+                    if any(d.id in resource.levels for d in state.closure(l))}
                 for level_id in reparse:
-                    for parsed in (draft._units, draft._items, draft._unparsed):
+                    for parsed in (state.units, state.items, state.unparsed):
                         parsed.pop(level_id, None)
-                self._parse_stored(draft, reparse)
-                path = draft._resource_path(resource)
+                self._parse_stored(draft, state, reparse)
+                path = draft._resource_path(corpus_id, resource)
                 path.with_name(f"{resource_id}.header").write_text(
                     draft.resource_header(resource_id), encoding="utf-8")
-                self._publish(draft, resource.corpus_id)
+                self._publish(draft, corpus_id)
                 # Last, so readers of earlier snapshots still find it.
                 path.unlink(missing_ok=True)
             return resource
 
-    def _materialize(self, draft: Snapshot, resource: Resource,
+    def _materialize(self, state: CorpusState, resource: Resource,
                      payload: bytes, only: set[str] | None = None) -> None:
         for level_id in resource.levels:
             if only is not None and level_id not in only:
                 continue
-            if level_id not in draft._levels:
+            if level_id not in state.levels:
                 continue  # reported by validate() as dangling level
             try:
-                value = self._parse_for(draft, resource.format, _utf8(payload),
-                                        draft._levels[level_id])
+                value = self._parse_for(state, resource.format, _utf8(payload),
+                                        state.levels[level_id])
             except CorpusForgeError as err:
                 # It parsed at deposit, so its anchor (or the file) changed.
-                draft._unparsed[level_id] = Violation(
+                state.unparsed[level_id] = Violation(
                     err.code, level_id, err.message)
                 continue
-            self._add_parsed(draft, level_id, resource.format, value)
+            self._add_parsed(state, level_id, resource.format, value)
 
 
 def _read(method):

@@ -70,6 +70,8 @@ def _read_input(path: str) -> str:
         return Path(path).read_text(encoding="utf-8")
     except UnicodeDecodeError as err:
         raise ParseError(f"{path} is not valid UTF-8: {err}") from None
+    except OSError as err:
+        raise StoreError(f"cannot read {path}: {err.strerror}") from None
 
 
 def _open_archive(args) -> Archive:
@@ -297,9 +299,6 @@ def main(argv=None) -> int:
     try:
         return args.handler(args)
     except CorpusForgeError as err:
-        sys.stderr.write(f"error: {err}\n")
-        return 1
-    except FileNotFoundError as err:
         sys.stderr.write(f"error: {err}\n")
         return 1
 

@@ -24,7 +24,8 @@ from .errors import (
 )
 from . import _markup
 
-UNIT_ID_RE = re.compile(r"^word_[1-9][0-9]*$")
+# Applied with ``fullmatch``: ``$`` would also match before a final "\n".
+UNIT_ID_RE = re.compile(r"word_[1-9][0-9]*")
 
 # Characters detached as single-character units when leading/trailing.
 # The apostrophe is only detached when leading: a trailing apostrophe
@@ -45,7 +46,7 @@ class ReferenceUnit:
     index: int
 
     def __post_init__(self):
-        if not UNIT_ID_RE.match(self.id):
+        if not UNIT_ID_RE.fullmatch(self.id):
             raise SpanSyntaxError(f"invalid reference unit id {self.id!r}")
         if not self.form or self.form != self.form.strip():
             raise SpanSyntaxError(
@@ -178,11 +179,13 @@ class SpanExpr:
             raise SpanSyntaxError("span expression has no parts")
         for start, end in self.parts:
             for unit_id in (start,) if end is None else (start, end):
-                if not UNIT_ID_RE.match(unit_id):
+                if not UNIT_ID_RE.fullmatch(unit_id):
                     raise SpanSyntaxError(f"invalid unit id {unit_id!r} in span")
 
     @classmethod
     def parse(cls, text: str) -> "SpanExpr":
+        if UNIT_ID_RE.fullmatch(text):
+            return cls(((text, None),))
         parts = []
         for chunk in re.split(r"[,\s]+", text.strip()):
             if not chunk:

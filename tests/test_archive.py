@@ -17,11 +17,13 @@ from corpus_forge import archive as archive_mod
 from corpus_forge.archive import Archive, LevelSpec
 from corpus_forge.catalog import corpus_record, export_catalog, level_header
 from corpus_forge.errors import (
+    CorpusForgeError,
     DependencyCycleError,
     EmptyTitleError,
     NoLevelError,
     NoPrimaryAnchorError,
     ParseError,
+    SpanSyntaxError,
     StoreError,
     UnknownDependencyError,
     UnknownEntityError,
@@ -238,6 +240,17 @@ class TestRefusedAtTheBoundary:
         assert tree() == before
         reloaded = Archive(tmp_path / "store")
         assert export_catalog(reloaded) == export_catalog(archive)
+
+    def test_unit_id_with_a_final_newline_is_refused(self, archive, tmp_path):
+        # No span could reach it: "word_1" is not "word_1\n".
+        seg = archive.add_level(
+            archive.register_corpus("X", corpus_id="x").id,
+            "segmentation", "full")
+        with pytest.raises(SpanSyntaxError):
+            archive.deposit("x", '<word id="word_1\n">Madame</word>',
+                            "segmentation", levels=[seg.id])
+        assert archive.resources("x") == []
+        assert not (tmp_path / "store" / "corpora" / "x" / "resources").exists()
 
     @pytest.mark.parametrize("corpus_id", [
         "../escape", "../../x", "a/b", "Goriot", "", "-x", "a--b"])
@@ -1178,6 +1191,48 @@ class TestValidateLoadedManifests:
         assert "resource-without-level" in codes
 
 
+    def test_entity_naming_another_corpus_stays_in_its_manifest(
+            self, archive, tmp_path):
+        archive.register_corpus("X", corpus_id="x")
+        archive.register_corpus("Y", corpus_id="y")
+        seg = archive.add_level("x", "segmentation", "full")
+        resource = archive.deposit("x", ONE_WORD, "segmentation",
+                                   levels=[seg.id]).resource
+        path = tmp_path / "store" / "corpora" / "x" / "manifest"
+        text = path.read_text(encoding="utf-8")
+        for head in (f"level: {seg.id}\n", f"resource: {resource.id}\n"):
+            assert f"{head}corpus: x\n" in text
+            text = text.replace(f"{head}corpus: x\n", f"{head}corpus: y\n")
+        path.write_text(text, encoding="utf-8")
+        reloaded = Archive(tmp_path / "store")
+        assert [(v.code, v.subject) for v in reloaded.validate()] == [
+            ("corpus-mismatch", seg.id), ("corpus-mismatch", resource.id)]
+        assert reloaded.levels("y") == [] and reloaded.resources("y") == []
+        assert reloaded.resource_payload(resource.id) == ONE_WORD
+        assert reloaded.coverage(seg.id) == ["Madame"]
+        morpho = reloaded.add_level("x", "morphosyntax", "none",
+                                    depends_on=[seg.id])
+        assert path.read_text(encoding="utf-8").count("corpus: y\n") == 2
+        again = Archive(tmp_path / "store")
+        for reader in (reloaded, again):
+            assert [l.id for l in reader.levels("x")] == [morpho.id, seg.id]
+            assert [r.id for r in reader.resources("x")] == [resource.id]
+        assert export_catalog(again) == export_catalog(reloaded)
+
+    def test_level_id_outside_the_naming_rule_stays_readable(self, tmp_path):
+        seg = Level(id="seg", corpus_id="x", kind="segmentation",
+                    coverage="full")
+        self.write_manifest(tmp_path, Corpus(id="x", title="X"), [seg])
+        archive = Archive(tmp_path / "store")
+        assert archive.level("seg") == seg
+        archive.deposit("x", ONE_WORD, "segmentation", levels=["seg"])
+        morpho = archive.add_level("x", "morphosyntax", "none",
+                                   depends_on=["seg"])
+        assert archive.anchor(morpho.id) == "seg"
+        assert archive.validate() == []
+        assert export_catalog(Archive(tmp_path / "store")) \
+            == export_catalog(archive)
+
     @pytest.mark.parametrize("damage", [b"stray line\n", b"\xff\n"],
                              ids=["stray-line", "not-utf-8"])
     def test_unreadable_manifest_is_reported_and_its_id_kept(
@@ -1436,3 +1491,90 @@ class TestConcurrency:
         assert archive.validate() == []
         reloaded = Archive(tmp_path / "store")
         assert export_catalog(reloaded) == export_catalog(archive)
+
+
+class TestCorpusIsolation:
+    """A write to one corpus changes no other corpus's record, and no
+    record of a snapshot taken before it."""
+
+    # "a" with kind "b-segmentation" and "a-b" with kind "segmentation"
+    # would share a level id.
+    IDS = ("a", "a-b", "b")
+    KINDS = ("segmentation", "morphosyntax", "b-segmentation")
+
+    @staticmethod
+    def records(snapshot):
+        return {c.id: corpus_record(snapshot, c.id)
+                for c in snapshot.corpora()}
+
+    def write(self, archive, data):
+        """One random write; returns the corpus it targets."""
+        snapshot = archive.snapshot()
+        corpora = [c.id for c in snapshot.corpora()]
+        levels = [l.id for cid in corpora for l in snapshot.levels(cid)]
+        resources = [r.id for cid in corpora
+                     for r in snapshot.resources(cid)]
+        op = data.draw(st.sampled_from(
+            ["register", "level", "deposit", "morphology", "dependency",
+             "withdraw"] if corpora else ["register"]))
+        if op == "register":
+            corpus_id = data.draw(st.sampled_from(self.IDS))
+            archive.register_corpus(corpus_id.upper(), corpus_id=corpus_id)
+            return corpus_id
+        if op == "withdraw":
+            if not resources:
+                return None
+            subject = data.draw(st.sampled_from(resources))
+            archive.withdraw(subject)
+            return snapshot.resource(subject).corpus_id
+        if op == "dependency":
+            if not levels:
+                return None
+            subject = data.draw(st.sampled_from(levels))
+            archive.add_dependency(subject, data.draw(st.sampled_from(levels)))
+            return snapshot.level(subject).corpus_id
+        corpus_id = data.draw(st.sampled_from(corpora))
+        # Any level may be drawn, so the cross-corpus refusals run too.
+        deps = data.draw(st.lists(st.sampled_from(levels), max_size=1)
+                         if levels else st.just([]))
+        kind = data.draw(st.sampled_from(self.KINDS))
+        if op == "level":
+            archive.add_level(corpus_id, kind,
+                              data.draw(st.sampled_from(["full", "none"])),
+                              depends_on=deps)
+        elif op == "deposit":
+            # Onto existing levels, or onto a new one, which is refused
+            # unless it is a segmentation.
+            new = ([LevelSpec(kind, "full")] if data.draw(st.booleans())
+                   else [])
+            archive.deposit(
+                corpus_id,
+                f'<word id="word_{data.draw(st.integers(1, 2))}">Madame</word>',
+                "segmentation", levels=[] if new else deps, new_levels=new)
+        else:
+            archive.deposit(corpus_id, '<w span="word_1" lemma="madame"/>',
+                            "standoff-morpho",
+                            new_levels=[LevelSpec(kind, "none", tuple(deps))])
+        return corpus_id
+
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data())
+    def test_writes_stay_in_their_corpus(self, data):
+        ticks = iter(range(10**6))
+        with tempfile.TemporaryDirectory() as root:
+            archive = Archive(root, clock=lambda: datetime.fromtimestamp(
+                1.2e9 + next(ticks), timezone.utc))
+            for _ in range(data.draw(st.integers(1, 12))):
+                before = archive.snapshot()
+                records, export = self.records(before), export_catalog(before)
+                try:
+                    written = self.write(archive, data)
+                except CorpusForgeError:
+                    assert archive.snapshot() is before
+                    continue
+                assert export_catalog(before) == export
+                after = self.records(archive.snapshot())
+                for corpus_id, record in records.items():
+                    if corpus_id != written:
+                        assert after[corpus_id] == record, corpus_id
+            assert export_catalog(Archive(root)) == export_catalog(archive)

@@ -363,6 +363,22 @@ class TestUsageAndEnvironment:
                 f"error: parse-error: {bad} is not valid UTF-8")
             assert err.count("\n") == 1
 
+    def test_input_that_cannot_be_read_is_a_one_line_error(self, root, capsys,
+                                                           tmp_path):
+        seeded(root, capsys)
+        for path, reason in ((tmp_path, "Is a directory"),
+                             (tmp_path / "absent.xml",
+                              "No such file or directory")):
+            for argv in (("init", "--corpora", str(path)),
+                         ("deposit", "--corpus", "pere-goriot",
+                          "--format", "segmentation",
+                          "--levels", "pere-goriot-segmentation-1",
+                          str(path))):
+                code, _, err = run(capsys, *argv, "--root", root)
+                assert code == 1
+                assert err == (f"error: store-error: cannot read {path}: "
+                               f"{reason}\n")
+
     def test_bad_new_level_spec_exits_2(self, root, capsys):
         seeded(root, capsys)
         with pytest.raises(SystemExit) as exc:

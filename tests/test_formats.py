@@ -1,14 +1,18 @@
 """Interchange codec behaviour, pinned against the fixture corpus."""
 
 import pathlib
+import re
+import string
 
 import pytest
 from hypothesis import example, given, strategies as st
 
+from corpus_forge import _markup
 from corpus_forge.errors import (
     MissingSpanError,
     NestingError,
     ParseError,
+    SpanSyntaxError,
     UnknownTargetError,
 )
 from corpus_forge.formats import (
@@ -52,6 +56,26 @@ ESCAPABLE = st.lists(st.sampled_from([*"abcéœà'.-&;<>\"", "lt;", "amp;",
 @pytest.fixture(scope="module")
 def full_units():
     return parse_segmentation(fixture("goriot_segmentation_full.xml"))
+
+
+class TestMarkupScanner:
+    # The tag pattern as a lazy loop that takes one character at a time:
+    # the scanner's possessive pattern must find exactly its matches.
+    LAZY_TAG_RE = re.compile(
+        r"<(/?)([A-Za-z_][\w.-]*)((?:[^>\"']|\"[^\"]*\"|'[^']*')*?)(/?)>")
+
+    @given(st.text(st.sampled_from("<>/=\"' \n" + string.ascii_lowercase),
+                   max_size=60))
+    @example('<a x="1>2"/><b / ><c/ >d</c>')
+    @example("<a x='/>' y=\"'\" /></a")
+    def test_tag_pattern_matches_the_lazy_one(self, doc):
+        assert [(m.span(), m.groups()) for m in _markup.TAG_RE.finditer(doc)] \
+            == [(m.span(), m.groups())
+                for m in self.LAZY_TAG_RE.finditer(doc)]
+
+    def test_attributes_keep_the_last_of_a_repeated_name(self):
+        assert _markup.parse_attrs(' a="1" b = \'x&amp;y\' a="2"') \
+            == {"a": "2", "b": "x&y"}
 
 
 class TestSegmentationCodec:
@@ -105,6 +129,10 @@ class TestSegmentationCodec:
         with pytest.raises(ParseError):
             parse_segmentation(
                 '<word id="word_1">a</word><word id="word_1">b</word>')
+
+    def test_unit_id_with_a_final_newline_rejected(self):
+        with pytest.raises(SpanSyntaxError):
+            parse_segmentation('<word id="word_1\n">a</word>')
 
     def test_foreign_element_rejected(self):
         with pytest.raises(ParseError):

@@ -1,4 +1,5 @@
-"""Scale gate: ingest, coverage and validate grow linearly with a corpus.
+"""Scale gates: the engine's time grows linearly with a corpus's size and
+with the number of corpora.
 
 One round through ``Archive`` (a segmentation deposit, a stand-off
 morphology level over it, ``coverage`` and ``validate``) is timed at n
@@ -7,9 +8,13 @@ tokens; a quadratic one about 16x.  The bound of 8 sits between them, and
 a ratio of two timings on one machine does not depend on its speed.
 """
 
+import gc
+import shutil
+import statistics
 import time
 
 from corpus_forge.archive import Archive, LevelSpec
+from corpus_forge.catalog import catalog_summary, export_catalog
 from corpus_forge.formats import (
     AnnotationItem,
     serialize_segmentation,
@@ -57,3 +62,67 @@ def test_round_grows_linearly(tmp_path):
     ratio = best[4 * N] / best[N]
     assert ratio < 8, (f"{4 * N} tokens took {ratio:.1f}x as long as {N} "
                        f"({best[4 * N]:.3f} s against {best[N]:.3f} s)")
+
+
+# -- corpus count -----------------------------------------------------------
+#
+# The catalog and ``validate`` read each corpus once, so their time grows
+# with the number of corpora: about 4x for 4x the corpora, where an engine
+# that scans the whole archive for each corpus takes about 16x.  The bound
+# of 5 leaves room for timing noise above 4.
+
+CORPORA = 150
+SMALL_SEGMENTATION = ('<word id="word_1">Madame</word>\n'
+                      '<word id="word_2">Vauquer</word>\n')
+SMALL_MORPHOLOGY = serialize_standoff_morpho(
+    [AnnotationItem(span=SpanExpr(((f"word_{i}", None),)), element="w",
+                    categories={"msd": "X", "lemma": form.lower()})
+     for i, form in ((1, "Madame"), (2, "Vauquer"))])
+
+
+def wide_archive(root, corpora: int) -> Archive:
+    archive = Archive(root)
+    table = "".join(f"Corpus {i}\t-\t-\tsegmentation,morphosyntax\n"
+                    for i in range(corpora))
+    for corpus in archive.register_table(table):
+        morpho, seg = archive.levels(corpus.id)  # by id
+        archive.deposit(corpus.id, SMALL_SEGMENTATION, "segmentation",
+                        levels=[seg.id])
+        archive.deposit(corpus.id, SMALL_MORPHOLOGY, "standoff-morpho",
+                        levels=[morpho.id])
+    return archive
+
+
+def test_catalog_and_validate_grow_linearly_with_corpora(tmp_path):
+    large = wide_archive(tmp_path / "large", 4 * CORPORA)
+    for corpus in large.corpora()[:CORPORA]:
+        shutil.copytree(large.root / "corpora" / corpus.id,
+                        tmp_path / "small" / "corpora" / corpus.id)
+    archives = {CORPORA: Archive(tmp_path / "small"), 4 * CORPORA: large}
+    assert [len(a.corpora()) for a in archives.values()] \
+        == [CORPORA, 4 * CORPORA]
+    assert large.validate() == []
+    reads = {"export_catalog": export_catalog,
+             "catalog_summary": catalog_summary,
+             "validate": Archive.validate}
+    for name, read in reads.items():
+        ratios = []
+        # As timeit does: a collection would scan both archives' objects,
+        # whichever size is being timed.
+        gc.disable()
+        try:
+            for round_ in range(9):
+                # Back to back, so both sizes see the same moment's noise;
+                # the median ratio of the rounds drops a disturbed one.
+                seconds = {}
+                for n in sorted(archives, reverse=round_ % 2 == 1):
+                    start = time.perf_counter()
+                    read(archives[n])
+                    seconds[n] = time.perf_counter() - start
+                ratios.append(seconds[4 * CORPORA] / seconds[CORPORA])
+        finally:
+            gc.enable()
+        ratio = statistics.median(ratios)
+        assert ratio < 5, (
+            f"{name} on {4 * CORPORA} corpora took {ratio:.1f}x as long as "
+            f"on {CORPORA} (median of {sorted(round(r, 1) for r in ratios)})")

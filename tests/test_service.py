@@ -2,6 +2,7 @@
 
 import hashlib
 import pathlib
+import socket
 import threading
 import urllib.error
 import urllib.request
@@ -10,7 +11,7 @@ import pytest
 
 from corpus_forge.archive import Archive, LevelSpec
 from corpus_forge.catalog import export_catalog
-from corpus_forge.service import handle_request, main, make_server
+from corpus_forge.service import _bind, handle_request, main, make_server
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 
@@ -156,6 +157,35 @@ def test_bind_without_a_port_number_is_a_usage_error(tmp_path, capsys, bind):
         main(["--root", str(tmp_path), "--bind", bind])
     assert exc.value.code == 2
     assert "expected HOST:PORT" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("bind", ["::1:8080", "[::1:8080", "::1]:8080"])
+def test_ipv6_host_without_brackets_is_a_usage_error(tmp_path, capsys, bind):
+    with pytest.raises(SystemExit) as exc:
+        main(["--root", str(tmp_path), "--bind", bind])
+    assert exc.value.code == 2
+    assert "expected HOST:PORT or [IPV6]:PORT" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("bind, address", [
+    ("[::1]:8080", ("::1", 8080)), ("[::]:0", ("::", 0)),
+    ("0.0.0.0:80", ("0.0.0.0", 80)), (":8080", ("127.0.0.1", 8080))])
+def test_bind_takes_an_ipv6_host_in_brackets(bind, address):
+    assert _bind(bind) == address
+
+
+def test_ipv6_host_gets_an_ipv6_listener(archive):
+    try:
+        with socket.socket(socket.AF_INET6) as probe:
+            probe.bind(("::1", 0))
+    except OSError:
+        pytest.skip("no IPv6 loopback address")
+    server = make_server(archive, "::1", 0)
+    try:
+        assert server.socket.family == socket.AF_INET6
+        assert server.server_address[0] == "::1"
+    finally:
+        server.server_close()
 
 
 class TestLiveServer:

@@ -135,6 +135,12 @@ class TestReferenceUnit:
             with pytest.raises(SpanSyntaxError):
                 ReferenceUnit(id=bad, form="x", index=0)
 
+    def test_rejects_an_id_with_a_final_newline(self):
+        with pytest.raises(SpanSyntaxError):
+            ReferenceUnit(id="word_1\n", form="x", index=0)
+        with pytest.raises(SpanSyntaxError):
+            SpanExpr((("word_1", "word_2\n"),))
+
     def test_rejects_padded_or_empty_forms(self):
         with pytest.raises(SpanSyntaxError):
             ReferenceUnit(id="word_1", form=" x", index=0)
