@@ -15,11 +15,13 @@ from dataclasses import dataclass
 
 from .errors import ParseError
 
-# Possessive: the attribute alternatives start on disjoint characters, so
-# the attribute loop never backtracks, and it stops where ``/>`` or ``>``
-# first closes the tag outside quotes, as a lazy loop would.
+# Greedy over alternatives that start on disjoint characters: at each
+# position at most one applies, so the attribute loop stops where ``/>``
+# or ``>`` first closes the tag outside quotes, as a lazy loop would, and
+# backtracks linearly.  No ``[^>"'/]+`` inside the ``*``: that nesting
+# backtracks exponentially on a tag that never closes.
 TAG_RE = re.compile(r"<(/?)([A-Za-z_][\w.-]*)"
-                    r"((?:[^>\"'/]++|/(?!>)|\"[^\"]*+\"|'[^']*+')*+)(/?)>")
+                    r"((?:[^>\"'/]|/(?!>)|\"[^\"]*\"|'[^']*')*)(/?)>")
 ATTR_RE = re.compile(r"([\w:.-]+)\s*=\s*(\"[^\"]*\"|'[^']*')")
 
 _ENTITIES = {"&amp;": "&", "&lt;": "<", "&gt;": ">", "&quot;": '"', "&apos;": "'"}

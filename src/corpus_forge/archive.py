@@ -111,14 +111,15 @@ class DepositResult:
     records: tuple[VersionRecord, ...]
 
 
-@dataclass
+@dataclass(frozen=True)
 class CorpusState:
     """One corpus in one snapshot: the corpus, its levels and resources by
     id, its version records, and what its stored payloads parsed into.
 
-    A published state never changes: a draft changes only its own copy
-    (``Snapshot._writable``), and replaces an entity or a list there
-    instead of changing it.
+    A published state never changes.  Its fields are frozen: a draft
+    replaces them through ``Snapshot._writable``, which also gives it its
+    own copy of the dicts; it fills only that copy, and replaces an entity
+    or a list there instead of changing it.
     """
 
     corpus: Corpus
@@ -132,10 +133,10 @@ class CorpusState:
     unparsed: dict[str, Violation] = field(default_factory=dict)
 
     def copy(self) -> CorpusState:
-        return CorpusState(self.corpus, dict(self.levels),
-                           dict(self.resources), self.versions,
-                           dict(self.units), dict(self.items),
-                           dict(self.unparsed))
+        return dataclasses.replace(
+            self, levels=dict(self.levels), resources=dict(self.resources),
+            units=dict(self.units), items=dict(self.items),
+            unparsed=dict(self.unparsed))
 
     def closure(self, level: Level):
         """Yield the levels ``level`` depends on, directly or not, nearest
@@ -176,9 +177,8 @@ class Snapshot:
     It maps each corpus id to that corpus's :class:`CorpusState`.  A
     writer changes only a draft (``_draft``): a new map of corpora in
     which each corpus it writes gets a copy of its state (``_writable``)
-    and every other corpus keeps the published one.  No index from
-    level or resource ids to corpora is kept or copied: ``_holder``
-    finds the corpus from the id.
+    and every other corpus keeps the published one.  A level or resource
+    id finds its corpus through ``_owners``, which no write copies.
     """
 
     def __init__(self, root: Path):
@@ -187,25 +187,31 @@ class Snapshot:
         # Corpus directories whose manifest did not load, by directory
         # name: their ids stay taken, and ``validate`` reports them.
         self._unreadable: dict[str, Violation] = {}
-        # ("levels" or "resources", id) -> corpus id, for the ids a loaded
-        # manifest holds that do not start with "<its corpus id>-".  The
-        # archive mints none, so this never changes after a load.
-        self._strays: dict[tuple[str, str], str] = {}
+        # "levels" or "resources" -> entity id -> the id of the corpus
+        # that holds it.  Every snapshot of one archive shares it, and it
+        # only grows: a draft adds each id it mints, also one it never
+        # publishes, so ``_holder`` checks the corpus's state holds it.
+        self._owners: dict[str, dict[str, str]] = {
+            "levels": {}, "resources": {}}
         # Corpora whose state this draft has copied.
         self._written: set[str] = set()
 
     def _draft(self) -> Snapshot:
         draft = Snapshot(self.root)
         draft._corpora = dict(self._corpora)
-        draft._unreadable, draft._strays = self._unreadable, self._strays
+        draft._unreadable, draft._owners = self._unreadable, self._owners
         return draft
 
-    def _writable(self, corpus_id: str) -> CorpusState:
-        """This draft's own copy of one corpus's state."""
+    def _writable(self, corpus_id: str, **changes) -> CorpusState:
+        """This draft's own copy of one corpus's state, with ``changes``
+        to its fields."""
         state = self._state(corpus_id)
         if corpus_id not in self._written:
-            state = self._corpora[corpus_id] = state.copy()
+            state = state.copy()
             self._written.add(corpus_id)
+        if changes:
+            state = dataclasses.replace(state, **changes)
+        self._corpora[corpus_id] = state
         return state
 
     def snapshot(self) -> Snapshot:
@@ -225,18 +231,11 @@ class Snapshot:
 
     def _holder(self, kind: str, entity_id: str) -> CorpusState | None:
         """The state that holds a level or resource (``kind`` is "levels"
-        or "resources"), or None.
-
-        The archive mints these ids as "<corpus id>-...", so only the
-        corpora whose id ends at one of its '-' are tried, longest first.
-        """
-        head = entity_id
-        while "-" in head:
-            head = head.rpartition("-")[0]
-            state = self._corpora.get(head)
-            if state is not None and entity_id in getattr(state, kind):
-                return state
-        return self._corpora.get(self._strays.get((kind, entity_id)))
+        or "resources"), or None."""
+        state = self._corpora.get(self._owners[kind].get(entity_id))
+        if state is not None and entity_id in getattr(state, kind):
+            return state
+        return None
 
     def _level_state(self, level_id: str) -> CorpusState:
         state = self._holder("levels", level_id)
@@ -469,10 +468,8 @@ class Archive:
                 corpus, {l.id: l for l in levels},
                 {r.id: r for r in resources}, tuple(versions))
             for kind in ("levels", "resources"):
-                view._strays.update(
-                    ((kind, entity_id), corpus.id)
-                    for entity_id in getattr(state, kind)
-                    if not entity_id.startswith(f"{corpus.id}-"))
+                view._owners[kind].update(
+                    dict.fromkeys(getattr(state, kind), corpus.id))
         for state in view._corpora.values():
             self._parse_stored(view, state)
         return view
@@ -590,6 +587,7 @@ class Archive:
             declared_meta=manifest_mod.storable_meta(spec.meta),
             created_at=_iso(self._clock()))
         state.levels[level.id] = level
+        draft._owners["levels"][level.id] = corpus_id
         return level
 
     def register_table(self, text: str, language: str = "") -> list[Corpus]:
@@ -724,6 +722,7 @@ class Archive:
                 sha256=hashlib.sha256(text.encode("utf-8")).hexdigest(),
                 size=len(text.encode("utf-8")),
                 declared_meta=manifest_mod.storable_meta(meta))
+            draft._owners["resources"][resource_id] = corpus_id
             fresh_by_kind: dict[str, list[AnnotationItem]] = {}
             for level, value in parsed:
                 fresh_by_kind.setdefault(level.kind, []).extend(
@@ -731,7 +730,9 @@ class Archive:
 
             records = self._record_versions(
                 state, resource, targets, fresh_by_kind, now)
-            self._set_fingerprint_if_ready(state, targets)
+            draft._writable(corpus_id,
+                            versions=state.versions + tuple(records),
+                            corpus=self._fingerprinted(state, targets))
 
             path = draft._resource_path(corpus_id, resource)
             path.parent.mkdir(parents=True, exist_ok=True)
@@ -833,14 +834,15 @@ class Archive:
                 supersedes=(prior.id if prior and classification.is_correction
                             else None),
                 created_at=now)
-            state.versions += (record,)
             records.append(record)
         return records
 
-    def _set_fingerprint_if_ready(self, state: CorpusState,
-                                  targets: list[Level]) -> None:
+    def _fingerprinted(self, state: CorpusState,
+                       targets: list[Level]) -> Corpus:
+        """The corpus; if it has no coverage fingerprint yet, with that of
+        the first full-coverage target that reconstructs any text."""
         if state.corpus.coverage_fingerprint is not None:
-            return
+            return state.corpus
         for level in targets:
             if level.coverage != COVERAGE_FULL:
                 continue
@@ -849,10 +851,10 @@ class Archive:
             except (DanglingPointerError, NoPrimaryAnchorError):
                 continue
             if tokens:
-                state.corpus = dataclasses.replace(
+                return dataclasses.replace(
                     state.corpus,
                     coverage_fingerprint=coverage_fingerprint(tokens))
-                return
+        return state.corpus
 
     def withdraw(self, resource_id: str) -> Resource:
         """Delete a resource's payload, keeping its descriptive record.

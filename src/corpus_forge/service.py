@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import os
-import socket
 import sys
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from urllib.parse import parse_qs, urlsplit
@@ -74,14 +73,10 @@ def handle_request(archive, method: str, path: str,
     return _text(404, "not found\n")
 
 
-class _IPv6Server(ThreadingHTTPServer):
-    address_family = socket.AF_INET6
-
-
 def make_server(archive, host: str = "127.0.0.1",
                 port: int = 0) -> ThreadingHTTPServer:
-    """Build (but do not start) the server; port 0 picks a free port,
-    and a host with a ':' is an IPv6 address."""
+    """Build (but do not start) an IPv4 server; port 0 picks a free
+    port."""
 
     class Handler(BaseHTTPRequestHandler):
         def _respond(self) -> None:
@@ -102,8 +97,7 @@ def make_server(archive, host: str = "127.0.0.1",
         def log_message(self, *args) -> None:
             pass
 
-    server = _IPv6Server if ":" in host else ThreadingHTTPServer
-    return server((host, port), Handler)
+    return ThreadingHTTPServer((host, port), Handler)
 
 
 def serve(root, host: str = "127.0.0.1", port: int = 8080) -> None:
@@ -116,16 +110,13 @@ def serve(root, host: str = "127.0.0.1", port: int = 8080) -> None:
 
 
 def _bind(value: str) -> tuple[str, int]:
-    """``HOST:PORT`` for --bind; an IPv6 host goes in brackets
-    (``[::1]:8080``), and an empty host means 127.0.0.1."""
+    """``HOST:PORT`` for --bind; an empty host means 127.0.0.1.  The
+    server is IPv4-only, so an IPv6 host, bracketed or not, is refused."""
     host, sep, port = value.rpartition(":")
-    bracketed = host[:1] == "[" and host[-1:] == "]"
-    if bracketed:
-        host = host[1:-1]
-    if (not sep or ":" in host and not bracketed or not port.isdecimal()
+    if (not sep or ":" in host or "[" in host or not port.isdecimal()
             or int(port) > 65535):
         raise argparse.ArgumentTypeError(
-            f"expected HOST:PORT or [IPV6]:PORT, got {value!r}")
+            f"expected HOST:PORT with an IPv4 or named host, got {value!r}")
     return host or "127.0.0.1", int(port)
 
 

@@ -410,6 +410,19 @@ class TestDepositBasics:
         assert [r.id for r in archive.resources(corpus_id)] \
             == before_resources
 
+    def test_level_id_minted_by_a_failed_write_stays_free(self, archive):
+        corpus_id, _ = goriot(archive)
+        minted = f"{corpus_id}-segmentation-2"
+        with pytest.raises(ParseError):
+            archive.deposit(
+                corpus_id, "<word id='word_1'>unclosed", "segmentation",
+                new_levels=[LevelSpec("segmentation", "partial")])
+        with pytest.raises(UnknownEntityError):
+            archive.level(minted)
+        assert archive.add_level(corpus_id, "segmentation", "partial").id \
+            == minted
+        assert archive.level(minted).corpus_id == corpus_id
+
     def test_failed_commit_leaves_no_trace(self, archive, tmp_path):
         archive.register_corpus("T", corpus_id="t")
         seg = archive.add_level("t", "segmentation", "full")

@@ -60,7 +60,7 @@ def full_units():
 
 class TestMarkupScanner:
     # The tag pattern as a lazy loop that takes one character at a time:
-    # the scanner's possessive pattern must find exactly its matches.
+    # the scanner's greedy pattern must find exactly its matches.
     LAZY_TAG_RE = re.compile(
         r"<(/?)([A-Za-z_][\w.-]*)((?:[^>\"']|\"[^\"]*\"|'[^']*')*?)(/?)>")
 
