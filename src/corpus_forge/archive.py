@@ -6,16 +6,20 @@ One :class:`Archive` owns a directory tree::
     <root>/corpora/<corpus-id>/resources/<resource-id>.<format>
     <root>/corpora/<corpus-id>/resources/<resource-id>.header
 
-Reads never wait: each is answered from the last published
-:class:`Snapshot`, and ``Archive.snapshot()`` returns it, so several
-reads see one commit.  A snapshot maps each corpus id to that corpus's
-:class:`CorpusState`, so a read of one corpus touches no other.  Writers
-take one lock and build the next snapshot as a draft: it copies the map
-of corpora and the state of each corpus it writes, and shares every
-other state with the published snapshot.  They write payload, header and
-manifest from the draft and publish it last with one assignment, so a
-write that fails changes nothing.  Entities are immutable, so reads and
-writers hand out the snapshot's own.
+Reads never wait for the writers' lock: each is answered from the last
+published :class:`Snapshot`, and ``Archive.snapshot()`` returns it, so
+several reads see one commit.  A snapshot maps each corpus id to that
+corpus's :class:`CorpusState`, so a read of one corpus touches no other.
+A state loaded from its manifest may hold its payloads unparsed: the
+first read of its units or items parses them, once, for every snapshot
+that shares it.  A read may so parse its corpus, but it never waits for
+the writers' lock.  Writers take that lock and build the next snapshot
+as a draft: it copies the map of corpora and the state of each corpus it
+writes, parsed first, and shares every other state with the published
+snapshot.  They write payload, header and manifest from the draft and
+publish it last with one assignment, so a write that fails changes
+nothing.  Entities are immutable, so reads and writers hand out the
+snapshot's own.
 """
 
 from __future__ import annotations
@@ -30,6 +34,7 @@ import threading
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
+from typing import Callable
 
 from . import catalog as catalog_mod
 from . import manifest as manifest_mod
@@ -94,6 +99,14 @@ def _by_id(entities: dict) -> list:
     return [entities[key] for key in sorted(entities)]
 
 
+def _corpus_dir(root: Path, corpus_id: str) -> Path:
+    return root / "corpora" / corpus_id
+
+
+def _payload_path(root: Path, corpus_id: str, resource: Resource) -> Path:
+    return _corpus_dir(root, corpus_id) / "resources" / resource.filename
+
+
 @dataclass(frozen=True)
 class LevelSpec:
     """Description level to create as part of a deposit."""
@@ -111,32 +124,69 @@ class DepositResult:
     records: tuple[VersionRecord, ...]
 
 
+@dataclass
+class Parsed:
+    """What one corpus's stored payloads parsed into."""
+
+    units: dict[str, list[ReferenceUnit]] = field(default_factory=dict)
+    items: dict[str, list[AnnotationItem]] = field(default_factory=dict)
+    # Levels with a stored payload that did not parse: no anchor, or
+    # one that no longer aligns.  ``validate`` reports them.
+    unparsed: dict[str, Violation] = field(default_factory=dict)
+    # Resources whose stored payload's SHA-256 is not the recorded one.
+    mismatched: set[str] = field(default_factory=set)
+
+    def copy(self) -> Parsed:
+        return Parsed(dict(self.units), dict(self.items),
+                      dict(self.unparsed), set(self.mismatched))
+
+
 @dataclass(frozen=True)
 class CorpusState:
     """One corpus in one snapshot: the corpus, its levels and resources by
     id, its version records, and what its stored payloads parsed into.
 
-    A published state never changes.  Its fields are frozen: a draft
-    replaces them through ``Snapshot._writable``, which also gives it its
-    own copy of the dicts; it fills only that copy, and replaces an entity
-    or a list there instead of changing it.
+    A published state never changes, but for its first read of
+    ``parsed``.  Its fields are frozen: a draft replaces them through
+    ``Snapshot._writable``, which also gives it its own copy of the dicts;
+    it fills only that copy, and replaces an entity or a list there
+    instead of changing it.
     """
 
     corpus: Corpus
     levels: dict[str, Level] = field(default_factory=dict)
     resources: dict[str, Resource] = field(default_factory=dict)
     versions: tuple[VersionRecord, ...] = ()
-    units: dict[str, list[ReferenceUnit]] = field(default_factory=dict)
-    items: dict[str, list[AnnotationItem]] = field(default_factory=dict)
-    # Levels with a stored payload that did not parse: no anchor, or
-    # one that no longer aligns.  ``validate`` reports them.
-    unparsed: dict[str, Violation] = field(default_factory=dict)
+    # Fills a state's ``parsed`` from its stored payloads; None for a
+    # state whose payloads a draft parsed, or that has none.
+    parse: Callable[[CorpusState], None] | None = None
+    # ``parsed``, once the first read of it has parsed the payloads.
+    _parsed: list[Parsed] = field(default_factory=list, repr=False)
+    _lock: threading.Lock = field(default_factory=threading.Lock,
+                                  repr=False)
+
+    @property
+    def parsed(self) -> Parsed:
+        if not self._parsed:
+            with self._lock:
+                if not self._parsed:
+                    # Into a fresh state, whose reads see what it holds
+                    # so far: a payload aligns on the units parsed before.
+                    work = CorpusState(self.corpus, self.levels,
+                                       self.resources, self.versions,
+                                       _parsed=[Parsed()])
+                    if self.parse is not None:
+                        self.parse(work)
+                    self._parsed.append(work.parsed)
+        return self._parsed[0]
 
     def copy(self) -> CorpusState:
-        return dataclasses.replace(
-            self, levels=dict(self.levels), resources=dict(self.resources),
-            units=dict(self.units), items=dict(self.items),
-            unparsed=dict(self.unparsed))
+        """A draft's own copy.  It parses this state first, so a snapshot
+        that shares this state reads what it would have read at open,
+        also after the draft's write deletes a payload."""
+        return CorpusState(self.corpus, dict(self.levels),
+                           dict(self.resources), self.versions,
+                           _parsed=[self.parsed.copy()])
 
     def closure(self, level: Level):
         """Yield the levels ``level`` depends on, directly or not, nearest
@@ -150,25 +200,27 @@ class CorpusState:
             yield from frontier
 
     def anchor(self, level_id: str) -> str | None:
+        units = self.parsed.units
         return next((l.id for l in self.closure(self.levels[level_id])
-                     if l.kind == KIND_SEGMENTATION and self.units.get(l.id)),
+                     if l.kind == KIND_SEGMENTATION and units.get(l.id)),
                     None)
 
     def coverage(self, level_id: str) -> list[str]:
-        anchor = self.anchor(level_id)
+        anchor, parsed = self.anchor(level_id), self.parsed
         return reconstruct_coverage(
-            self.levels[level_id].kind, self.units.get(level_id, []),
-            self.items.get(level_id, []),
-            self.units[anchor] if anchor is not None else None)
+            self.levels[level_id].kind, parsed.units.get(level_id, []),
+            parsed.items.get(level_id, []),
+            parsed.units[anchor] if anchor is not None else None)
 
     def granularity(self, level_id: str) -> Granularity:
         if (self.levels[level_id].kind == KIND_SEGMENTATION
-                and self.units.get(level_id)):
+                and self.parsed.units.get(level_id)):
             return Granularity(SEGMENTATION_GRANULARITY, ())
-        return granularity_of(self.items.get(level_id, []))
+        return granularity_of(self.parsed.items.get(level_id, []))
 
     def materialized(self, level_id: str) -> bool:
-        return bool(self.units.get(level_id) or self.items.get(level_id))
+        parsed = self.parsed
+        return bool(parsed.units.get(level_id) or parsed.items.get(level_id))
 
 
 class Snapshot:
@@ -217,12 +269,6 @@ class Snapshot:
     def snapshot(self) -> Snapshot:
         """The last published snapshot; reads on it all see one commit."""
         return self
-
-    def _corpus_dir(self, corpus_id: str) -> Path:
-        return self.root / "corpora" / corpus_id
-
-    def _resource_path(self, corpus_id: str, resource: Resource) -> Path:
-        return self._corpus_dir(corpus_id) / "resources" / resource.filename
 
     def _state(self, corpus_id: str) -> CorpusState:
         if corpus_id not in self._corpora:
@@ -273,8 +319,8 @@ class Snapshot:
         try:
             if resource.available:
                 # read_text would turn CRLF into LF: serve it verbatim
-                return self._resource_path(
-                    state.corpus.id, resource).read_bytes().decode()
+                return _payload_path(self.root, state.corpus.id,
+                                     resource).read_bytes().decode()
         except FileNotFoundError:
             pass  # lost, or withdrawn after this snapshot was published
         except UnicodeDecodeError:
@@ -295,10 +341,12 @@ class Snapshot:
                       key=lambda v: (v.level_kind, v.number))
 
     def level_units(self, level_id: str) -> list[ReferenceUnit]:
-        return list(self._level_state(level_id).units.get(level_id, []))
+        parsed = self._level_state(level_id).parsed
+        return list(parsed.units.get(level_id, []))
 
     def level_items(self, level_id: str) -> list[AnnotationItem]:
-        return list(self._level_state(level_id).items.get(level_id, []))
+        parsed = self._level_state(level_id).parsed
+        return list(parsed.items.get(level_id, []))
 
     def level_is_materialized(self, level_id: str) -> bool:
         return self._level_state(level_id).materialized(level_id)
@@ -377,7 +425,7 @@ class Snapshot:
                     "pointer-level-without-dependency", level.id,
                     "contributes no coverage but depends on nothing"))
             if level.coverage == COVERAGE_NONE:
-                roots = state.items.get(level.id, [])
+                roots = state.parsed.items.get(level.id, [])
                 if roots and all(i.surface is not None for i in roots):
                     out.append(Violation(
                         "surface-in-pointer-level", level.id,
@@ -387,8 +435,8 @@ class Snapshot:
                 # Reconstruction through a cyclic graph has no meaning;
                 # the cycle violation already covers these levels.
                 continue
-            if level.id in state.unparsed:
-                out.append(state.unparsed[level.id])
+            if level.id in state.parsed.unparsed:
+                out.append(state.parsed.unparsed[level.id])
                 continue
             if not state.materialized(level.id):
                 continue
@@ -411,7 +459,7 @@ class Snapshot:
                     "full-coverage level does not reconstruct the corpus "
                     "coverage"))
             try:
-                resolve_link_targets(state.items.get(level.id, []))
+                resolve_link_targets(state.parsed.items.get(level.id, []))
             except UnknownTargetError as err:
                 out.append(Violation(
                     "unknown-target", level.id,
@@ -427,23 +475,35 @@ class Snapshot:
                     out.append(Violation(
                         "dangling-level", resource.id,
                         f"references unknown level {level_id!r}"))
-            if (resource.available and not self._resource_path(
-                    corpus.id, resource).is_file()):
+            if (resource.available and not _payload_path(
+                    self.root, corpus.id, resource).is_file()):
                 out.append(Violation(
                     "missing-payload", resource.id,
                     "marked available but its payload file is gone"))
+            if resource.available and resource.id in state.parsed.mismatched:
+                out.append(Violation(
+                    "payload-digest-mismatch", resource.id,
+                    "stored payload's SHA-256 is not the one recorded at "
+                    "deposit"))
         return out
 
 
 class Archive:
     """The archive at ``root``.  Each public method of :class:`Snapshot`
-    is also a read of ``Archive``, of its last published snapshot."""
+    is also a read of ``Archive``, of its last published snapshot.
 
-    def __init__(self, root, clock=None):
+    Opening parses every stored payload, unless ``defer_parse`` is true:
+    then each corpus's payloads are parsed on its first unit or item read.
+    """
+
+    def __init__(self, root, clock=None, *, defer_parse: bool = False):
         self.root = Path(root)
         self._clock = clock or (lambda: datetime.now(timezone.utc))
         self._lock = threading.Lock()
         self._view = self._load()
+        if not defer_parse:
+            for state in self._view._corpora.values():
+                state.parsed  # noqa: B018 - the first read parses
 
     # -- storage ----------------------------------------------------------
 
@@ -452,6 +512,9 @@ class Archive:
         corpora_dir = self.root / "corpora"
         if not corpora_dir.is_dir():
             return view
+        # The parse holds the root, not the archive: a cycle would keep a
+        # closed archive in memory until the next collection.
+        parse = functools.partial(Archive._parse_stored, self.root)
         for entry in sorted(corpora_dir.iterdir()):
             manifest_path = entry / "manifest"
             if not entry.is_dir() or not manifest_path.is_file():
@@ -459,6 +522,10 @@ class Archive:
             try:
                 corpus, levels, resources, versions = manifest_mod.loads_corpus(
                     manifest_path.read_text(encoding="utf-8"))
+                if corpus.id != entry.name:
+                    # Its payloads and its writes are in its directory.
+                    raise StoreError(f"it names corpus {corpus.id!r}, not "
+                                     "the one its directory names")
             except (StoreError, UnicodeDecodeError) as err:
                 view._unreadable[entry.name] = Violation(
                     "unreadable-manifest", entry.name,
@@ -466,26 +533,30 @@ class Archive:
                 continue
             state = view._corpora[corpus.id] = CorpusState(
                 corpus, {l.id: l for l in levels},
-                {r.id: r for r in resources}, tuple(versions))
+                {r.id: r for r in resources}, tuple(versions), parse)
             for kind in ("levels", "resources"):
                 view._owners[kind].update(
                     dict.fromkeys(getattr(state, kind), corpus.id))
-        for state in view._corpora.values():
-            self._parse_stored(view, state)
         return view
 
-    def _parse_stored(self, view: Snapshot, state: CorpusState,
+    @staticmethod
+    def _parse_stored(root: Path, state: CorpusState,
                       only: set[str] | None = None) -> None:
         """Parse each available resource's stored payload into its levels,
-        or into those of them in ``only``."""
+        or into those of them in ``only``, and check its digest."""
         for resource in _by_id(state.resources):
             if not resource.available or (
                     only is not None and only.isdisjoint(resource.levels)):
                 continue
-            path = view._resource_path(state.corpus.id, resource)
+            path = _payload_path(root, state.corpus.id, resource)
             if not path.is_file():
                 continue  # reported by validate() as missing-payload
-            self._materialize(state, resource, path.read_bytes(), only)
+            payload = path.read_bytes()
+            if (resource.sha256 and resource.sha256
+                    != hashlib.sha256(payload).hexdigest()):
+                state.parsed.mismatched.add(resource.id)
+            # Looked up on the class at each call, as a tracer patches it.
+            Archive._materialize(state, resource, payload, only)
 
     def _publish(self, draft: Snapshot, *corpus_ids: str) -> None:
         """Write the manifests of ``corpus_ids``, then publish ``draft``."""
@@ -494,7 +565,7 @@ class Archive:
             text = manifest_mod.dumps_corpus(
                 state.corpus, _by_id(state.levels), _by_id(state.resources),
                 draft.versions(corpus_id))
-            directory = draft._corpus_dir(corpus_id)
+            directory = _corpus_dir(draft.root, corpus_id)
             directory.mkdir(parents=True, exist_ok=True)
             tmp = directory / "manifest.tmp"
             tmp.write_text(text, encoding="utf-8")
@@ -734,7 +805,7 @@ class Archive:
                             versions=state.versions + tuple(records),
                             corpus=self._fingerprinted(state, targets))
 
-            path = draft._resource_path(corpus_id, resource)
+            path = _payload_path(draft.root, corpus_id, resource)
             path.parent.mkdir(parents=True, exist_ok=True)
             path.write_text(text, encoding="utf-8")
             path.with_name(f"{resource_id}.header").write_text(
@@ -745,7 +816,8 @@ class Archive:
                 levels=tuple(l.id for l in targets),
                 records=tuple(records))
 
-    def _parse_for(self, state: CorpusState, format: str, text: str,
+    @staticmethod
+    def _parse_for(state: CorpusState, format: str, text: str,
                    level: Level) -> list:
         codec = FORMATS[format]
         if codec.yields_units and level.kind != KIND_SEGMENTATION:
@@ -755,7 +827,7 @@ class Archive:
         anchor = (state.anchor(level.id)
                   if codec.needs_units != "no" else None)
         if anchor is not None:
-            value = codec.parse(text, state.units[anchor])
+            value = codec.parse(text, state.parsed.units[anchor])
         elif codec.needs_units == "required":
             raise NoPrimaryAnchorError(
                 f"format {format!r} aligns against reference units, but "
@@ -766,17 +838,19 @@ class Archive:
         project = codec.project.get(level.kind)
         return value if project is None else project(value)
 
-    def _add_parsed(self, state: CorpusState, level_id: str, format: str,
+    @staticmethod
+    def _add_parsed(state: CorpusState, level_id: str, format: str,
                     value: list) -> list:
         """Store what ``format`` parsed for one level; return the new items."""
+        parsed = state.parsed
         if not FORMATS[format].yields_units:
-            state.items[level_id] = state.items.get(level_id, []) + value
+            parsed.items[level_id] = parsed.items.get(level_id, []) + value
             return value
-        merged = state.units.get(level_id)
+        merged = parsed.units.get(level_id)
         if not merged:
             # The codec numbered its units by position and refused a
             # repeated id: they are stored as they are.
-            state.units[level_id] = value
+            parsed.units[level_id] = value
             return []
         existing_ids = {u.id for u in merged}
         for unit in value:
@@ -785,7 +859,7 @@ class Archive:
                     f"unit id {unit.id!r} already materialized on level "
                     f"{level_id!r}")
             existing_ids.add(unit.id)
-        state.units[level_id] = merged + [
+        parsed.units[level_id] = merged + [
             ReferenceUnit(id=u.id, form=u.form, index=len(merged) + i)
             for i, u in enumerate(value)]
         return []
@@ -876,11 +950,13 @@ class Archive:
                 reparse = set(resource.levels) | {
                     l.id for l in state.levels.values()
                     if any(d.id in resource.levels for d in state.closure(l))}
+                parsed = state.parsed
                 for level_id in reparse:
-                    for parsed in (state.units, state.items, state.unparsed):
-                        parsed.pop(level_id, None)
-                self._parse_stored(draft, state, reparse)
-                path = draft._resource_path(corpus_id, resource)
+                    for by_level in (parsed.units, parsed.items,
+                                     parsed.unparsed):
+                        by_level.pop(level_id, None)
+                self._parse_stored(self.root, state, reparse)
+                path = _payload_path(self.root, corpus_id, resource)
                 path.with_name(f"{resource_id}.header").write_text(
                     draft.resource_header(resource_id), encoding="utf-8")
                 self._publish(draft, corpus_id)
@@ -888,7 +964,8 @@ class Archive:
                 path.unlink(missing_ok=True)
             return resource
 
-    def _materialize(self, state: CorpusState, resource: Resource,
+    @staticmethod
+    def _materialize(state: CorpusState, resource: Resource,
                      payload: bytes, only: set[str] | None = None) -> None:
         for level_id in resource.levels:
             if only is not None and level_id not in only:
@@ -896,14 +973,15 @@ class Archive:
             if level_id not in state.levels:
                 continue  # reported by validate() as dangling level
             try:
-                value = self._parse_for(state, resource.format, _utf8(payload),
-                                        state.levels[level_id])
+                value = Archive._parse_for(state, resource.format,
+                                           _utf8(payload),
+                                           state.levels[level_id])
             except CorpusForgeError as err:
                 # It parsed at deposit, so its anchor (or the file) changed.
-                state.unparsed[level_id] = Violation(
+                state.parsed.unparsed[level_id] = Violation(
                     err.code, level_id, err.message)
                 continue
-            self._add_parsed(state, level_id, resource.format, value)
+            Archive._add_parsed(state, level_id, resource.format, value)
 
 
 def _read(method):

@@ -75,17 +75,20 @@ def _read_input(path: str) -> str:
 
 
 def _open_archive(args) -> Archive:
+    """The archive at ``--root``.  A command reads few corpora, often one,
+    so each corpus's payloads are parsed when the command first reads
+    them."""
     root = Path(args.root)
     if not (root / "corpora").is_dir():
         raise StoreError(
             f"archive root {root} is not initialized (run init first)")
-    return Archive(root)
+    return Archive(root, defer_parse=True)
 
 
 def _cmd_init(args) -> int:
     root = Path(args.root)
     (root / "corpora").mkdir(parents=True, exist_ok=True)
-    archive = Archive(root)
+    archive = Archive(root, defer_parse=True)
     ids: list[str] = []
     if args.corpora:
         table = _read_input(args.corpora)

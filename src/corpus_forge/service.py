@@ -76,7 +76,9 @@ def handle_request(archive, method: str, path: str,
 def make_server(archive, host: str = "127.0.0.1",
                 port: int = 0) -> ThreadingHTTPServer:
     """Build (but do not start) an IPv4 server; port 0 picks a free
-    port."""
+    port.  An IPv6 host, bracketed or not, raises ValueError."""
+    if ":" in host or "[" in host:
+        raise ValueError(f"the server is IPv4-only: cannot bind {host!r}")
 
     class Handler(BaseHTTPRequestHandler):
         def _respond(self) -> None:

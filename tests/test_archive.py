@@ -1278,11 +1278,49 @@ class TestValidateLoadedManifests:
         path.write_bytes(b"\xff" + path.read_bytes())
         reloaded = Archive(tmp_path / "store")
         assert [(v.code, v.subject) for v in reloaded.validate()] \
-            == [("parse-error", morpho.id)]
+            == [("parse-error", morpho.id),
+                ("payload-digest-mismatch", result.resource.id)]
         assert not reloaded.level_is_materialized(morpho.id)
         assert len(reloaded.level_units(seg_id)) == 76
         with pytest.raises(StoreError):
             reloaded.resource_payload(result.resource.id)
+
+
+    def test_edited_payload_is_a_digest_mismatch(self, archive, tmp_path):
+        corpus_id, seg_id = goriot(archive)
+        morpho = morpho_level(archive, corpus_id, seg_id)
+        result = archive.deposit(
+            corpus_id, fixture("goriot_standoff_morpho_full.xml"),
+            "standoff-morpho", levels=[morpho.id])
+        path = (tmp_path / "store" / "corpora" / corpus_id / "resources"
+                / result.resource.filename)
+        text = path.read_text(encoding="utf-8")
+        edited = re.sub('lemma="[^"]*"', 'lemma="edited"', text, count=1)
+        assert edited != text
+        path.write_text(edited, encoding="utf-8")
+        for reloaded in (Archive(tmp_path / "store"),
+                         Archive(tmp_path / "store", defer_parse=True)):
+            assert [(v.code, v.subject) for v in reloaded.validate()] \
+                == [("payload-digest-mismatch", result.resource.id)]
+
+    def test_manifest_in_another_corpus_directory_is_unreadable(
+            self, tmp_path):
+        archive = Archive(tmp_path / "store")
+        for corpus_id in ("x", "y"):
+            archive.register_corpus(corpus_id.upper(), corpus_id=corpus_id)
+        seg = archive.add_level("x", "segmentation", "full")
+        archive.deposit("x", ONE_WORD, "segmentation", levels=[seg.id])
+        path = tmp_path / "store" / "corpora" / "x" / "manifest"
+        text = path.read_text(encoding="utf-8")
+        path.write_text(text.replace("\ncorpus: x\n", "\ncorpus: y\n", 1),
+                        encoding="utf-8")
+        reloaded = Archive(tmp_path / "store")
+        assert [c.id for c in reloaded.corpora()] == ["y"]
+        assert reloaded.levels("y") == []
+        assert [(v.code, v.subject) for v in reloaded.validate()] \
+            == [("unreadable-manifest", "x")]
+        with pytest.raises(StoreError):
+            reloaded.register_corpus("X", corpus_id="x")
 
 
 class TestPersistence:
@@ -1591,3 +1629,53 @@ class TestCorpusIsolation:
                     if corpus_id != written:
                         assert after[corpus_id] == record, corpus_id
             assert export_catalog(Archive(root)) == export_catalog(archive)
+
+    @staticmethod
+    def level_reads(archive, level_id):
+        try:
+            coverage = archive.coverage(level_id)
+        except CorpusForgeError as err:
+            coverage = (err.code, err.message)
+        return (coverage, archive.level_units(level_id),
+                archive.level_items(level_id),
+                archive.level_granularity(level_id))
+
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data())
+    def test_deferred_parse_answers_as_the_parse_at_open(self, data):
+        with tempfile.TemporaryDirectory() as root:
+            archive = Archive(root)
+            for _ in range(data.draw(st.integers(1, 12))):
+                try:
+                    self.write(archive, data)
+                except CorpusForgeError:
+                    pass
+            eager = Archive(root)
+            deferred = Archive(root, defer_parse=True)
+            corpora = [c.id for c in eager.corpora()]
+            # The corpus read first parses alone, without the others.
+            for corpus_id in data.draw(st.permutations(corpora)):
+                for level in eager.levels(corpus_id):
+                    assert self.level_reads(deferred, level.id) \
+                        == self.level_reads(eager, level.id)
+            assert deferred.validate() == eager.validate()
+            assert export_catalog(deferred) == export_catalog(eager)
+            # The catalog read first parses every corpus.
+            assert export_catalog(Archive(root, defer_parse=True)) \
+                == export_catalog(eager)
+
+    def test_held_unparsed_snapshot_keeps_its_export_after_a_withdraw(
+            self, archive, tmp_path):
+        corpus_id, seg_id = goriot(archive)
+        morpho = morpho_level(archive, corpus_id, seg_id)
+        archive.deposit(corpus_id, fixture("goriot_standoff_morpho_full.xml"),
+                        "standoff-morpho", levels=[morpho.id])
+        export = export_catalog(Archive(tmp_path / "store"))
+        deferred = Archive(tmp_path / "store", defer_parse=True)
+        held = deferred.snapshot()
+        segmentation = held.resources(corpus_id)[0]
+        assert segmentation.levels == (seg_id,)
+        deferred.withdraw(segmentation.id)
+        assert export_catalog(held) == export
+        assert export_catalog(deferred) \
+            == export_catalog(Archive(tmp_path / "store")) != export

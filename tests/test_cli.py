@@ -10,6 +10,7 @@ import pytest
 from corpus_forge.archive import Archive, LevelSpec
 from corpus_forge.catalog import export_catalog, parse_header
 from corpus_forge.cli import main
+from corpus_forge.model import Resource
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 
@@ -63,6 +64,57 @@ class TestInit:
                            "--machine")
         doc = json.loads(out)
         assert len(doc["corpora"]) == 12
+
+
+class TestParsesWhatItReads:
+    """A command parses the stored payloads of the corpora it reads, each
+    available one once."""
+
+    CORPORA = ("a", "b", "c")
+
+    @pytest.fixture
+    def parsed(self, root, tmp_path, monkeypatch):
+        """Resource ids, one per payload parsed, in an archive of three
+        corpora with a segmentation and a morphology each."""
+        archive = Archive(root)
+        for corpus_id in self.CORPORA:
+            archive.register_corpus(corpus_id.upper(), corpus_id=corpus_id)
+            seg = archive.add_level(corpus_id, "segmentation", "full")
+            archive.deposit(corpus_id, '<word id="word_1">Madame</word>',
+                            "segmentation", levels=[seg.id])
+            archive.deposit(corpus_id, '<w span="word_1" lemma="madame"/>',
+                            "standoff-morpho", new_levels=[
+                                LevelSpec("morphosyntax", "none", (seg.id,))])
+        (tmp_path / "morpho.xml").write_text(
+            '<w span="word_1" lemma="dame"/>', encoding="utf-8")
+        calls = []
+        materialize = Archive._materialize
+
+        def counted(*args):
+            calls.extend(a.id for a in args if isinstance(a, Resource))
+            return materialize(*args)
+        monkeypatch.setattr(Archive, "_materialize", counted)
+        return calls
+
+    @pytest.mark.parametrize("argv", [
+        ["deposit", "--corpus", "b", "--format", "standoff-morpho",
+         "--new-level", "morphosyntax:none:b-segmentation-1", "MORPHO"],
+        ["coverage", "--level", "b-morphosyntax-1"],
+        ["show", "--corpus", "b"],
+    ], ids=["deposit", "coverage", "show"])
+    def test_one_corpus_parses_only_that_corpus(
+            self, root, tmp_path, capsys, parsed, argv):
+        argv = [str(tmp_path / "morpho.xml") if arg == "MORPHO" else arg
+                for arg in argv]
+        assert run(capsys, *argv, "--root", root)[0] == 0
+        assert sorted(parsed) == ["b-r001", "b-r002"]
+
+    @pytest.mark.parametrize("command", ["validate", "export"])
+    def test_whole_archive_parses_each_payload_once(
+            self, root, capsys, parsed, command):
+        assert run(capsys, command, "--root", root)[0] == 0
+        assert sorted(parsed) == [f"{c}-r00{n}" for c in self.CORPORA
+                                  for n in (1, 2)]
 
 
 class TestDeposit:

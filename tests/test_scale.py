@@ -53,15 +53,36 @@ def round_seconds(root, segmentation: str, morphology: str,
 
 
 def test_round_grows_linearly(tmp_path):
-    best = {}
-    for tokens in (N, 4 * N):
-        texts = payloads(tokens)
-        best[tokens] = min(
-            round_seconds(tmp_path / f"{tokens}-{rep}", *texts, tokens)
-            for rep in range(3))
-    ratio = best[4 * N] / best[N]
-    assert ratio < 8, (f"{4 * N} tokens took {ratio:.1f}x as long as {N} "
-                       f"({best[4 * N]:.3f} s against {best[N]:.3f} s)")
+    texts = {tokens: payloads(tokens) for tokens in (N, 4 * N)}
+    ratios = median_ratio(
+        lambda tokens, round_: round_seconds(
+            tmp_path / f"{tokens}-{round_}", *texts[tokens], tokens),
+        N, 4 * N, rounds=9)
+    ratio = statistics.median(ratios)
+    assert ratio < 8, (
+        f"{4 * N} tokens took {ratio:.1f}x as long as {N} "
+        f"(median of {sorted(round(r, 1) for r in ratios)})")
+
+
+def median_ratio(seconds, small: int, large: int, rounds: int) -> list:
+    """``seconds(size, round)`` at both sizes, back to back, ``rounds``
+    times; the ratio large/small of each round.
+
+    Back to back, so both sizes see the same moment's noise; the median
+    ratio of the rounds drops a disturbed one.  As timeit does, the
+    garbage collector is off: a collection would scan every object alive,
+    whichever size is being timed.
+    """
+    ratios = []
+    gc.disable()
+    try:
+        for round_ in range(rounds):
+            timed = {n: seconds(n, round_)
+                     for n in sorted((small, large), reverse=round_ % 2 == 1)}
+            ratios.append(timed[large] / timed[small])
+    finally:
+        gc.enable()
+    return ratios
 
 
 # -- corpus count -----------------------------------------------------------
@@ -106,22 +127,11 @@ def test_catalog_and_validate_grow_linearly_with_corpora(tmp_path):
              "catalog_summary": catalog_summary,
              "validate": Archive.validate}
     for name, read in reads.items():
-        ratios = []
-        # As timeit does: a collection would scan both archives' objects,
-        # whichever size is being timed.
-        gc.disable()
-        try:
-            for round_ in range(9):
-                # Back to back, so both sizes see the same moment's noise;
-                # the median ratio of the rounds drops a disturbed one.
-                seconds = {}
-                for n in sorted(archives, reverse=round_ % 2 == 1):
-                    start = time.perf_counter()
-                    read(archives[n])
-                    seconds[n] = time.perf_counter() - start
-                ratios.append(seconds[4 * CORPORA] / seconds[CORPORA])
-        finally:
-            gc.enable()
+        def seconds(n, round_):
+            start = time.perf_counter()
+            read(archives[n])
+            return time.perf_counter() - start
+        ratios = median_ratio(seconds, CORPORA, 4 * CORPORA, rounds=9)
         ratio = statistics.median(ratios)
         assert ratio < 5, (
             f"{name} on {4 * CORPORA} corpora took {ratio:.1f}x as long as "

@@ -2,6 +2,7 @@
 
 import hashlib
 import pathlib
+import re
 import threading
 import urllib.error
 import urllib.request
@@ -165,6 +166,12 @@ def test_ipv6_host_is_a_usage_error(tmp_path, capsys, bind):
         main(["--root", str(tmp_path), "--bind", bind])
     assert exc.value.code == 2
     assert "with an IPv4 or named host" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("host", ["::1", "[::1]"])
+def test_make_server_refuses_an_ipv6_host(archive, host):
+    with pytest.raises(ValueError, match=re.escape(repr(host))):
+        make_server(archive, host, 0)
 
 
 @pytest.mark.parametrize("bind, address", [
