@@ -10,16 +10,16 @@ Reads never wait for the writers' lock: each is answered from the last
 published :class:`Snapshot`, and ``Archive.snapshot()`` returns it, so
 several reads see one commit.  A snapshot maps each corpus id to that
 corpus's :class:`CorpusState`, so a read of one corpus touches no other.
-A state loaded from its manifest may hold its payloads unparsed: the
-first read of its units or items parses them, once, for every snapshot
-that shares it.  A read may so parse its corpus, but it never waits for
-the writers' lock.  Writers take that lock and build the next snapshot
-as a draft: it copies the map of corpora and the state of each corpus it
-writes, parsed first, and shares every other state with the published
-snapshot.  They write payload, header and manifest from the draft and
-publish it last with one assignment, so a write that fails changes
-nothing.  Entities are immutable, so reads and writers hand out the
-snapshot's own.
+A state loaded from its manifest may hold its payloads unparsed; the
+first read of its units or items then parses them, once for every
+snapshot that shares the state.  So a read may parse its corpus, but it
+still never waits for the writers' lock.  Writers take that lock and
+build the next snapshot as a draft: it copies the map of corpora and the
+state of each corpus it writes, parsed first, and shares every other
+state with the published snapshot.  They write payload, header and
+manifest from the draft and publish it last with one assignment, so a
+write that fails changes nothing.  Entities are immutable, so reads and
+writers hand out the snapshot's own.
 """
 
 from __future__ import annotations
@@ -146,11 +146,11 @@ class CorpusState:
     """One corpus in one snapshot: the corpus, its levels and resources by
     id, its version records, and what its stored payloads parsed into.
 
-    A published state never changes, but for its first read of
-    ``parsed``.  Its fields are frozen: a draft replaces them through
-    ``Snapshot._writable``, which also gives it its own copy of the dicts;
-    it fills only that copy, and replaces an entity or a list there
-    instead of changing it.
+    A published state never changes, except that the first read of
+    ``parsed`` may fill it.  Its fields are frozen: a draft replaces them
+    through ``Snapshot._writable``, which also gives it its own copy of
+    the dicts; it fills only that copy, and replaces an entity or a list
+    there instead of changing it.
     """
 
     corpus: Corpus

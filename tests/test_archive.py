@@ -1504,6 +1504,58 @@ class TestConcurrency:
         assert not writer.is_alive()
         assert archive.level_is_materialized(level.id)
 
+    def test_first_reads_of_a_deferred_open_parse_each_corpus_once(
+            self, tmp_path, monkeypatch):
+        archive = Archive(tmp_path / "store")
+        ids = [f"c{i}" for i in range(4)]
+        # Long enough to parse that readers switch in the middle of it.
+        payload = "".join(f'<word id="word_{n}">w</word>'
+                          for n in range(1, 301))
+        for corpus_id in ids:
+            archive.register_corpus(corpus_id.upper(), corpus_id=corpus_id)
+            seg = archive.add_level(corpus_id, "segmentation", "full")
+            archive.deposit(corpus_id, payload, "segmentation",
+                            levels=[seg.id])
+        records = {c: corpus_record(archive, c) for c in ids}
+        deferred = Archive(tmp_path / "store", defer_parse=True)
+        held = deferred.snapshot()
+        parsed, errors = [], []
+        materialize = Archive._materialize
+
+        def counted(state, resource, *rest):
+            parsed.append(resource.id)
+            return materialize(state, resource, *rest)
+        monkeypatch.setattr(Archive, "_materialize", counted)
+
+        def reader(i):
+            try:
+                for corpus_id in ids[i % 4:] + ids[:i % 4]:
+                    assert corpus_record(held, corpus_id) == records[corpus_id]
+            except Exception as err:  # pragma: no cover - failure reporting
+                errors.append(err)
+
+        def writer():
+            try:
+                deferred.add_level("c3", "reference", "none",
+                                   depends_on=["c3-segmentation-1"])
+            except Exception as err:  # pragma: no cover - failure reporting
+                errors.append(err)
+
+        threads = [threading.Thread(target=reader, args=(i,))
+                   for i in range(8)] + [threading.Thread(target=writer)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert errors == []
+        assert sorted(parsed) == [f"{c}-r001" for c in ids]
+
     def test_parallel_writers_and_readers(self, tmp_path):
         archive = Archive(tmp_path / "store")
         errors = []
