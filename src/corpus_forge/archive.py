@@ -12,7 +12,10 @@ several reads see one commit.  A snapshot maps each corpus id to that
 corpus's :class:`CorpusState`, so a read of one corpus touches no other.
 A state loaded from its manifest may hold its payloads unparsed; the
 first read of its units or items then parses them, once for every
-snapshot that shares the state.  So a read may parse its corpus, but it
+snapshot that shares the state.  Its catalog record, stamp and summary
+block are rendered on their first read too, and kept on the state.  So
+a published state changes only when its first reads fill ``parsed`` and
+those renderings, and a read may parse or render its corpus, but it
 still never waits for the writers' lock.  Writers take that lock and
 build the next snapshot as a draft: it copies the map of corpora and the
 state of each corpus it writes, parsed first, and shares every other
@@ -46,6 +49,7 @@ from .errors import (
     NoLevelError,
     NoPrimaryAnchorError,
     ParseError,
+    PayloadDigestError,
     StoreError,
     UnknownDependencyError,
     UnknownEntityError,
@@ -107,6 +111,13 @@ def _payload_path(root: Path, corpus_id: str, resource: Resource) -> Path:
     return _corpus_dir(root, corpus_id) / "resources" / resource.filename
 
 
+def _digest_matches(resource: Resource, payload: bytes) -> bool:
+    """Whether a stored payload's SHA-256 is the one recorded at deposit;
+    a resource recorded without one matches any payload."""
+    return (not resource.sha256
+            or resource.sha256 == hashlib.sha256(payload).hexdigest())
+
+
 @dataclass(frozen=True)
 class LevelSpec:
     """Description level to create as part of a deposit."""
@@ -146,11 +157,13 @@ class CorpusState:
     """One corpus in one snapshot: the corpus, its levels and resources by
     id, its version records, and what its stored payloads parsed into.
 
-    A published state never changes, except that the first read of
-    ``parsed`` may fill it.  Its fields are frozen: a draft replaces them
-    through ``Snapshot._writable``, which also gives it its own copy of
-    the dicts; it fills only that copy, and replaces an entity or a list
-    there instead of changing it.
+    A published state changes only when its first reads fill ``parsed``
+    and the catalog memo (``Snapshot._rendered``).  Its fields are
+    frozen: a draft replaces them through ``Snapshot._writable``, which
+    also gives it its own copy of the dicts; it fills only that copy, and
+    replaces an entity or a list there instead of changing it.  A draft
+    state changes in place, so it never gets a memo, and a ``copy`` or
+    ``replace`` starts with an empty one.
     """
 
     corpus: Corpus
@@ -164,6 +177,11 @@ class CorpusState:
     _parsed: list[Parsed] = field(default_factory=list, repr=False)
     _lock: threading.Lock = field(default_factory=threading.Lock,
                                   repr=False)
+    # Rendered catalog fragments by name, filled on their first read once
+    # the state is published.  No ``__init__`` argument, so a ``copy`` or
+    # ``replace`` starts with an empty one.
+    _catalog: dict[str, str] = field(default_factory=dict, init=False,
+                                     repr=False)
 
     @property
     def parsed(self) -> Parsed:
@@ -215,7 +233,7 @@ class CorpusState:
     def granularity(self, level_id: str) -> Granularity:
         if (self.levels[level_id].kind == KIND_SEGMENTATION
                 and self.parsed.units.get(level_id)):
-            return Granularity(SEGMENTATION_GRANULARITY, ())
+            return Granularity(SEGMENTATION_GRANULARITY)
         return granularity_of(self.parsed.items.get(level_id, []))
 
     def materialized(self, level_id: str) -> bool:
@@ -245,7 +263,8 @@ class Snapshot:
         # publishes, so ``_holder`` checks the corpus's state holds it.
         self._owners: dict[str, dict[str, str]] = {
             "levels": {}, "resources": {}}
-        # Corpora whose state this draft has copied.
+        # Corpora whose state this draft has copied, and may still change;
+        # emptied when the draft is published.
         self._written: set[str] = set()
 
     def _draft(self) -> Snapshot:
@@ -274,6 +293,20 @@ class Snapshot:
         if corpus_id not in self._corpora:
             raise UnknownEntityError(f"unknown corpus {corpus_id!r}")
         return self._corpora[corpus_id]
+
+    def _rendered(self, corpus_id: str, name: str,
+                  render: Callable[[Snapshot, str], str]) -> str:
+        """``render(self, corpus_id)``, the catalog fragment ``name`` of
+        one corpus.  It is kept on the corpus's state, so it is rendered
+        once for every published snapshot that shares that state."""
+        state = self._state(corpus_id)
+        if corpus_id in self._written:
+            return render(self, corpus_id)  # a draft's state still changes
+        text = state._catalog.get(name)
+        if text is None:
+            # Two readers may both render it: they render the same text.
+            text = state._catalog.setdefault(name, render(self, corpus_id))
+        return text
 
     def _holder(self, kind: str, entity_id: str) -> CorpusState | None:
         """The state that holds a level or resource (``kind`` is "levels"
@@ -316,17 +349,25 @@ class Snapshot:
     def resource_payload(self, resource_id: str) -> str:
         state = self._resource_state(resource_id)
         resource = state.resources[resource_id]
+        payload = None
         try:
             if resource.available:
                 # read_text would turn CRLF into LF: serve it verbatim
-                return _payload_path(self.root, state.corpus.id,
-                                     resource).read_bytes().decode()
+                payload = _payload_path(self.root, state.corpus.id,
+                                        resource).read_bytes()
         except FileNotFoundError:
             pass  # lost, or withdrawn after this snapshot was published
+        if payload is None:
+            raise StoreError(f"resource {resource_id!r} has no stored payload")
+        if not _digest_matches(resource, payload):
+            raise PayloadDigestError(
+                f"resource {resource_id!r} has a stored payload whose "
+                "SHA-256 is not the one recorded at deposit")
+        try:
+            return payload.decode()
         except UnicodeDecodeError:
             raise StoreError(f"resource {resource_id!r} has a stored payload "
                              "that is not valid UTF-8") from None
-        raise StoreError(f"resource {resource_id!r} has no stored payload")
 
     def resource_header(self, resource_id: str) -> str:
         return catalog_mod.build_resource_header(
@@ -552,8 +593,7 @@ class Archive:
             if not path.is_file():
                 continue  # reported by validate() as missing-payload
             payload = path.read_bytes()
-            if (resource.sha256 and resource.sha256
-                    != hashlib.sha256(payload).hexdigest()):
+            if not _digest_matches(resource, payload):
                 state.parsed.mismatched.add(resource.id)
             # Looked up on the class at each call, as a tracer patches it.
             Archive._materialize(state, resource, payload, only)
@@ -570,6 +610,7 @@ class Archive:
             tmp = directory / "manifest.tmp"
             tmp.write_text(text, encoding="utf-8")
             tmp.replace(directory / "manifest")
+        draft._written.clear()
         self._view = draft
 
     # -- registration ------------------------------------------------------

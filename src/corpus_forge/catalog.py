@@ -129,50 +129,58 @@ def parse_header(text: str) -> MetadataHeader:
 
 
 # -- archive-coupled builders ---------------------------------------------
+#
+# Each reads one snapshot's corpus states directly (``Snapshot._state``),
+# not through its public reads, which copy whole lists.  A corpus's
+# record, stamp and summary block are rendered once per published state
+# of the corpus (``Snapshot._rendered``); the archive-wide reads join them.
 
 
 def compute_auto_stats(archive, corpus_id: str) -> dict[str, str]:
     """Engine-measured statistics for the corpus tier; ``word-count``
     counts the first segmentation with units, full coverage first, then
     by id."""
-    levels = archive.levels(corpus_id)
-    resources = archive.resources(corpus_id)
+    state = archive.snapshot()._state(corpus_id)
+    levels = sorted(state.levels.values(),
+                    key=lambda l: (l.coverage != COVERAGE_FULL, l.id))
     word_count = 0
-    for level in sorted(levels, key=lambda l: l.coverage != COVERAGE_FULL):
+    for level in levels:
         if level.kind != KIND_SEGMENTATION:
             continue
-        units = archive.level_units(level.id)
+        units = state.parsed.units.get(level.id)
         if units:
             word_count = len(units)
             break
     stats = {
         "word-count": str(word_count),
-        "level-count": str(len(levels)),
-        "resource-count": str(len(resources)),
+        "level-count": str(len(state.levels)),
+        "resource-count": str(len(state.resources)),
     }
-    turns = 0
-    for level in levels:
-        if level.kind != KIND_STRUCTURE:
-            continue
-        turns += sum(1 for item in iter_items(archive.level_items(level.id))
-                     if item.element in _TURN_ELEMENTS)
+    turns = sum(1 for level in levels if level.kind == KIND_STRUCTURE
+                for item in iter_items(state.parsed.items.get(level.id, []))
+                if item.element in _TURN_ELEMENTS)
     if turns:
         stats["turn-count"] = str(turns)
     return stats
 
 
 def _corpus_stamp(archive, corpus_id: str) -> str:
-    corpus = archive.corpus(corpus_id)
-    stamps = [corpus.created_at]
-    stamps.extend(l.created_at for l in archive.levels(corpus_id))
-    stamps.extend(r.deposited_at for r in archive.resources(corpus_id))
-    stamps.extend(v.created_at for v in archive.versions(corpus_id))
+    return archive.snapshot()._rendered(corpus_id, "stamp", _render_stamp)
+
+
+def _render_stamp(snapshot, corpus_id: str) -> str:
+    state = snapshot._state(corpus_id)
+    stamps = [state.corpus.created_at]
+    stamps.extend(l.created_at for l in state.levels.values())
+    stamps.extend(r.deposited_at for r in state.resources.values())
+    stamps.extend(v.created_at for v in state.versions)
     stamps = [s for s in stamps if s]
     return max(stamps) if stamps else "-"
 
 
 def archive_stamp(archive) -> str:
     """Latest event timestamp anywhere in the archive ('-' when empty)."""
+    archive = archive.snapshot()
     stamps = [_corpus_stamp(archive, corpus.id)
               for corpus in archive.corpora()]
     stamps = [s for s in stamps if s != "-"]
@@ -193,27 +201,28 @@ def corpus_header(archive, corpus_id: str) -> MetadataHeader:
 
 
 def level_header(archive, level_id: str) -> MetadataHeader:
-    level = archive.level(level_id)
+    state = archive.snapshot()._level_state(level_id)
+    level = state.levels[level_id]
+    materialized = state.materialized(level_id)
     computed: dict[str, str] = {
         "kind": level.kind,
         "coverage": level.coverage,
-        "classification": archive.classify_level(level_id),
-        "materialized": ("true" if archive.level_is_materialized(level_id)
-                         else "false"),
+        "classification": level.classify(),
+        "materialized": "true" if materialized else "false",
     }
-    anchor = archive.anchor(level_id)
+    anchor = state.anchor(level_id)
     if anchor is not None:
         computed["anchor"] = anchor
     if level.depends_on:
         computed["depends-on"] = ",".join(
             f"{dep_id}|{purpose}" for dep_id, purpose in level.depends_on)
     if level.kind == KIND_SEGMENTATION:
-        computed["items"] = str(len(archive.level_units(level_id)))
+        computed["items"] = str(len(state.parsed.units.get(level_id, [])))
     else:
         computed["items"] = str(sum(
-            1 for _ in iter_items(archive.level_items(level_id))))
-    if computed["materialized"] == "true":
-        categories = archive.level_granularity(level_id).categories
+            1 for _ in iter_items(state.parsed.items.get(level_id, []))))
+    if materialized:
+        categories = state.granularity(level_id).categories
         if categories:
             computed["granularity"] = ",".join(sorted(categories))
     return build_header(TIER_LEVEL, level_id, level.declared_meta, computed,
@@ -243,10 +252,11 @@ def build_resource_header(resource: Resource) -> MetadataHeader:
 def corpus_headers(archive, corpus_id: str) -> list[MetadataHeader]:
     """One corpus's headers in record order: corpus, levels, resources."""
     archive = archive.snapshot()
+    state = archive._state(corpus_id)
     headers = [corpus_header(archive, corpus_id)]
-    headers.extend(level_header(archive, level.id)
-                   for level in archive.levels(corpus_id))
-    resources = sorted(archive.resources(corpus_id),
+    headers.extend(level_header(archive, level_id)
+                   for level_id in sorted(state.levels))
+    resources = sorted(state.resources.values(),
                        key=lambda r: (r.deposited_at, r.id))
     headers.extend(build_resource_header(resource) for resource in resources)
     return headers
@@ -254,18 +264,25 @@ def corpus_headers(archive, corpus_id: str) -> list[MetadataHeader]:
 
 def corpus_record(archive, corpus_id: str) -> str:
     """One catalog record: corpus header, then level and resource headers."""
+    return archive.snapshot()._rendered(corpus_id, "record", _render_record)
+
+
+def _render_record(snapshot, corpus_id: str) -> str:
     return "\n".join(header.render()
-                     for header in corpus_headers(archive, corpus_id))
+                     for header in corpus_headers(snapshot, corpus_id))
+
+
+def _catalog_head(snapshot, corpora: int) -> str:
+    return (f"catalog-format: {CATALOG_FORMAT}\n"
+            f"generated: {archive_stamp(snapshot)}\n"
+            f"corpora: {corpora}\n")
 
 
 def export_catalog(archive) -> str:
     """Full catalog: deterministic, stable-ordered, pure in archive state."""
     archive = archive.snapshot()
     corpora = archive.corpora()
-    head = (f"catalog-format: {CATALOG_FORMAT}\n"
-            f"generated: {archive_stamp(archive)}\n"
-            f"corpora: {len(corpora)}\n")
-    parts = [head]
+    parts = [_catalog_head(archive, len(corpora))]
     parts.extend(corpus_record(archive, corpus.id) for corpus in corpora)
     return "\n".join(parts)
 
@@ -278,19 +295,21 @@ def catalog_summary(archive, offset: int = 0) -> str:
     """
     archive = archive.snapshot()
     corpora = archive.corpora()
-    head = (f"catalog-format: {CATALOG_FORMAT}\n"
-            f"generated: {archive_stamp(archive)}\n"
-            f"corpora: {len(corpora)}\n")
+    head = _catalog_head(archive, len(corpora))
     if offset:
         head += f"offset: {offset}\n"
     parts = [head]
-    for corpus in corpora[offset:]:
-        parts.append(
-            f"corpus: {corpus.id}\n"
-            f"title: {escape_value(corpus.title)}\n"
-            f"levels: {len(archive.levels(corpus.id))}\n"
-            f"resources: {len(archive.resources(corpus.id))}\n")
+    parts.extend(archive._rendered(corpus.id, "summary", _render_summary)
+                 for corpus in corpora[offset:])
     return "\n".join(parts)
+
+
+def _render_summary(snapshot, corpus_id: str) -> str:
+    state = snapshot._state(corpus_id)
+    return (f"corpus: {corpus_id}\n"
+            f"title: {escape_value(state.corpus.title)}\n"
+            f"levels: {len(state.levels)}\n"
+            f"resources: {len(state.resources)}\n")
 
 
 def write_export(archive) -> Path:

@@ -142,3 +142,9 @@ class StoreError(CorpusForgeError):
     """Archive directory layout or manifest is unreadable."""
 
     code = "store-error"
+
+
+class PayloadDigestError(StoreError):
+    """A stored payload's SHA-256 is not the one recorded at deposit."""
+
+    code = "payload-digest-mismatch"

@@ -138,13 +138,12 @@ _DEFAULT: Registry | None = None
 class Granularity:
     """Category footprint of a payload.
 
-    ``provisional`` lists the payload keys that had no registry entry;
-    they enter ``categories`` under an ``x-`` prefix so that otherwise
-    identical payloads still compare equal.
+    Payload keys and link types that have no registry entry enter
+    ``categories`` under an ``x-`` prefix, so that otherwise identical
+    payloads still compare equal.
     """
 
     categories: frozenset[str]
-    provisional: tuple[str, ...]
 
 
 SEGMENTATION_GRANULARITY = frozenset({"reference-unit"})
@@ -162,7 +161,6 @@ def granularity_of(items: list[AnnotationItem]) -> Granularity:
     """
     registry = Registry.default()
     categories: set[str] = set()
-    provisional: set[str] = set()
     for item in iter_items(items):
         if item.element is not None:
             resolved = registry.lookup(item.element)
@@ -176,7 +174,6 @@ def granularity_of(items: list[AnnotationItem]) -> Granularity:
                 categories.add(resolved)
             else:
                 categories.add(f"x-{key}")
-                provisional.add(key)
             for sub in value.split(":")[1:]:
                 compound = registry.lookup(f"{key}:{sub}")
                 if compound is not None:
@@ -187,6 +184,4 @@ def granularity_of(items: list[AnnotationItem]) -> Granularity:
                 categories.add(resolved)
             else:
                 categories.add(f"x-{link.type}")
-                provisional.add(link.type)
-    return Granularity(categories=frozenset(categories),
-                       provisional=tuple(sorted(provisional)))
+    return Granularity(categories=frozenset(categories))

@@ -4,7 +4,8 @@ The wire layer is a thin shell around :func:`handle_request`, a pure
 function of (archive snapshot, method, path, query) that never mutates
 anything.  Metadata is served as line-oriented UTF-8 text; resource
 payloads are returned verbatim with their declared format in a
-``Corpus-Forge-Format`` header.  Unknown ids answer 404; headers stay
+``Corpus-Forge-Format`` header, or answer 500 when their SHA-256 is not
+the one recorded at deposit.  Unknown ids answer 404; headers stay
 available even for corpora whose payloads were never (or are no longer)
 stored.
 """
@@ -19,7 +20,7 @@ from urllib.parse import parse_qs, urlsplit
 
 from . import catalog as catalog_mod
 from .archive import Archive
-from .errors import StoreError, UnknownEntityError
+from .errors import PayloadDigestError, StoreError, UnknownEntityError
 
 TEXT_PLAIN = "text/plain; charset=utf-8"
 
@@ -63,6 +64,8 @@ def handle_request(archive, method: str, path: str,
             resource = archive.resource(parts[1])
             try:
                 payload = archive.resource_payload(parts[1])
+            except PayloadDigestError as err:
+                return _text(500, f"{err}\n")
             except StoreError as err:
                 return _text(404, f"{err}\n")
             headers = [("Content-Type", TEXT_PLAIN),

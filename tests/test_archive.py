@@ -15,7 +15,12 @@ from hypothesis import given, settings, strategies as st
 
 from corpus_forge import archive as archive_mod
 from corpus_forge.archive import Archive, LevelSpec
-from corpus_forge.catalog import corpus_record, export_catalog, level_header
+from corpus_forge.catalog import (
+    catalog_summary,
+    corpus_record,
+    export_catalog,
+    level_header,
+)
 from corpus_forge.errors import (
     CorpusForgeError,
     DependencyCycleError,
@@ -1556,6 +1561,70 @@ class TestConcurrency:
         assert errors == []
         assert sorted(parsed) == [f"{c}-r001" for c in ids]
 
+    def test_first_record_reads_render_as_a_fresh_open(self, tmp_path,
+                                                       monkeypatch):
+        archive = Archive(tmp_path / "store")
+        ids = [f"c{i}" for i in range(4)]
+        # Long enough to render that readers switch in the middle of it.
+        words = "".join(f'<word id="word_{n}">w</word>' for n in range(1, 301))
+        lemmas = "".join(f'<w span="word_{n}" lemma="w" pos="N"/>'
+                         for n in range(1, 301))
+        for corpus_id in ids:
+            archive.register_corpus(corpus_id.upper(), corpus_id=corpus_id)
+            archive.deposit(corpus_id, words, "segmentation",
+                            new_levels=[LevelSpec("segmentation", "full")])
+            archive.deposit(corpus_id, lemmas, "standoff-morpho", new_levels=[
+                LevelSpec("morphosyntax", "none",
+                          (f"{corpus_id}-segmentation-1",))])
+        fresh = {c: corpus_record(Archive(tmp_path / "store"), c)
+                 for c in ids}
+        deferred = Archive(tmp_path / "store", defer_parse=True)
+        parsed, seen, errors = [], [], []
+        materialize = Archive._materialize
+
+        def counted(state, resource, *rest):
+            parsed.append(resource.id)
+            return materialize(state, resource, *rest)
+        monkeypatch.setattr(Archive, "_materialize", counted)
+
+        def reader(i):
+            try:
+                for corpus_id in ids[i % 4:] + ids[:i % 4]:
+                    seen.append((corpus_id,
+                                 corpus_record(deferred, corpus_id)))
+            except Exception as err:  # pragma: no cover - failure reporting
+                errors.append(err)
+
+        def writer():
+            try:
+                deferred.deposit("c3", '<word id="word_301">w</word>',
+                                 "segmentation", levels=["c3-segmentation-1"])
+            except Exception as err:  # pragma: no cover - failure reporting
+                errors.append(err)
+
+        threads = [threading.Thread(target=reader, args=(i,))
+                   for i in range(8)] + [threading.Thread(target=writer)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert errors == []
+        assert sorted(parsed) == sorted(f"{c}-r00{n}" for c in ids
+                                        for n in (1, 2))
+        written = corpus_record(Archive(tmp_path / "store"), "c3")
+        assert written != fresh["c3"]
+        assert len(seen) == 32
+        for corpus_id, record in seen:
+            assert record == fresh[corpus_id] or (
+                corpus_id == "c3" and record == written)
+        assert corpus_record(deferred, "c3") == written
+
     def test_parallel_writers_and_readers(self, tmp_path):
         archive = Archive(tmp_path / "store")
         errors = []
@@ -1715,6 +1784,42 @@ class TestCorpusIsolation:
             # The catalog read first parses every corpus.
             assert export_catalog(Archive(root, defer_parse=True)) \
                 == export_catalog(eager)
+
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data())
+    def test_rendered_catalog_is_never_stale(self, data):
+        ticks = iter(range(10**6))
+        with tempfile.TemporaryDirectory() as root:
+            archive = Archive(root, clock=lambda: datetime.fromtimestamp(
+                1.2e9 + next(ticks), timezone.utc))
+            held = []
+
+            def check():
+                # Each read twice: the second is answered from the memo.
+                live = archive.snapshot()
+                seen = [(self.records(live), catalog_summary(live))
+                        for _ in range(2)]
+                assert seen[0] == seen[1]
+                for reloaded in (Archive(root),
+                                 Archive(root, defer_parse=True)):
+                    assert (self.records(reloaded),
+                            catalog_summary(reloaded)) == seen[0]
+                held.append((live, seen[0]))
+
+            for _ in range(data.draw(st.integers(1, 12))):
+                try:
+                    self.write(archive, data)
+                except CorpusForgeError:
+                    pass
+                check()
+            for corpus in archive.corpora():
+                for resource in archive.resources(corpus.id):
+                    if resource.available:
+                        archive.withdraw(resource.id)
+                        check()
+            for snapshot, rendered in held:
+                assert (self.records(snapshot),
+                        catalog_summary(snapshot)) == rendered
 
     def test_held_unparsed_snapshot_keeps_its_export_after_a_withdraw(
             self, archive, tmp_path):

@@ -7,6 +7,7 @@ from datetime import datetime, timezone
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from corpus_forge import archive as archive_mod
 from corpus_forge import catalog
 from corpus_forge.archive import Archive
 from corpus_forge.catalog import (
@@ -320,3 +321,47 @@ class TestOneCommitPerRead:
         assert commits
         assert "computed level-count: 1" in record
         assert record.count("header: level") == 1
+
+
+class TestRenderedOncePerState:
+    def test_second_reads_render_nothing(self, archive, monkeypatch):
+        corpus_id, seg_id = goriot(archive)
+        morpho = archive.add_level(corpus_id, "morphosyntax", "none",
+                                   depends_on=[seg_id])
+        archive.deposit(corpus_id, fixture("goriot_standoff_morpho_full.xml"),
+                        "standoff-morpho", levels=[morpho.id])
+        archive.register_corpus("Empty", corpus_id="empty")
+        calls = []
+
+        def counted(name, function):
+            def call(*args):
+                calls.append(name)
+                return function(*args)
+            return call
+        monkeypatch.setattr(archive_mod, "granularity_of", counted(
+            "granularity_of", archive_mod.granularity_of))
+        monkeypatch.setattr(MetadataHeader, "render", counted(
+            "render", MetadataHeader.render))
+        snapshot = archive.snapshot()
+        reads = (lambda: corpus_record(snapshot, corpus_id),
+                 lambda: export_catalog(snapshot),
+                 lambda: catalog_summary(snapshot))
+        first = [read() for read in reads]
+        assert {"granularity_of", "render"} <= set(calls)
+        for read, text in zip(reads, first):
+            calls.clear()
+            assert read() == text
+            assert calls == []
+
+    def test_a_write_keeps_other_corpora_rendered(self, archive):
+        corpus_id, seg_id = goriot(archive)
+        archive.register_corpus("Other", corpus_id="other")
+        seg = archive.add_level("other", "segmentation", "full")
+        archive.deposit("other", '<word id="word_1">Madame</word>',
+                        "segmentation", levels=[seg.id])
+        record, other = (corpus_record(archive, corpus_id),
+                         corpus_record(archive, "other"))
+        archive.deposit("other", '<word id="word_2">Vauquer</word>',
+                        "segmentation", levels=[seg.id])
+        assert corpus_record(archive, corpus_id) is record
+        assert corpus_record(archive, "other") != other

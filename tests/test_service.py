@@ -98,6 +98,17 @@ class TestHandler:
         assert status == 200
         assert "computed available: false" in body.decode("utf-8")
 
+    def test_edited_payload_is_refused(self, archive, tmp_path):
+        path = (tmp_path / "store" / "corpora" / "pere-goriot" / "resources"
+                / "pere-goriot-r001.segmentation")
+        path.write_bytes(
+            path.read_bytes().replace(b">Madame<", b">Monsieur<", 1))
+        response = get(archive, "/resources/pere-goriot-r001")
+        assert response[0] == 500
+        assert body_text(response).startswith(
+            "payload-digest-mismatch: resource 'pere-goriot-r001'")
+        assert get(archive, "/resources/pere-goriot-r002")[0] == 200
+
     def test_writes_are_405(self, archive):
         for method in ("POST", "PUT", "DELETE", "PATCH"):
             status, _, body = handle_request(archive, method,
