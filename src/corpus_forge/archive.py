@@ -73,6 +73,7 @@ from .model import (
     Level,
     Resource,
     Violation,
+    deposit_order,
     slugify,
 )
 from .registry import (
@@ -101,6 +102,10 @@ def _utf8(payload: bytes) -> str:
 
 def _by_id(entities: dict) -> list:
     return [entities[key] for key in sorted(entities)]
+
+
+def _deposited(resources: dict[str, Resource]) -> list[Resource]:
+    return sorted(resources.values(), key=deposit_order)
 
 
 def _corpus_dir(root: Path, corpus_id: str) -> Path:
@@ -344,7 +349,7 @@ class Snapshot:
         return self._resource_state(resource_id).resources[resource_id]
 
     def resources(self, corpus_id: str) -> list[Resource]:
-        return _by_id(self._state(corpus_id).resources)
+        return _deposited(self._state(corpus_id).resources)
 
     def resource_payload(self, resource_id: str) -> str:
         state = self._resource_state(resource_id)
@@ -373,12 +378,8 @@ class Snapshot:
         return catalog_mod.build_resource_header(
             self.resource(resource_id)).render()
 
-    def version_chain(self, corpus_id: str, kind: str) -> list[VersionRecord]:
-        return [v for v in self.versions(corpus_id) if v.level_kind == kind]
-
     def versions(self, corpus_id: str) -> list[VersionRecord]:
-        state = self._corpora.get(corpus_id)
-        return sorted(state.versions if state else (),
+        return sorted(self._state(corpus_id).versions,
                       key=lambda v: (v.level_kind, v.number))
 
     def level_units(self, level_id: str) -> list[ReferenceUnit]:
@@ -389,18 +390,8 @@ class Snapshot:
         parsed = self._level_state(level_id).parsed
         return list(parsed.items.get(level_id, []))
 
-    def level_is_materialized(self, level_id: str) -> bool:
-        return self._level_state(level_id).materialized(level_id)
-
     def classify_level(self, level_id: str) -> str:
         return self.level(level_id).classify()
-
-    def dependency_closure(self, level_id: str) -> list[str]:
-        """The level and everything reachable through depends-on edges,
-        nearest dependencies first, ties by id."""
-        state = self._level_state(level_id)
-        return [level_id] + [l.id for l in
-                             state.closure(state.levels[level_id])]
 
     def anchor(self, level_id: str) -> str | None:
         """Id of the segmentation the level's spans resolve against: the
@@ -410,9 +401,6 @@ class Snapshot:
 
     def coverage(self, level_id: str) -> list[str]:
         return self._level_state(level_id).coverage(level_id)
-
-    def level_granularity(self, level_id: str) -> Granularity:
-        return self._level_state(level_id).granularity(level_id)
 
     # -- validation ----------------------------------------------------------
 
@@ -430,7 +418,7 @@ class Snapshot:
         out: list[Violation] = []
         corpus = state.corpus
         levels = _by_id(state.levels)
-        resources = _by_id(state.resources)
+        resources = _deposited(state.resources)
 
         for entity in (*levels, *resources, *state.versions):
             if entity.corpus_id != corpus.id:
@@ -585,7 +573,7 @@ class Archive:
                       only: set[str] | None = None) -> None:
         """Parse each available resource's stored payload into its levels,
         or into those of them in ``only``, and check its digest."""
-        for resource in _by_id(state.resources):
+        for resource in _deposited(state.resources):
             if not resource.available or (
                     only is not None and only.isdisjoint(resource.levels)):
                 continue
@@ -603,8 +591,8 @@ class Archive:
         for corpus_id in corpus_ids:
             state = draft._corpora[corpus_id]
             text = manifest_mod.dumps_corpus(
-                state.corpus, _by_id(state.levels), _by_id(state.resources),
-                draft.versions(corpus_id))
+                state.corpus, _by_id(state.levels),
+                _deposited(state.resources), draft.versions(corpus_id))
             directory = _corpus_dir(draft.root, corpus_id)
             directory.mkdir(parents=True, exist_ok=True)
             tmp = directory / "manifest.tmp"
@@ -805,6 +793,8 @@ class Archive:
                 if level_id not in state.levels:
                     raise UnknownEntityError(
                         f"level {level_id!r} belongs to another corpus")
+                if level in targets:
+                    raise StoreError(f"level {level_id!r} is named twice")
                 targets.append(level)
             for spec in new_levels:
                 targets.append(self._add_level(draft, corpus_id, spec))

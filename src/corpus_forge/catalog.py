@@ -19,7 +19,8 @@ from types import MappingProxyType
 from .errors import ParseError, StoreError
 from .formats import iter_items
 from .manifest import escape_value, unescape_value
-from .model import COVERAGE_FULL, KIND_SEGMENTATION, KIND_STRUCTURE, Resource
+from .model import (COVERAGE_FULL, KIND_SEGMENTATION, KIND_STRUCTURE,
+                    Resource, deposit_order)
 
 CATALOG_FORMAT = "1"
 
@@ -257,7 +258,7 @@ def corpus_headers(archive, corpus_id: str) -> list[MetadataHeader]:
     headers.extend(level_header(archive, level_id)
                    for level_id in sorted(state.levels))
     resources = sorted(state.resources.values(),
-                       key=lambda r: (r.deposited_at, r.id))
+                       key=lambda r: (r.deposited_at, deposit_order(r)))
     headers.extend(build_resource_header(resource) for resource in resources)
     return headers
 

@@ -85,6 +85,11 @@ class Resource:
     declared_meta: Mapping[str, str] = field(default_factory=dict)
 
 
+def deposit_order(resource: Resource) -> tuple[int, str]:
+    """Sort key for deposit order: ``c-r999`` before ``c-r1000``."""
+    return len(resource.id), resource.id
+
+
 @dataclass(frozen=True)
 class Violation:
     """One integrity finding from archive validation."""

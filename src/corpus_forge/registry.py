@@ -89,15 +89,6 @@ class Registry:
             _DEFAULT = cls.from_text(text)
         return _DEFAULT
 
-    def __contains__(self, category_id: str) -> bool:
-        return category_id in self._categories
-
-    def __len__(self) -> int:
-        return len(self._categories)
-
-    def ids(self) -> tuple[str, ...]:
-        return tuple(self._categories)
-
     def category(self, category_id: str) -> DataCategory:
         if category_id not in self._categories:
             raise RegistryError(f"unknown category id {category_id!r}")

@@ -12,7 +12,7 @@ from __future__ import annotations
 import hashlib
 import re
 import unicodedata
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import (
     DanglingPointerError,
@@ -54,35 +54,13 @@ class ReferenceUnit:
                 f"surrounding whitespace, got {self.form!r}")
 
 
-@dataclass(frozen=True)
-class SplitTable:
-    """Expansion table for contracted forms (au -> à + le).
-
-    Keys are lowercase contracted surface forms; matching is
-    case-insensitive on the token.  Replacement lists have length >= 2.
-    """
-
-    entries: dict[str, tuple[str, ...]] = field(default_factory=dict)
-
-    def __post_init__(self):
-        for key, repl in self.entries.items():
-            if key != key.lower():
-                raise ValueError(f"split table key {key!r} must be lowercase")
-            if len(repl) < 2:
-                raise ValueError(
-                    f"split table entry {key!r} must expand to >= 2 forms")
-
-    def lookup(self, token: str) -> tuple[str, ...] | None:
-        return self.entries.get(token.lower())
-
-
-# "des" is deliberately absent: ambiguous between plural article and
-# contraction, so it is never split.
-DEFAULT_SPLIT_TABLE = SplitTable({
+# Lowercase contracted forms and their expansions.  "des" is deliberately
+# absent: ambiguous between plural article and contraction, never split.
+_CONTRACTIONS = {
     "au": ("à", "le"),
     "aux": ("à", "les"),
     "du": ("de", "le"),
-})
+}
 
 
 def _split_token(token: str) -> list[str]:
@@ -139,7 +117,7 @@ def tokenize_with_offsets(text: str) -> list[tuple[str, int, int]]:
     for match in re.finditer(r"\S+", text):
         raw = match.group(0)
         for piece, s, e in _token_offsets(_split_token(raw), match.start(), text):
-            repl = DEFAULT_SPLIT_TABLE.lookup(piece)
+            repl = _CONTRACTIONS.get(piece.lower())
             if repl is not None:
                 tokens.extend((form, s, e) for form in repl)
             else:
@@ -151,7 +129,7 @@ def segment_text(text: str) -> list[ReferenceUnit]:
     """Segment raw text into reference units with ids ``word_1..word_k``.
 
     Splits on whitespace, detaches punctuation, then expands contracted
-    determiners through the split table.  Total: any input yields a
+    determiners through ``_CONTRACTIONS``.  Total: any input yields a
     (possibly empty) unit list.
     """
     return [
@@ -267,7 +245,7 @@ def align_inline(inline_doc: str, units: list[ReferenceUnit]):
     """Re-synchronize inline markup with the reference units.
 
     The markup-stripped character stream of ``inline_doc`` must equal the
-    segmentation's forms up to whitespace and split-table expansion.  Each
+    segmentation's forms up to whitespace and contraction expansion.  Each
     element whose boundaries coincide with unit boundaries becomes a
     stand-off item carrying a span expression; an element boundary falling
     strictly inside a unit raises :class:`MisalignmentError` naming the

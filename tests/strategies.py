@@ -7,6 +7,8 @@ separators the manifest uses drawn more often.  A value is left out
 only where the API refuses it, and the strategy names the check.
 """
 
+from importlib import resources
+
 from hypothesis import strategies as st
 
 from corpus_forge.errors import StoreError
@@ -35,3 +37,11 @@ titles = texts.filter(str.strip)
 kinds = st.text(st.characters(codec="utf-8") | st.sampled_from("-\\:"),
                 min_size=1, max_size=10).map(str.strip).filter(
     lambda k: k and not any(c.isspace() or c in ",|" for c in k))
+
+# The category ids the packaged registry (data/registry.tsv) defines.
+REGISTRY_IDS = [
+    line.split("\t")[0] for line in (
+        resources.files("corpus_forge") / "data" / "registry.tsv"
+    ).read_text(encoding="utf-8").splitlines()
+    if line.strip() and not line.startswith("#")]
+category_ids = st.sampled_from(REGISTRY_IDS)

@@ -18,7 +18,7 @@ from pathlib import Path
 import pytest
 
 from corpus_forge.archive import Archive
-from corpus_forge.catalog import export_catalog
+from corpus_forge.catalog import export_catalog, level_header
 from corpus_forge.cli import main
 from corpus_forge.errors import (
     DependencyCycleError,
@@ -317,7 +317,8 @@ def test_archive_constraint_suite(tmp_path):
                                          for v in loaded.validate("x")}
 
         catalog_text = export_catalog(store)
-        assert store.level_is_materialized(syntax.id) is False
+        assert dict(level_header(store, syntax.id).computed)[
+            "materialized"] == "false"
         assert f"subject: {syntax.id}" in catalog_text
         assert "computed materialized: false" in catalog_text
 

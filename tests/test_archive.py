@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from corpus_forge import archive as archive_mod
-from corpus_forge.archive import Archive, LevelSpec
+from corpus_forge.archive import Archive, LevelSpec, Snapshot
 from corpus_forge.catalog import (
     catalog_summary,
     corpus_record,
@@ -35,6 +35,7 @@ from corpus_forge.errors import (
 )
 from corpus_forge.manifest import dumps_corpus
 from corpus_forge.model import Corpus, Level, Resource
+from corpus_forge.registry import Registry
 from corpus_forge.standoff import (
     coverage_fingerprint,
     reconstruct_coverage,
@@ -71,6 +72,15 @@ def goriot(archive):
 def morpho_level(archive, corpus_id, seg_id):
     return archive.add_level(corpus_id, "morphosyntax", "none",
                              depends_on=[seg_id])
+
+
+def computed(archive, level_id):
+    """The ``computed`` lines of a level's header, by key."""
+    return dict(level_header(archive, level_id).computed)
+
+
+def materialized(archive, level_id):
+    return computed(archive, level_id)["materialized"] == "true"
 
 
 class TestRegisterCorpus:
@@ -302,7 +312,7 @@ class TestAddDependency:
         seg = archive.add_level("x", "segmentation", "full")
         morpho = archive.add_level("x", "morphosyntax", "none")
         archive.add_dependency(morpho.id, seg.id)
-        assert archive.dependency_closure(morpho.id) == [morpho.id, seg.id]
+        assert archive.level(morpho.id).depends_on == ((seg.id, "anchors-to"),)
 
     def test_self_cycle_rejected(self, archive):
         archive.register_corpus("X", corpus_id="x")
@@ -471,7 +481,7 @@ class TestDepositNewLevels:
         level_id = result.levels[0]
         assert level_id == f"{corpus_id}-morphosyntax-1"
         assert archive.level(level_id).depends_on == ((seg_id, "anchors-to"),)
-        assert archive.level_is_materialized(level_id)
+        assert materialized(archive, level_id)
 
     def test_pending_levels_may_depend_on_each_other(self, archive):
         corpus = archive.register_corpus("Fresh", corpus_id="fresh")
@@ -483,8 +493,9 @@ class TestDepositNewLevels:
             "fresh", fixture("fig05_standoff_morpho.xml"), "standoff-morpho",
             new_levels=[LevelSpec("morphosyntax", "none",
                                   depends_on=(seg_id,))])
-        assert archive.dependency_closure(result.levels[0]) == [
-            result.levels[0], seg_id]
+        assert archive.level(result.levels[0]).depends_on == (
+            (seg_id, "anchors-to"),)
+        assert archive.anchor(result.levels[0]) == seg_id
 
 
 class TestStandoffDeposits:
@@ -607,9 +618,8 @@ class TestCompositeDeposit:
         morpho = archive.add_level(corpus_id, "morphosyntax", "partial")
         archive.deposit(corpus_id, fixture("fig06_syntax.vis"),
                         "syntax-constituency", levels=[syntax.id, morpho.id])
-        assert len(archive.version_chain(corpus_id, "syntax")) == 1
-        assert len(archive.version_chain(corpus_id, "morphosyntax")) == 1
-        assert len(archive.version_chain(corpus_id, "segmentation")) == 1
+        assert [v.level_kind for v in archive.versions(corpus_id)] == [
+            "morphosyntax", "segmentation", "syntax"]
 
 
 class TestVersionChains:
@@ -705,7 +715,8 @@ class TestVersionChains:
         corpus_id, seg_id, morpho, _ = self.seed_morpho(archive)
         archive.deposit(corpus_id, fixture("goriot_standoff_morpho_full.xml"),
                         "standoff-morpho", levels=[morpho.id])
-        chain = archive.version_chain(corpus_id, "morphosyntax")
+        chain = [v for v in archive.versions(corpus_id)
+                 if v.level_kind == "morphosyntax"]
         assert [r.id for r in chain] == [
             f"{corpus_id}-morphosyntax-v1", f"{corpus_id}-morphosyntax-v2"]
         assert [r.number for r in chain] == [1, 2]
@@ -717,23 +728,37 @@ class TestClosureAndAccessors:
         morpho = morpho_level(archive, corpus_id, seg_id)
         syntax = archive.add_level(corpus_id, "syntax", "none",
                                    depends_on=[morpho.id])
-        assert archive.dependency_closure(syntax.id) == [
-            syntax.id, morpho.id, seg_id]
+        assert archive.anchor(syntax.id) == seg_id
+        # top -> near -> seg: the nearer segmentation anchors once it
+        # holds units.
+        near = archive.add_level(corpus_id, "segmentation", "partial",
+                                 depends_on=[seg_id])
+        top = archive.add_level(corpus_id, "syntax", "none",
+                                depends_on=[near.id])
+        assert archive.anchor(top.id) == seg_id
+        archive.deposit(corpus_id, ONE_WORD, "segmentation",
+                        levels=[near.id])
+        assert archive.anchor(top.id) == near.id
 
     def test_closure_diamond_lists_each_level_once(self, archive):
         archive.register_corpus("D", corpus_id="d")
         seg = archive.add_level("d", "segmentation", "full")
-        left = archive.add_level("d", "morphosyntax", "none",
+        left = archive.add_level("d", "segmentation", "partial",
                                  depends_on=[seg.id])
-        right = archive.add_level("d", "structure", "none",
+        right = archive.add_level("d", "segmentation", "partial",
                                   depends_on=[seg.id])
         top = archive.add_level("d", "syntax", "none",
-                                depends_on=[left.id, right.id])
-        closure = archive.dependency_closure(top.id)
-        assert closure[0] == top.id
-        assert sorted(closure[1:3]) == sorted([left.id, right.id])
-        assert closure[3] == seg.id
-        assert len(closure) == len(set(closure))
+                                depends_on=[right.id, left.id])
+        assert archive.anchor(top.id) is None
+        archive.deposit("d", ONE_WORD, "segmentation", levels=[seg.id])
+        assert archive.anchor(top.id) == seg.id  # through both sides
+        archive.deposit("d", ONE_WORD, "segmentation", levels=[right.id])
+        assert archive.anchor(top.id) == right.id  # nearer than seg
+        archive.deposit("d", ONE_WORD, "segmentation", levels=[left.id])
+        # Equally near: ties go by id, not by the order depends_on names.
+        assert left.id < right.id
+        assert archive.anchor(top.id) == left.id
+        assert archive.validate("d") == []
 
     def test_nearest_segmentation_wins_for_anchoring(self, archive):
         archive.register_corpus("N", corpus_id="n")
@@ -760,6 +785,8 @@ class TestClosureAndAccessors:
             archive.resource("nope")
         with pytest.raises(UnknownEntityError):
             archive.levels("nope")
+        with pytest.raises(UnknownEntityError):
+            archive.versions("nope")
 
     def test_returned_entities_are_snapshots(self, archive):
         corpus_id, seg_id = goriot(archive)
@@ -810,8 +837,8 @@ class TestClosureAndAccessors:
             pytest.fail(f"what {name} returned could be changed")
         assert held.level_items(morpho.id)[0].categories == {
             "msd": "SBC:_:s", "lemma": "madame"}
-        assert "x-speaker" not in archive.level_granularity(morpho.id) \
-            .categories
+        assert "x-speaker" not in computed(archive, morpho.id)[
+            "granularity"].split(",")
         assert export_catalog(archive) == before \
             == export_catalog(Archive(tmp_path / "store"))
 
@@ -823,8 +850,9 @@ class TestClosureAndAccessors:
 
     def test_level_granularity_of_segmentation(self, archive):
         corpus_id, seg_id = goriot(archive)
-        assert archive.level_granularity(seg_id).categories == frozenset(
-            {"reference-unit"})
+        assert computed(archive, seg_id)["granularity"] == "reference-unit"
+        assert [v.granularity for v in archive.versions(corpus_id)] == [
+            frozenset({"reference-unit"})]
 
 
 class TestAnchorRule:
@@ -976,7 +1004,7 @@ class TestWithdraw:
         corpus_id, morpho, resource = self.seed(archive)
         archive.withdraw(resource.id)
         assert archive.level_items(morpho.id) == []
-        assert not archive.level_is_materialized(morpho.id)
+        assert not materialized(archive, morpho.id)
 
     def test_header_survives_and_reports_unavailable(self, archive,
                                                      tmp_path):
@@ -1042,7 +1070,7 @@ class TestWithdraw:
             == [("text-mismatch", ref.id)]
         reloaded = Archive(tmp_path / "store")
         assert reloaded.validate("t") == before
-        assert not reloaded.level_is_materialized(ref.id)
+        assert not materialized(reloaded, ref.id)
         for level_id in (seg.id, morpho.id):
             assert reloaded.level_units(level_id) \
                 == archive.level_units(level_id)
@@ -1063,7 +1091,7 @@ class TestWithdraw:
         archive.deposit("t", '<coref id="1">Madame</coref>', "inline-coref",
                         levels=[ref.id])
         archive.withdraw(segmentation.resource.id)
-        assert not archive.level_is_materialized(ref.id)
+        assert not materialized(archive, ref.id)
         assert export_catalog(archive) \
             == export_catalog(Archive(tmp_path / "store"))
 
@@ -1178,6 +1206,28 @@ class TestValidateLoadedManifests:
             dumps_corpus(corpus, list(levels), list(resources), []),
             encoding="utf-8")
 
+    def test_payloads_reload_in_deposit_order(self, tmp_path):
+        # Sorted as strings, "t-r1000" comes before "t-r999".
+        seg = Level(id="t-segmentation-1", corpus_id="t",
+                    kind="segmentation", coverage="full")
+        payloads = {"t-r999": '<word id="word_1">A</word> '
+                              '<word id="word_2">B</word>',
+                    "t-r1000": '<word id="word_3">C</word>'}
+        resources = [Resource(id=rid, corpus_id="t", format="segmentation",
+                              filename=f"{rid}.segmentation", levels=(seg.id,))
+                     for rid in payloads]
+        self.write_manifest(tmp_path, Corpus(id="t", title="T"), [seg],
+                            sorted(resources, key=lambda r: r.id))
+        directory = tmp_path / "store" / "corpora" / "t" / "resources"
+        directory.mkdir()
+        for resource in resources:
+            (directory / resource.filename).write_text(
+                payloads[resource.id], encoding="utf-8")
+        archive = Archive(tmp_path / "store")
+        assert archive.coverage(seg.id) == ["A", "B", "C"]
+        assert [r.id for r in archive.resources("t")] == list(payloads)
+        assert archive.validate("t") == []
+
     def test_dangling_dependency_reported(self, tmp_path):
         corpus = Corpus(id="x", title="X")
         level = Level(id="x-syntax-1", corpus_id="x", kind="syntax",
@@ -1285,7 +1335,7 @@ class TestValidateLoadedManifests:
         assert [(v.code, v.subject) for v in reloaded.validate()] \
             == [("parse-error", morpho.id),
                 ("payload-digest-mismatch", result.resource.id)]
-        assert not reloaded.level_is_materialized(morpho.id)
+        assert not materialized(reloaded, morpho.id)
         assert len(reloaded.level_units(seg_id)) == 76
         with pytest.raises(StoreError):
             reloaded.resource_payload(result.resource.id)
@@ -1507,7 +1557,7 @@ class TestConcurrency:
             release.set()
             writer.join(timeout=10)
         assert not writer.is_alive()
-        assert archive.level_is_materialized(level.id)
+        assert materialized(archive, level.id)
 
     def test_first_reads_of_a_deferred_open_parse_each_corpus_once(
             self, tmp_path, monkeypatch):
@@ -1758,8 +1808,7 @@ class TestCorpusIsolation:
         except CorpusForgeError as err:
             coverage = (err.code, err.message)
         return (coverage, archive.level_units(level_id),
-                archive.level_items(level_id),
-                archive.level_granularity(level_id))
+                archive.level_items(level_id), computed(archive, level_id))
 
     @settings(max_examples=25, deadline=None)
     @given(data=st.data())
@@ -1836,3 +1885,20 @@ class TestCorpusIsolation:
         assert export_catalog(held) == export
         assert export_catalog(deferred) \
             == export_catalog(Archive(tmp_path / "store")) != export
+
+
+def test_every_public_read_has_a_caller_outside_the_tests():
+    """Each public method of Snapshot (and so of Archive) and of Registry
+    is called in the package or the benchmark, or README documents it.
+    A caller is found by name: ``.name(`` in their Python source."""
+    repo = pathlib.Path(__file__).parents[1]
+    code = "".join(path.read_text(encoding="utf-8")
+                   for folder in ("src", "perfbench")
+                   for path in sorted((repo / folder).rglob("*.py")))
+    readme = (repo / "README.md").read_text(encoding="utf-8")
+    unused = [f"{cls.__name__}.{name}" for cls in (Snapshot, Registry)
+              for name in vars(cls)
+              if not name.startswith("_") and callable(getattr(cls, name))
+              and f".{name}(" not in code
+              and not re.search(rf"`{name}[`(]", readme)]
+    assert unused == []

@@ -163,6 +163,24 @@ class TestDeposit:
         assert code == 1
         assert err.startswith("error: unknown-entity")
 
+    def test_level_named_twice_is_refused_before_any_write(self, root,
+                                                           capsys):
+        seeded(root, capsys)
+
+        def tree():
+            return {p: p.read_bytes() for p in
+                    sorted(pathlib.Path(root).rglob("*")) if p.is_file()}
+
+        before = tree()
+        level = "pere-goriot-morphosyntax-1"
+        code, _, err = run(
+            capsys, "deposit", "--root", root, "--corpus", "pere-goriot",
+            "--format", "standoff-morpho", "--levels", f"{level},{level}",
+            fix("goriot_standoff_morpho_full.xml"))
+        assert code == 1
+        assert err == f"error: store-error: level {level!r} is named twice\n"
+        assert tree() == before
+
     def test_machine_output_structure(self, root, capsys):
         seeded(root, capsys)
         code, out, _ = run(

@@ -16,9 +16,8 @@ from corpus_forge.manifest import (
     unescape_value,
 )
 from corpus_forge.model import COVERAGE_VALUES, Corpus, Level, Resource, slugify
-from corpus_forge.registry import Registry
 from corpus_forge.versioning import Classification, VersionRecord
-from strategies import kinds, metas, texts
+from strategies import category_ids, kinds, metas, texts
 
 FORMAT_1 = pathlib.Path(__file__).parent / "fixtures" / "format1.manifest"
 
@@ -152,8 +151,7 @@ def entities(draw):
         level_id=draw(texts), resource_id=draw(texts),
         number=draw(st.integers(1, 99)),
         classification=draw(st.sampled_from(Classification)),
-        granularity=draw(st.frozensets(
-            st.sampled_from(sorted(Registry.default().ids())), max_size=3)),
+        granularity=draw(st.frozensets(category_ids, max_size=3)),
         validated=draw(st.booleans()), validator=draw(st.none() | texts),
         coverage=draw(texts),
         variant_groups=tuple(draw(st.lists(

@@ -23,6 +23,7 @@ from corpus_forge.registry import (
     Registry,
     granularity_of,
 )
+from strategies import REGISTRY_IDS
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 
@@ -34,8 +35,9 @@ def fixture(name: str) -> str:
 class TestRegistryLoading:
     def test_default_registry_loads(self):
         reg = Registry.default()
-        assert len(reg) >= 15
-        assert "part-of-speech" in reg
+        assert len(REGISTRY_IDS) >= 15
+        assert [reg.category(c).id for c in REGISTRY_IDS] == REGISTRY_IDS
+        assert reg.lookup("part-of-speech") == "part-of-speech"
         assert reg.lookup("lemma") == "lemma"
 
     def test_aliases_resolve(self):
@@ -102,7 +104,8 @@ class TestRegistryLoading:
 
     def test_comments_and_blanks_skipped(self):
         reg = Registry.from_text("# comment\n\na\tA\t-\t-\n")
-        assert len(reg) == 1
+        assert reg.category("a").name == "A"
+        assert reg.lookup("# comment") is None
 
     def test_category_accessor(self):
         reg = Registry.default()

@@ -15,10 +15,8 @@ from corpus_forge.errors import (
     TextMismatchError,
 )
 from corpus_forge.standoff import (
-    DEFAULT_SPLIT_TABLE,
     ReferenceUnit,
     SpanExpr,
-    SplitTable,
     align_inline,
     coverage_fingerprint,
     reconstruct_coverage,
@@ -116,17 +114,9 @@ class TestSegmentation:
 
 
 class TestSplitTable:
-    def test_rejects_uppercase_keys(self):
-        with pytest.raises(ValueError):
-            SplitTable({"Au": ("à", "le")})
-
-    def test_rejects_single_replacement(self):
-        with pytest.raises(ValueError):
-            SplitTable({"au": ("à",)})
-
     def test_lookup_case_insensitive(self):
-        assert DEFAULT_SPLIT_TABLE.lookup("AUX") == ("à", "les")
-        assert DEFAULT_SPLIT_TABLE.lookup("des") is None
+        assert [u.form for u in segment_text("AUX des")] == [
+            "à", "les", "des"]
 
 
 class TestReferenceUnit:

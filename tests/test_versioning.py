@@ -3,15 +3,13 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from corpus_forge.registry import Registry
 from corpus_forge.versioning import (
     Classification,
     Comparison,
     classify_submission,
     compare_granularity,
 )
-
-REG = Registry.default()
+from strategies import category_ids
 
 BASE = frozenset({"part-of-speech", "lemma"})
 FINER = BASE | {"adverb-subclass"}
@@ -53,7 +51,7 @@ class TestCompareGranularity:
         assert compare_granularity(a, frozenset({"x-speaker"})) is Comparison.EQUAL
         assert compare_granularity(a, frozenset({"x-other"})) is Comparison.DIFFERENT
 
-    cats = st.frozensets(st.sampled_from(sorted(REG.ids())), max_size=6)
+    cats = st.frozensets(category_ids, max_size=6)
 
     @given(cats)
     def test_reflexive(self, a):
@@ -103,8 +101,8 @@ class TestClassifySubmission:
         assert not Classification.PARALLEL.is_correction
         assert not Classification.INITIAL.is_correction
 
-    @given(st.frozensets(st.sampled_from(sorted(REG.ids())), max_size=5),
-           st.frozensets(st.sampled_from(sorted(REG.ids())), max_size=5),
+    @given(st.frozensets(category_ids, max_size=5),
+           st.frozensets(category_ids, max_size=5),
            st.booleans())
     def test_total_function(self, new, prior, validated):
         got = classify_submission(new, prior, validated=validated)
