@@ -10,19 +10,23 @@ Reads never wait for the writers' lock: each is answered from the last
 published :class:`Snapshot`, and ``Archive.snapshot()`` returns it, so
 several reads see one commit.  A snapshot maps each corpus id to that
 corpus's :class:`CorpusState`, so a read of one corpus touches no other.
-A state loaded from its manifest may hold its payloads unparsed; the
-first read of its units or items then parses them, once for every
-snapshot that shares the state.  Its catalog record, stamp and summary
-block are rendered on their first read too, and kept on the state.  So
-a published state changes only when its first reads fill ``parsed`` and
-those renderings, and a read may parse or render its corpus, but it
-still never waits for the writers' lock.  Writers take that lock and
-build the next snapshot as a draft: it copies the map of corpora and the
-state of each corpus it writes, parsed first, and shares every other
-state with the published snapshot.  They write payload, header and
-manifest from the draft and publish it last with one assignment, so a
-write that fails changes nothing.  Entities are immutable, so reads and
-writers hand out the snapshot's own.
+A state holds one :class:`Parsed` entry per level; a state loaded from
+its manifest makes them, empty, on first use.  The first read of a
+level's units or items parses that level's payloads, and those of the
+segmentations it anchors on, once for every snapshot that shares the
+entry.  A corpus's catalog record, stamp and summary block are rendered
+on their first read too, and kept on its state.  So a published state
+changes only when its first reads fill entries and those renderings, and
+a read may parse or render, but it still never waits for the writers'
+lock.  Writers take that lock and build the next snapshot as a draft: it
+copies the map of corpora and the state of each corpus it writes, and
+shares every other state, and every level entry it does not write, with
+the published snapshot.  An entry it replaces or drops is filled first,
+so a snapshot that shares it keeps its answers after a payload is
+deleted.  Writers write payload, header and manifest from the draft and
+publish it last with one assignment, so a write that fails changes
+nothing.  Entities are immutable, so reads and writers hand out the
+snapshot's own.
 """
 
 from __future__ import annotations
@@ -140,76 +144,136 @@ class DepositResult:
     records: tuple[VersionRecord, ...]
 
 
-@dataclass
+@dataclass(slots=True)
 class Parsed:
-    """What one corpus's stored payloads parsed into."""
+    """What the stored payloads that target one level parsed into.
 
-    units: dict[str, list[ReferenceUnit]] = field(default_factory=dict)
-    items: dict[str, list[AnnotationItem]] = field(default_factory=dict)
-    # Levels with a stored payload that did not parse: no anchor, or
-    # one that no longer aligns.  ``validate`` reports them.
-    unparsed: dict[str, Violation] = field(default_factory=dict)
+    A level's entry is filled in place by its first read
+    (``CorpusState.parsed``) and only read from then on.  A draft shares
+    the entries of the levels it does not write; for a level it writes it
+    makes a new entry and replaces its fields, never changing a list in
+    them.
+    """
+
+    units: list[ReferenceUnit] = field(default_factory=list)
+    # (segmentation payload, units held after it), in deposit order.
+    ends: tuple[tuple[Resource, int], ...] = ()
+    items: list[AnnotationItem] = field(default_factory=list)
+    # A stored payload that did not parse: no anchor, or one that no
+    # longer aligns.  ``validate`` reports it.
+    unparsed: Violation | None = None
     # Resources whose stored payload's SHA-256 is not the recorded one.
-    mismatched: set[str] = field(default_factory=set)
+    mismatched: frozenset[str] = frozenset()
+    filled: bool = False
+    filling: bool = False  # by the thread that holds the state's lock
 
-    def copy(self) -> Parsed:
-        return Parsed(dict(self.units), dict(self.items),
-                      dict(self.unparsed), set(self.mismatched))
+    def held(self, before: Resource | None = None) -> int:
+        """How many units were deposited before ``before``; all for None.
+        A payload aligns on the units deposited before it, as at deposit."""
+        if before is None:
+            return len(self.units)
+        held = 0
+        for resource, end in self.ends:
+            if deposit_order(resource) >= deposit_order(before):
+                break
+            held = end
+        return held
 
 
 @dataclass(frozen=True)
 class CorpusState:
     """One corpus in one snapshot: the corpus, its levels and resources by
-    id, its version records, and what its stored payloads parsed into.
+    id, its version records, and what each level's stored payloads parsed
+    into.
 
-    A published state changes only when its first reads fill ``parsed``
-    and the catalog memo (``Snapshot._rendered``).  Its fields are
-    frozen: a draft replaces them through ``Snapshot._writable``, which
-    also gives it its own copy of the dicts; it fills only that copy, and
-    replaces an entity or a list there instead of changing it.  A draft
-    state changes in place, so it never gets a memo, and a ``copy`` or
-    ``replace`` starts with an empty one.
+    A published state changes only when first reads fill its level
+    entries (``parsed``) and the catalog memo (``Snapshot._rendered``).
+    Its fields are frozen: a draft replaces them through
+    ``Snapshot._writable``, which also gives it its own copy of the dicts;
+    it fills only that copy, and replaces an entity, a list or a level
+    entry there instead of changing it.  A draft state changes in place,
+    so it never gets a memo, and a ``copy`` or ``replace`` starts with an
+    empty one.
     """
 
     corpus: Corpus
+    root: Path
     levels: dict[str, Level] = field(default_factory=dict)
     resources: dict[str, Resource] = field(default_factory=dict)
     versions: tuple[VersionRecord, ...] = ()
-    # Fills a state's ``parsed`` from its stored payloads; None for a
-    # state whose payloads a draft parsed, or that has none.
-    parse: Callable[[CorpusState], None] | None = None
-    # ``parsed``, once the first read of it has parsed the payloads.
-    _parsed: list[Parsed] = field(default_factory=list, repr=False)
-    _lock: threading.Lock = field(default_factory=threading.Lock,
-                                  repr=False)
+    # One entry per level; a state loaded from its manifest makes them on
+    # first use (``_made``).  A ``copy`` shares the entries, and with them
+    # the lock under which a first read fills one, so an entry is filled
+    # once for every state that shares it.
+    _entries: dict[str, Parsed] = field(default_factory=dict, repr=False)
+    _lock: threading.RLock = field(default_factory=threading.RLock,
+                                   repr=False)
     # Rendered catalog fragments by name, filled on their first read once
     # the state is published.  No ``__init__`` argument, so a ``copy`` or
     # ``replace`` starts with an empty one.
     _catalog: dict[str, str] = field(default_factory=dict, init=False,
                                      repr=False)
 
-    @property
-    def parsed(self) -> Parsed:
-        if not self._parsed:
+    def parsed(self, level_id: str) -> Parsed:
+        """The level's entry, parsed from its stored payloads on its first
+        read."""
+        entry = self._entries.get(level_id)
+        if entry is None or not entry.filled:
             with self._lock:
-                if not self._parsed:
-                    # Into a fresh state, whose reads see what it holds
-                    # so far: a payload aligns on the units parsed before.
-                    work = CorpusState(self.corpus, self.levels,
-                                       self.resources, self.versions,
-                                       _parsed=[Parsed()])
-                    if self.parse is not None:
-                        self.parse(work)
-                    self._parsed.append(work.parsed)
-        return self._parsed[0]
+                entry = self._made()[level_id]
+                # An entry this thread is filling is read as it stands:
+                # a dependency cycle reads its units, which parse first.
+                if not (entry.filled or entry.filling):
+                    entry.__init__(filling=True)  # empty, also after a raise
+                    try:
+                        self._fill(level_id, entry)
+                        entry.filled = True
+                    finally:
+                        entry.filling = False
+        return entry
+
+    def _fill(self, level_id: str, entry: Parsed) -> None:
+        """Parse the available resources that target one level,
+        segmentations first, each kind in deposit order."""
+        for resource in sorted(
+                (r for r in self.resources.values()
+                 if r.available and level_id in r.levels),
+                key=lambda r: (not FORMATS[r.format].yields_units,
+                               deposit_order(r))):
+            path = _payload_path(self.root, self.corpus.id, resource)
+            if not path.is_file():
+                continue  # reported by validate() as missing-payload
+            payload = path.read_bytes()
+            if not _digest_matches(resource, payload):
+                entry.mismatched |= {resource.id}
+            # Looked up on the class at each call, as a tracer patches it.
+            Archive._materialize(self, resource, payload, level_id, entry)
+
+    def _made(self) -> dict[str, Parsed]:
+        """The level entries, made on first use; under the lock."""
+        if not self._entries:
+            self._entries.update({l: Parsed() for l in self.levels})
+        return self._entries
 
     def copy(self) -> CorpusState:
-        """A draft's own copy.  It parses this state first, so a snapshot
-        that shares this state reads what it would have read at open,
-        also after the draft's write deletes a payload."""
-        return CorpusState(self.corpus, dict(self.levels),
-                           dict(self.resources), self.versions,
-                           _parsed=[self.parsed.copy()])
+        """A draft's own copy.  It shares every level entry, filled or
+        not, with this state."""
+        with self._lock:
+            entries = dict(self._made())
+        return CorpusState(self.corpus, self.root, dict(self.levels),
+                           dict(self.resources), self.versions, entries,
+                           self._lock)
+
+    def drop(self, level_ids) -> None:
+        """Give ``level_ids``, and every level that depends on them, entries
+        that their next read fills again, as a reload would.  Each is
+        filled first, so every snapshot that shared it keeps its answers
+        after a later write deletes a payload."""
+        dropped = [l.id for l in self.levels.values() if l.id in level_ids
+                   or any(d.id in level_ids for d in self.closure(l))]
+        for level_id in dropped:
+            self.parsed(level_id)
+        self._entries.update((level_id, Parsed()) for level_id in dropped)
 
     def closure(self, level: Level):
         """Yield the levels ``level`` depends on, directly or not, nearest
@@ -222,28 +286,29 @@ class CorpusState:
             frontier = [self.levels[i] for i in ids if i in self.levels]
             yield from frontier
 
-    def anchor(self, level_id: str) -> str | None:
-        units = self.parsed.units
+    def anchor(self, level_id: str,
+               before: Resource | None = None) -> str | None:
+        """The nearest segmentation in the level's closure that holds
+        units, or that held some before ``before``."""
         return next((l.id for l in self.closure(self.levels[level_id])
-                     if l.kind == KIND_SEGMENTATION and units.get(l.id)),
-                    None)
+                     if l.kind == KIND_SEGMENTATION
+                     and self.parsed(l.id).held(before)), None)
 
     def coverage(self, level_id: str) -> list[str]:
-        anchor, parsed = self.anchor(level_id), self.parsed
+        anchor, entry = self.anchor(level_id), self.parsed(level_id)
         return reconstruct_coverage(
-            self.levels[level_id].kind, parsed.units.get(level_id, []),
-            parsed.items.get(level_id, []),
-            parsed.units[anchor] if anchor is not None else None)
+            self.levels[level_id].kind, entry.units, entry.items,
+            self.parsed(anchor).units if anchor is not None else None)
 
     def granularity(self, level_id: str) -> Granularity:
-        if (self.levels[level_id].kind == KIND_SEGMENTATION
-                and self.parsed.units.get(level_id)):
+        entry = self.parsed(level_id)
+        if self.levels[level_id].kind == KIND_SEGMENTATION and entry.units:
             return Granularity(SEGMENTATION_GRANULARITY)
-        return granularity_of(self.parsed.items.get(level_id, []))
+        return granularity_of(entry.items)
 
     def materialized(self, level_id: str) -> bool:
-        parsed = self.parsed
-        return bool(parsed.units.get(level_id) or parsed.items.get(level_id))
+        entry = self.parsed(level_id)
+        return bool(entry.units or entry.items)
 
 
 class Snapshot:
@@ -383,12 +448,10 @@ class Snapshot:
                       key=lambda v: (v.level_kind, v.number))
 
     def level_units(self, level_id: str) -> list[ReferenceUnit]:
-        parsed = self._level_state(level_id).parsed
-        return list(parsed.units.get(level_id, []))
+        return list(self._level_state(level_id).parsed(level_id).units)
 
     def level_items(self, level_id: str) -> list[AnnotationItem]:
-        parsed = self._level_state(level_id).parsed
-        return list(parsed.items.get(level_id, []))
+        return list(self._level_state(level_id).parsed(level_id).items)
 
     def classify_level(self, level_id: str) -> str:
         return self.level(level_id).classify()
@@ -449,12 +512,13 @@ class Snapshot:
                 f"level dependencies form a cycle: {cycle}"))
 
         for level in levels:
+            entry = state.parsed(level.id)
             if level.coverage == COVERAGE_NONE and not level.depends_on:
                 out.append(Violation(
                     "pointer-level-without-dependency", level.id,
                     "contributes no coverage but depends on nothing"))
             if level.coverage == COVERAGE_NONE:
-                roots = state.parsed.items.get(level.id, [])
+                roots = entry.items
                 if roots and all(i.surface is not None for i in roots):
                     out.append(Violation(
                         "surface-in-pointer-level", level.id,
@@ -464,8 +528,8 @@ class Snapshot:
                 # Reconstruction through a cyclic graph has no meaning;
                 # the cycle violation already covers these levels.
                 continue
-            if level.id in state.parsed.unparsed:
-                out.append(state.parsed.unparsed[level.id])
+            if entry.unparsed is not None:
+                out.append(entry.unparsed)
                 continue
             if not state.materialized(level.id):
                 continue
@@ -488,12 +552,14 @@ class Snapshot:
                     "full-coverage level does not reconstruct the corpus "
                     "coverage"))
             try:
-                resolve_link_targets(state.parsed.items.get(level.id, []))
+                resolve_link_targets(entry.items)
             except UnknownTargetError as err:
                 out.append(Violation(
                     "unknown-target", level.id,
                     f"link references undeclared item {err.target!r}"))
 
+        mismatched = set().union(
+            *(state.parsed(level.id).mismatched for level in levels))
         for resource in resources:
             if not resource.levels:
                 out.append(Violation(
@@ -504,12 +570,17 @@ class Snapshot:
                     out.append(Violation(
                         "dangling-level", resource.id,
                         f"references unknown level {level_id!r}"))
-            if (resource.available and not _payload_path(
-                    self.root, corpus.id, resource).is_file()):
+            if not resource.available:
+                continue
+            path = _payload_path(self.root, corpus.id, resource)
+            if not path.is_file():
                 out.append(Violation(
                     "missing-payload", resource.id,
                     "marked available but its payload file is gone"))
-            if resource.available and resource.id in state.parsed.mismatched:
+            elif resource.id in mismatched or (
+                    # No level reads it: its digest is checked here.
+                    state.levels.keys().isdisjoint(resource.levels)
+                    and not _digest_matches(resource, path.read_bytes())):
                 out.append(Violation(
                     "payload-digest-mismatch", resource.id,
                     "stored payload's SHA-256 is not the one recorded at "
@@ -522,7 +593,7 @@ class Archive:
     is also a read of ``Archive``, of its last published snapshot.
 
     Opening parses every stored payload, unless ``defer_parse`` is true:
-    then each corpus's payloads are parsed on its first unit or item read.
+    then each level's payloads are parsed on its first read.
     """
 
     def __init__(self, root, clock=None, *, defer_parse: bool = False):
@@ -532,7 +603,8 @@ class Archive:
         self._view = self._load()
         if not defer_parse:
             for state in self._view._corpora.values():
-                state.parsed  # noqa: B018 - the first read parses
+                for level_id in state.levels:
+                    state.parsed(level_id)
 
     # -- storage ----------------------------------------------------------
 
@@ -541,9 +613,6 @@ class Archive:
         corpora_dir = self.root / "corpora"
         if not corpora_dir.is_dir():
             return view
-        # The parse holds the root, not the archive: a cycle would keep a
-        # closed archive in memory until the next collection.
-        parse = functools.partial(Archive._parse_stored, self.root)
         for entry in sorted(corpora_dir.iterdir()):
             manifest_path = entry / "manifest"
             if not entry.is_dir() or not manifest_path.is_file():
@@ -561,30 +630,12 @@ class Archive:
                     f"manifest does not load: {err}")
                 continue
             state = view._corpora[corpus.id] = CorpusState(
-                corpus, {l.id: l for l in levels},
-                {r.id: r for r in resources}, tuple(versions), parse)
+                corpus, self.root, {l.id: l for l in levels},
+                {r.id: r for r in resources}, tuple(versions))
             for kind in ("levels", "resources"):
                 view._owners[kind].update(
                     dict.fromkeys(getattr(state, kind), corpus.id))
         return view
-
-    @staticmethod
-    def _parse_stored(root: Path, state: CorpusState,
-                      only: set[str] | None = None) -> None:
-        """Parse each available resource's stored payload into its levels,
-        or into those of them in ``only``, and check its digest."""
-        for resource in _deposited(state.resources):
-            if not resource.available or (
-                    only is not None and only.isdisjoint(resource.levels)):
-                continue
-            path = _payload_path(root, state.corpus.id, resource)
-            if not path.is_file():
-                continue  # reported by validate() as missing-payload
-            payload = path.read_bytes()
-            if not _digest_matches(resource, payload):
-                state.parsed.mismatched.add(resource.id)
-            # Looked up on the class at each call, as a tracer patches it.
-            Archive._materialize(state, resource, payload, only)
 
     def _publish(self, draft: Snapshot, *corpus_ids: str) -> None:
         """Write the manifests of ``corpus_ids``, then publish ``draft``."""
@@ -635,7 +686,7 @@ class Archive:
             id=corpus_id, title=title, language=language,
             declared_meta=manifest_mod.storable_meta(meta),
             created_at=_iso(self._clock()))
-        draft._corpora[corpus_id] = CorpusState(corpus)
+        draft._corpora[corpus_id] = CorpusState(corpus, draft.root)
         draft._written.add(corpus_id)
         return corpus
 
@@ -687,6 +738,7 @@ class Archive:
             declared_meta=manifest_mod.storable_meta(spec.meta),
             created_at=_iso(self._clock()))
         state.levels[level.id] = level
+        state._entries[level.id] = Parsed(filled=True)
         draft._owners["levels"][level.id] = corpus_id
         return level
 
@@ -767,6 +819,7 @@ class Archive:
                 raise DependencyCycleError(
                     f"adding {dep_id!r} under {level_id!r} closes a "
                     f"dependency cycle") from err
+            state.drop([level_id])
             level = state.levels[level_id] = dataclasses.replace(
                 level, depends_on=level.depends_on + ((dep_id, purpose),))
             self._publish(draft, state.corpus.id)
@@ -802,10 +855,12 @@ class Archive:
                 raise NoLevelError(
                     "a deposit must target at least one description level")
 
-            # Parse for every target before storing any result, so each
-            # aligns on the last commit's anchors.  Only the draft changes
-            # below: a payload that fails to parse or merge publishes nothing.
-            parsed = [(level, self._parse_for(state, format, text, level))
+            # Parse for every target, and read its earlier payloads, before
+            # storing any result, so each aligns on the last commit's
+            # anchors.  Only the draft changes below: a payload that fails
+            # to parse or merge publishes nothing.
+            parsed = [(level, state.parsed(level.id),
+                       self._parse_for(state, format, text, level))
                       for level in targets]
 
             number = 1 + len(state.resources)
@@ -826,9 +881,10 @@ class Archive:
                 declared_meta=manifest_mod.storable_meta(meta))
             draft._owners["resources"][resource_id] = corpus_id
             fresh_by_kind: dict[str, list[AnnotationItem]] = {}
-            for level, value in parsed:
+            for level, earlier, value in parsed:
+                entry = state._entries[level.id] = dataclasses.replace(earlier)
                 fresh_by_kind.setdefault(level.kind, []).extend(
-                    self._add_parsed(state, level.id, format, value))
+                    self._add_parsed(entry, level.id, resource, value))
 
             records = self._record_versions(
                 state, resource, targets, fresh_by_kind, now)
@@ -848,17 +904,20 @@ class Archive:
                 records=tuple(records))
 
     @staticmethod
-    def _parse_for(state: CorpusState, format: str, text: str,
-                   level: Level) -> list:
+    def _parse_for(state: CorpusState, format: str, text: str, level: Level,
+                   before: Resource | None = None) -> list:
+        """What ``text`` parses into for ``level``, aligned on the units
+        deposited before ``before`` if its codec aligns."""
         codec = FORMATS[format]
         if codec.yields_units and level.kind != KIND_SEGMENTATION:
             raise StoreError(
                 f"{format} payloads materialize segmentation levels, "
                 f"not {level.kind!r}")
-        anchor = (state.anchor(level.id)
+        anchor = (state.anchor(level.id, before)
                   if codec.needs_units != "no" else None)
         if anchor is not None:
-            value = codec.parse(text, state.parsed.units[anchor])
+            entry = state.parsed(anchor)
+            value = codec.parse(text, entry.units[:entry.held(before)])
         elif codec.needs_units == "required":
             raise NoPrimaryAnchorError(
                 f"format {format!r} aligns against reference units, but "
@@ -870,29 +929,28 @@ class Archive:
         return value if project is None else project(value)
 
     @staticmethod
-    def _add_parsed(state: CorpusState, level_id: str, format: str,
+    def _add_parsed(entry: Parsed, level_id: str, resource: Resource,
                     value: list) -> list:
-        """Store what ``format`` parsed for one level; return the new items."""
-        parsed = state.parsed
-        if not FORMATS[format].yields_units:
-            parsed.items[level_id] = parsed.items.get(level_id, []) + value
+        """Add what ``resource``'s payload parsed into to one level's
+        entry; return the new items."""
+        if not FORMATS[resource.format].yields_units:
+            entry.items = entry.items + value
             return value
-        merged = parsed.units.get(level_id)
-        if not merged:
-            # The codec numbered its units by position and refused a
-            # repeated id: they are stored as they are.
-            parsed.units[level_id] = value
-            return []
-        existing_ids = {u.id for u in merged}
-        for unit in value:
-            if unit.id in existing_ids:
-                raise StoreError(
-                    f"unit id {unit.id!r} already materialized on level "
-                    f"{level_id!r}")
-            existing_ids.add(unit.id)
-        parsed.units[level_id] = merged + [
-            ReferenceUnit(id=u.id, form=u.form, index=len(merged) + i)
-            for i, u in enumerate(value)]
+        merged = entry.units
+        if merged:
+            existing_ids = {u.id for u in merged}
+            for unit in value:
+                if unit.id in existing_ids:
+                    raise StoreError(
+                        f"unit id {unit.id!r} already materialized on level "
+                        f"{level_id!r}")
+                existing_ids.add(unit.id)
+            value = [ReferenceUnit(id=u.id, form=u.form, index=len(merged) + i)
+                     for i, u in enumerate(value)]
+        # Else the codec numbered its units by position and refused a
+        # repeated id: they are stored as they are.
+        entry.units = merged + value
+        entry.ends += ((resource, len(entry.units)),)
         return []
 
     def _record_versions(self, state: CorpusState, resource: Resource,
@@ -974,19 +1032,9 @@ class Archive:
             if resource.available:
                 corpus_id = state.corpus.id
                 state = draft._writable(corpus_id)
+                state.drop(resource.levels)
                 resource = state.resources[resource_id] = dataclasses.replace(
                     resource, available=False)
-                # Re-parse its levels and every level that depends on
-                # them, as a reload would.
-                reparse = set(resource.levels) | {
-                    l.id for l in state.levels.values()
-                    if any(d.id in resource.levels for d in state.closure(l))}
-                parsed = state.parsed
-                for level_id in reparse:
-                    for by_level in (parsed.units, parsed.items,
-                                     parsed.unparsed):
-                        by_level.pop(level_id, None)
-                self._parse_stored(self.root, state, reparse)
                 path = _payload_path(self.root, corpus_id, resource)
                 path.with_name(f"{resource_id}.header").write_text(
                     draft.resource_header(resource_id), encoding="utf-8")
@@ -996,23 +1044,17 @@ class Archive:
             return resource
 
     @staticmethod
-    def _materialize(state: CorpusState, resource: Resource,
-                     payload: bytes, only: set[str] | None = None) -> None:
-        for level_id in resource.levels:
-            if only is not None and level_id not in only:
-                continue
-            if level_id not in state.levels:
-                continue  # reported by validate() as dangling level
-            try:
-                value = Archive._parse_for(state, resource.format,
-                                           _utf8(payload),
-                                           state.levels[level_id])
-            except CorpusForgeError as err:
-                # It parsed at deposit, so its anchor (or the file) changed.
-                state.parsed.unparsed[level_id] = Violation(
-                    err.code, level_id, err.message)
-                continue
-            Archive._add_parsed(state, level_id, resource.format, value)
+    def _materialize(state: CorpusState, resource: Resource, payload: bytes,
+                     level_id: str, entry: Parsed) -> None:
+        """Add a stored payload to ``entry``, of one of its levels."""
+        try:
+            value = Archive._parse_for(state, resource.format, _utf8(payload),
+                                       state.levels[level_id], resource)
+            Archive._add_parsed(entry, level_id, resource, value)
+        except CorpusForgeError as err:
+            # It parsed and merged at deposit, so its anchor or a stored
+            # file changed.
+            entry.unparsed = Violation(err.code, level_id, err.message)
 
 
 def _read(method):

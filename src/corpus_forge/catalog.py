@@ -148,7 +148,7 @@ def compute_auto_stats(archive, corpus_id: str) -> dict[str, str]:
     for level in levels:
         if level.kind != KIND_SEGMENTATION:
             continue
-        units = state.parsed.units.get(level.id)
+        units = state.parsed(level.id).units
         if units:
             word_count = len(units)
             break
@@ -158,7 +158,7 @@ def compute_auto_stats(archive, corpus_id: str) -> dict[str, str]:
         "resource-count": str(len(state.resources)),
     }
     turns = sum(1 for level in levels if level.kind == KIND_STRUCTURE
-                for item in iter_items(state.parsed.items.get(level.id, []))
+                for item in iter_items(state.parsed(level.id).items)
                 if item.element in _TURN_ELEMENTS)
     if turns:
         stats["turn-count"] = str(turns)
@@ -218,10 +218,10 @@ def level_header(archive, level_id: str) -> MetadataHeader:
         computed["depends-on"] = ",".join(
             f"{dep_id}|{purpose}" for dep_id, purpose in level.depends_on)
     if level.kind == KIND_SEGMENTATION:
-        computed["items"] = str(len(state.parsed.units.get(level_id, [])))
+        computed["items"] = str(len(state.parsed(level_id).units))
     else:
         computed["items"] = str(sum(
-            1 for _ in iter_items(state.parsed.items.get(level_id, []))))
+            1 for _ in iter_items(state.parsed(level_id).items)))
     if materialized:
         categories = state.granularity(level_id).categories
         if categories:

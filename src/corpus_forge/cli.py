@@ -75,9 +75,9 @@ def _read_input(path: str) -> str:
 
 
 def _open_archive(args) -> Archive:
-    """The archive at ``--root``.  A command reads few corpora, often one,
-    so each corpus's payloads are parsed when the command first reads
-    them."""
+    """The archive at ``--root``.  A command reads few levels, often of
+    one corpus, so each level's payloads are parsed when the command first
+    reads them."""
     root = Path(args.root)
     if not (root / "corpora").is_dir():
         raise StoreError(

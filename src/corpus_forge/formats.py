@@ -360,23 +360,24 @@ def serialize_referential_standoff(items: list[AnnotationItem]) -> str:
             if item.group is not None:
                 lines.append("<alt>")
             open_group = item.group
+        attrs = "".join(f' {k}="{_markup.escape(v)}"'
+                        for k, v in sorted(item.categories.items()))
         if item.element == "referentialMarkable":
-            attrs = "".join(f' {k}="{_markup.escape(v)}"'
-                            for k, v in sorted(item.categories.items()))
             lines.append(
-                f'<referentialMarkable id="{item.id}"{attrs}>'
+                f'<referentialMarkable id="{_markup.escape(item.id)}"{attrs}>'
                 f"{_markup.escape(item.surface or '')}</referentialMarkable>")
         else:
             link = item.links[0]
-            parts = [f'<referentialLink']
+            parts = ["<referentialLink"]
             if link.source is not None:
-                parts.append(f' referentialSource="id({link.source})"')
+                parts.append(' referentialSource='
+                             f'"id({_markup.escape(link.source)})"')
             targets = ",".join(f"id({t})" for t in link.targets)
-            parts.append(f' referentialTarget="{targets}"')
+            parts.append(f' referentialTarget="{_markup.escape(targets)}"')
             if link.type != "reference":
                 parts.append(f' type="{_markup.escape(link.type)}"')
             indent = "  " if item.group is not None else ""
-            lines.append(indent + "".join(parts) + "/>")
+            lines.append(indent + "".join(parts) + attrs + "/>")
     if open_group is not None:
         lines.append("</alt>")
     return "\n".join(lines)

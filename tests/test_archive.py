@@ -2,6 +2,7 @@
 persistence, and concurrency."""
 
 import dataclasses
+import hashlib
 import pathlib
 import re
 import sys
@@ -336,6 +337,28 @@ class TestAddDependency:
         with pytest.raises(UnknownDependencyError):
             archive.add_dependency(a.id, b.id)
 
+    def test_rewired_level_reads_as_a_reload_would(self, archive, tmp_path):
+        archive.register_corpus("X", corpus_id="x")
+        other, seg = (archive.add_level("x", "segmentation", "partial")
+                      for _ in range(2))
+        for level, words in ((other, ("Autre", "texte")),
+                             (seg, ("Madame", "Vauquer"))):
+            archive.deposit("x", "".join(
+                f'<word id="word_{i}">{w}</word>'
+                for i, w in enumerate(words, 1)), "segmentation",
+                levels=[level.id])
+        ref = archive.add_level("x", "reference", "none", depends_on=[seg.id])
+        archive.deposit("x", '<coref id="1">Madame Vauquer</coref>',
+                        "inline-coref", levels=[ref.id])
+        # A tie by id: the other segmentation anchors now, and the
+        # payload, aligned on "Madame Vauquer", does not align on it.
+        archive.add_dependency(ref.id, other.id)
+        assert archive.anchor(ref.id) == other.id
+        assert [(v.code, v.subject) for v in archive.validate("x")] \
+            == [("text-mismatch", ref.id)]
+        assert export_catalog(archive) \
+            == export_catalog(Archive(tmp_path / "store"))
+
 
 class TestDepositBasics:
     def test_segmentation_deposit_materializes_units(self, archive):
@@ -548,6 +571,27 @@ class TestStandoffDeposits:
         items = archive.level_items(morpho.id)
         assert items[0].span is not None
         assert archive.coverage(morpho.id)[:2] == ["C'", "est"]
+
+
+    def test_inline_payload_reloads_on_the_units_deposited_before_it(
+            self, archive, tmp_path):
+        archive.register_corpus("T", corpus_id="t")
+        seg = archive.add_level("t", "segmentation", "partial")
+        archive.deposit("t", '<word id="word_1">Madame</word>\n'
+                        '<word id="word_2">Vauquer</word>', "segmentation",
+                        levels=[seg.id])
+        ref = archive.add_level("t", "reference", "none", depends_on=[seg.id])
+        archive.deposit("t", '<coref id="1">Madame Vauquer</coref>',
+                        "inline-coref", levels=[ref.id])
+        archive.deposit("t", '<word id="word_3">dit</word>', "segmentation",
+                        levels=[seg.id])
+        assert archive.validate("t") == []
+        for reloaded in (Archive(tmp_path / "store"),
+                         Archive(tmp_path / "store", defer_parse=True)):
+            # Aligned on all three units, the payload is a text-mismatch.
+            assert reloaded.coverage(ref.id) == archive.coverage(ref.id)
+            assert reloaded.validate("t") == []
+            assert export_catalog(reloaded) == export_catalog(archive)
 
 
 class TestSplitSegmentation:
@@ -1228,6 +1272,25 @@ class TestValidateLoadedManifests:
         assert [r.id for r in archive.resources("t")] == list(payloads)
         assert archive.validate("t") == []
 
+    def test_edited_payload_of_a_dangling_resource_is_reported(
+            self, tmp_path):
+        # No level reads this payload, so validate checks its digest.
+        payload = '<word id="word_1">A</word>'
+        resource = Resource(
+            id="x-r001", corpus_id="x", format="segmentation",
+            filename="x-r001.segmentation", levels=("x-gone-1",),
+            sha256=hashlib.sha256(payload.encode()).hexdigest())
+        self.write_manifest(tmp_path, Corpus(id="x", title="X"), [],
+                            [resource])
+        path = tmp_path / "store" / "corpora" / "x" / "resources"
+        path.mkdir()
+        (path / resource.filename).write_text(payload.replace("A", "B"),
+                                              encoding="utf-8")
+        for archive in (Archive(tmp_path / "store"),
+                        Archive(tmp_path / "store", defer_parse=True)):
+            assert [v.code for v in archive.validate("x")] \
+                == ["dangling-level", "payload-digest-mismatch"]
+
     def test_dangling_dependency_reported(self, tmp_path):
         corpus = Corpus(id="x", title="X")
         level = Level(id="x-syntax-1", corpus_id="x", kind="syntax",
@@ -1340,6 +1403,24 @@ class TestValidateLoadedManifests:
         with pytest.raises(StoreError):
             reloaded.resource_payload(result.resource.id)
 
+
+    def test_edited_payload_repeating_a_unit_id_is_left_unparsed(
+            self, archive, tmp_path):
+        archive.register_corpus("T", corpus_id="t")
+        seg = archive.add_level("t", "segmentation", "partial")
+        archive.deposit("t", '<word id="word_1">A</word>', "segmentation",
+                        levels=[seg.id])
+        second = archive.deposit("t", '<word id="word_2">B</word>',
+                                 "segmentation", levels=[seg.id]).resource
+        (tmp_path / "store" / "corpora" / "t" / "resources"
+         / second.filename).write_text('<word id="word_1">B</word>',
+                                       encoding="utf-8")
+        for reloaded in (Archive(tmp_path / "store"),
+                         Archive(tmp_path / "store", defer_parse=True)):
+            assert [(v.code, v.subject) for v in reloaded.validate()] == [
+                ("store-error", seg.id),
+                ("payload-digest-mismatch", second.id)]
+            assert reloaded.coverage(seg.id) == ["A"]
 
     def test_edited_payload_is_a_digest_mismatch(self, archive, tmp_path):
         corpus_id, seg_id = goriot(archive)
@@ -1675,6 +1756,65 @@ class TestConcurrency:
                 corpus_id == "c3" and record == written)
         assert corpus_record(deferred, "c3") == written
 
+    def test_first_level_reads_parse_each_payload_once(self, tmp_path,
+                                                       monkeypatch):
+        archive = Archive(tmp_path / "store")
+        archive.register_corpus("C", corpus_id="c")
+        # Long enough to parse that readers switch in the middle of it.
+        words = "".join(f'<word id="word_{n}">w</word>' for n in range(1, 301))
+        seg = archive.deposit("c", words, "segmentation", new_levels=[
+            LevelSpec("segmentation", "full")]).levels[0]
+        for payload, fmt, kind in (
+                ("".join(f'<w span="word_{n}" lemma="w"/>'
+                         for n in range(1, 301)), "standoff-morpho",
+                 "morphosyntax"),
+                ('<coref id="1">w w</coref>' + " w" * 298, "inline-coref",
+                 "reference")):
+            archive.deposit("c", payload, fmt, new_levels=[
+                LevelSpec(kind, "none", (seg,))])
+        levels = [l.id for l in archive.levels("c")]
+        opened = Archive(tmp_path / "store")
+        expected = {l: (opened.coverage(l), computed(opened, l))
+                    for l in levels}
+        deferred = Archive(tmp_path / "store", defer_parse=True)
+        held = deferred.snapshot()
+        parsed, errors = [], []
+        materialize = Archive._materialize
+
+        def counted(state, resource, *rest):
+            parsed.append(resource.id)
+            return materialize(state, resource, *rest)
+        monkeypatch.setattr(Archive, "_materialize", counted)
+
+        def reader(i):
+            try:
+                for level_id in levels[i % 3:] + levels[:i % 3]:
+                    assert (held.coverage(level_id),
+                            computed(held, level_id)) == expected[level_id]
+            except Exception as err:  # pragma: no cover - failure reporting
+                errors.append(err)
+
+        def writer():
+            try:  # drops the morphology, filled first
+                deferred.withdraw("c-r002")
+            except Exception as err:  # pragma: no cover - failure reporting
+                errors.append(err)
+
+        threads = [threading.Thread(target=reader, args=(i,))
+                   for i in range(8)] + [threading.Thread(target=writer)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert errors == []
+        assert sorted(parsed) == ["c-r001", "c-r002", "c-r003"]
+
     def test_parallel_writers_and_readers(self, tmp_path):
         archive = Archive(tmp_path / "store")
         errors = []
@@ -1885,6 +2025,33 @@ class TestCorpusIsolation:
         assert export_catalog(held) == export
         assert export_catalog(deferred) \
             == export_catalog(Archive(tmp_path / "store")) != export
+
+    def test_held_snapshot_keeps_an_unread_level_after_a_withdraw(
+            self, archive, tmp_path):
+        corpus_id, seg_id = goriot(archive)
+        morpho = morpho_level(archive, corpus_id, seg_id)
+        archive.deposit(corpus_id, fixture("goriot_standoff_morpho_full.xml"),
+                        "standoff-morpho", levels=[morpho.id])
+        ref = archive.add_level(corpus_id, "reference", "none",
+                                depends_on=[seg_id])
+        archive.deposit(corpus_id, fixture("fig08_inline_coref.xml"),
+                        "inline-coref", levels=[ref.id])
+        opened = Archive(tmp_path / "store")
+        expected = {level_id: (opened.coverage(level_id),
+                               level_header(opened, level_id).render())
+                    for level_id in (morpho.id, ref.id)}
+        deferred = Archive(tmp_path / "store", defer_parse=True)
+        held = deferred.snapshot()
+        segmentation, *anchored = held.resources(corpus_id)
+        assert segmentation.levels == (seg_id,)
+        deferred.withdraw(segmentation.id)
+        # Then the payloads of the levels that anchor on it go too.
+        for resource in anchored:
+            deferred.withdraw(resource.id)
+        for level_id, (coverage, header) in expected.items():
+            assert held.coverage(level_id) == coverage
+            assert level_header(held, level_id).render() == header
+        assert not deferred.level_items(ref.id)
 
 
 def test_every_public_read_has_a_caller_outside_the_tests():

@@ -67,8 +67,9 @@ class TestInit:
 
 
 class TestParsesWhatItReads:
-    """A command parses the stored payloads of the corpora it reads, each
-    available one once."""
+    """A command parses the stored payloads of the levels it reads, and of
+    their anchors, each available one once; a command that reads one
+    corpus parses no other corpus."""
 
     CORPORA = ("a", "b", "c")
 
@@ -96,18 +97,19 @@ class TestParsesWhatItReads:
         monkeypatch.setattr(Archive, "_materialize", counted)
         return calls
 
-    @pytest.mark.parametrize("argv", [
-        ["deposit", "--corpus", "b", "--format", "standoff-morpho",
-         "--new-level", "morphosyntax:none:b-segmentation-1", "MORPHO"],
-        ["coverage", "--level", "b-morphosyntax-1"],
-        ["show", "--corpus", "b"],
+    @pytest.mark.parametrize("argv, expected", [
+        (["deposit", "--corpus", "b", "--format", "standoff-morpho",
+          "--new-level", "morphosyntax:none:b-segmentation-1", "MORPHO"],
+         ["b-r001"]),
+        (["coverage", "--level", "b-morphosyntax-1"], ["b-r001", "b-r002"]),
+        (["show", "--corpus", "b"], ["b-r001", "b-r002"]),
     ], ids=["deposit", "coverage", "show"])
     def test_one_corpus_parses_only_that_corpus(
-            self, root, tmp_path, capsys, parsed, argv):
+            self, root, tmp_path, capsys, parsed, argv, expected):
         argv = [str(tmp_path / "morpho.xml") if arg == "MORPHO" else arg
                 for arg in argv]
         assert run(capsys, *argv, "--root", root)[0] == 0
-        assert sorted(parsed) == ["b-r001", "b-r002"]
+        assert sorted(parsed) == expected
 
     @pytest.mark.parametrize("command", ["validate", "export"])
     def test_whole_archive_parses_each_payload_once(
@@ -115,6 +117,60 @@ class TestParsesWhatItReads:
         assert run(capsys, command, "--root", root)[0] == 0
         assert sorted(parsed) == [f"{c}-r00{n}" for c in self.CORPORA
                                   for n in (1, 2)]
+
+
+class TestParsesTheLevelsItReads:
+    """Inside one corpus, a command parses the payloads of the levels it
+    reads and of the segmentations they anchor on, not every payload."""
+
+    @pytest.fixture
+    def parsed(self, root, tmp_path, monkeypatch):
+        """Resource ids, one per payload parsed, in a corpus with a
+        segmentation (t-r001), a structure (t-r002), a stand-off
+        morphology (t-r003) and an inline coreference (t-r004)."""
+        archive = Archive(root)
+        archive.register_corpus("T", corpus_id="t")
+        seg = archive.add_level("t", "segmentation", "full")
+        archive.deposit("t", '<word id="word_1">Madame</word>\n'
+                        '<word id="word_2">Vauquer</word>', "segmentation",
+                        levels=[seg.id])
+        archive.deposit("t", "<p>Madame Vauquer</p>", "structural-inline",
+                        new_levels=[LevelSpec("structure", "full")])
+        for payload, fmt, kind in (
+                ('<w span="word_1" lemma="madame"/>', "standoff-morpho",
+                 "morphosyntax"),
+                ('<coref id="1">Madame Vauquer</coref>', "inline-coref",
+                 "reference")):
+            archive.deposit("t", payload, fmt, new_levels=[
+                LevelSpec(kind, "none", (seg.id,))])
+        (tmp_path / "morpho.xml").write_text(
+            '<w span="word_2" lemma="vauquer"/>', encoding="utf-8")
+        calls = []
+        materialize = Archive._materialize
+
+        def counted(state, resource, *rest):
+            calls.append(resource.id)
+            return materialize(state, resource, *rest)
+        monkeypatch.setattr(Archive, "_materialize", counted)
+        return calls
+
+    @pytest.mark.parametrize("argv, expected", [
+        (["coverage", "--level", "t-morphosyntax-1"], ["t-r001", "t-r003"]),
+        (["coverage", "--level", "t-structure-1"], ["t-r002"]),
+        # Its own payload is parsed as it is deposited, not from the store.
+        (["deposit", "--corpus", "t", "--format", "standoff-morpho",
+          "--new-level", "morphosyntax:none:t-segmentation-1", "MORPHO"],
+         ["t-r001"]),
+        (["show", "--level", "t-reference-1"], ["t-r001", "t-r004"]),
+        (["show", "--level", "t-segmentation-1"], ["t-r001"]),
+    ], ids=["coverage", "coverage-unanchored", "deposit", "show-level",
+            "show-segmentation"])
+    def test_command_parses_its_levels_and_their_anchors(
+            self, root, tmp_path, capsys, parsed, argv, expected):
+        argv = [str(tmp_path / "morpho.xml") if arg == "MORPHO" else arg
+                for arg in argv]
+        assert run(capsys, *argv, "--root", root)[0] == 0
+        assert sorted(parsed) == expected
 
 
 class TestDeposit:

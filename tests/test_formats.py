@@ -5,7 +5,7 @@ import re
 import string
 
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from corpus_forge import _markup
 from corpus_forge.errors import (
@@ -39,6 +39,7 @@ from corpus_forge.formats import (
     syntax_terminals,
 )
 from corpus_forge.standoff import ReferenceUnit, SpanExpr, segment_text
+from strategies import payload_items
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 
@@ -51,6 +52,22 @@ def fixture(name: str) -> str:
 # "&lt;" serializes as "&amp;lt;", which must not read back as "<".
 ESCAPABLE = st.lists(st.sampled_from([*"abcéœà'.-&;<>\"", "lt;", "amp;",
                                       "quot;"]), max_size=6).map("".join)
+
+
+SERIALIZERS = {
+    "tabular-morpho": serialize_tabular_morpho,
+    "inline-morpho": serialize_inline_morpho,
+    "referential-standoff": serialize_referential_standoff,
+    "standoff-items": serialize_standoff_items,
+}
+
+
+@pytest.mark.parametrize("tag", sorted(SERIALIZERS))
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_parse_inverts_serialize_any_items(tag, data):
+    items = data.draw(payload_items[tag])
+    assert FORMATS[tag].parse(SERIALIZERS[tag](items)) == items
 
 
 @pytest.fixture(scope="module")
