@@ -4,7 +4,6 @@ One :class:`Archive` owns a directory tree::
 
     <root>/corpora/<corpus-id>/manifest
     <root>/corpora/<corpus-id>/resources/<resource-id>.<format>
-    <root>/corpora/<corpus-id>/resources/<resource-id>.header
 
 Reads never wait for the writers' lock: each is answered from the last
 published :class:`Snapshot`, and ``Archive.snapshot()`` returns it, so
@@ -23,7 +22,7 @@ copies the map of corpora and the state of each corpus it writes, and
 shares every other state, and every level entry it does not write, with
 the published snapshot.  An entry it replaces or drops is filled first,
 so a snapshot that shares it keeps its answers after a payload is
-deleted.  Writers write payload, header and manifest from the draft and
+deleted.  Writers write payload and manifest from the draft and
 publish it last with one assignment, so a write that fails changes
 nothing.  Entities are immutable, so reads and writers hand out the
 snapshot's own.
@@ -43,7 +42,6 @@ from datetime import datetime, timezone
 from pathlib import Path
 from typing import Callable
 
-from . import catalog as catalog_mod
 from . import manifest as manifest_mod
 from .errors import (
     CorpusForgeError,
@@ -82,7 +80,6 @@ from .model import (
 )
 from .registry import (
     SEGMENTATION_GRANULARITY,
-    Granularity,
     granularity_of,
 )
 from .standoff import (
@@ -300,10 +297,10 @@ class CorpusState:
             self.levels[level_id].kind, entry.units, entry.items,
             self.parsed(anchor).units if anchor is not None else None)
 
-    def granularity(self, level_id: str) -> Granularity:
+    def granularity(self, level_id: str) -> frozenset[str]:
         entry = self.parsed(level_id)
         if self.levels[level_id].kind == KIND_SEGMENTATION and entry.units:
-            return Granularity(SEGMENTATION_GRANULARITY)
+            return SEGMENTATION_GRANULARITY
         return granularity_of(entry.items)
 
     def materialized(self, level_id: str) -> bool:
@@ -438,10 +435,6 @@ class Snapshot:
         except UnicodeDecodeError:
             raise StoreError(f"resource {resource_id!r} has a stored payload "
                              "that is not valid UTF-8") from None
-
-    def resource_header(self, resource_id: str) -> str:
-        return catalog_mod.build_resource_header(
-            self.resource(resource_id)).render()
 
     def versions(self, corpus_id: str) -> list[VersionRecord]:
         return sorted(self._state(corpus_id).versions,
@@ -624,6 +617,10 @@ class Archive:
                     # Its payloads and its writes are in its directory.
                     raise StoreError(f"it names corpus {corpus.id!r}, not "
                                      "the one its directory names")
+                for resource in resources:
+                    if resource.format not in FORMATS:
+                        raise StoreError(f"resource {resource.id!r} has the "
+                                         f"unknown format {resource.format!r}")
             except (StoreError, UnicodeDecodeError) as err:
                 view._unreadable[entry.name] = Violation(
                     "unreadable-manifest", entry.name,
@@ -895,8 +892,6 @@ class Archive:
             path = _payload_path(draft.root, corpus_id, resource)
             path.parent.mkdir(parents=True, exist_ok=True)
             path.write_text(text, encoding="utf-8")
-            path.with_name(f"{resource_id}.header").write_text(
-                draft.resource_header(resource_id), encoding="utf-8")
             self._publish(draft, corpus_id)
             return DepositResult(
                 resource=resource,
@@ -964,10 +959,8 @@ class Archive:
                            key=lambda v: v.number)
             prior = chain[-1] if chain else None
             kind_levels = [l for l in targets if l.kind == kind]
-            categories: set[str] = set()
-            for level in kind_levels:
-                categories |= state.granularity(level.id).categories
-            granularity = frozenset(categories)
+            granularity = frozenset().union(
+                *(state.granularity(level.id) for level in kind_levels))
             classification = classify_submission(
                 granularity, prior.granularity if prior else None,
                 validated=resource.validated)
@@ -1020,11 +1013,9 @@ class Archive:
         return state.corpus
 
     def withdraw(self, resource_id: str) -> Resource:
-        """Delete a resource's payload, keeping its descriptive record.
-
-        The header survives and is refreshed, so the catalog keeps
-        listing the resource with ``available: false``.
-        """
+        """Delete a resource's payload, keeping its descriptive record,
+        so the catalog keeps listing the resource with ``available:
+        false``."""
         with self._lock:
             draft = self._view._draft()
             state = draft._resource_state(resource_id)
@@ -1035,12 +1026,10 @@ class Archive:
                 state.drop(resource.levels)
                 resource = state.resources[resource_id] = dataclasses.replace(
                     resource, available=False)
-                path = _payload_path(self.root, corpus_id, resource)
-                path.with_name(f"{resource_id}.header").write_text(
-                    draft.resource_header(resource_id), encoding="utf-8")
                 self._publish(draft, corpus_id)
                 # Last, so readers of earlier snapshots still find it.
-                path.unlink(missing_ok=True)
+                _payload_path(self.root, corpus_id, resource).unlink(
+                    missing_ok=True)
             return resource
 
     @staticmethod

@@ -223,7 +223,7 @@ def level_header(archive, level_id: str) -> MetadataHeader:
         computed["items"] = str(sum(
             1 for _ in iter_items(state.parsed(level_id).items)))
     if materialized:
-        categories = state.granularity(level_id).categories
+        categories = state.granularity(level_id)
         if categories:
             computed["granularity"] = ",".join(sorted(categories))
     return build_header(TIER_LEVEL, level_id, level.declared_meta, computed,

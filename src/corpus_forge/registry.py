@@ -125,26 +125,15 @@ class Registry:
 _DEFAULT: Registry | None = None
 
 
-@dataclass(frozen=True)
-class Granularity:
-    """Category footprint of a payload.
-
-    Payload keys and link types that have no registry entry enter
-    ``categories`` under an ``x-`` prefix, so that otherwise identical
-    payloads still compare equal.
-    """
-
-    categories: frozenset[str]
-
-
 SEGMENTATION_GRANULARITY = frozenset({"reference-unit"})
 
 
-def granularity_of(items: list[AnnotationItem]) -> Granularity:
+def granularity_of(items: list[AnnotationItem]) -> frozenset[str]:
     """Extract the data-category set a list of annotation items instantiates.
 
     Category keys and link types resolve through the registry; unknown
-    ones become provisional ``x-`` categories.  Element names resolve
+    ones become provisional ``x-`` categories, so that otherwise
+    identical payloads still compare equal.  Element names resolve
     too but stay silent when unknown — tag vocabulary is format
     carpentry, not annotation content.  Sub-values of colon-joined
     attribute values probe compound aliases (``msd:s``) and only count
@@ -175,4 +164,4 @@ def granularity_of(items: list[AnnotationItem]) -> Granularity:
                 categories.add(resolved)
             else:
                 categories.add(f"x-{link.type}")
-    return Granularity(categories=frozenset(categories))
+    return frozenset(categories)

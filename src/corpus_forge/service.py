@@ -59,7 +59,8 @@ def handle_request(archive, method: str, path: str,
         if len(parts) == 2 and parts[0] == "corpora":
             return _text(200, catalog_mod.corpus_record(archive, parts[1]))
         if len(parts) == 3 and parts[0] == "resources" and parts[2] == "header":
-            return _text(200, archive.resource_header(parts[1]))
+            return _text(200, catalog_mod.build_resource_header(
+                archive.resource(parts[1])).render())
         if len(parts) == 2 and parts[0] == "resources":
             resource = archive.resource(parts[1])
             try:

@@ -17,6 +17,7 @@ from hypothesis import given, settings, strategies as st
 from corpus_forge import archive as archive_mod
 from corpus_forge.archive import Archive, LevelSpec, Snapshot
 from corpus_forge.catalog import (
+    build_resource_header,
     catalog_summary,
     corpus_record,
     export_catalog,
@@ -380,14 +381,6 @@ class TestDepositBasics:
         resource = archive.resources(corpus_id)[0]
         assert (archive.resource_payload(resource.id)
                 == fixture("goriot_segmentation_full.xml"))
-
-    def test_header_written_beside_payload(self, archive, tmp_path):
-        corpus_id, _ = goriot(archive)
-        resource = archive.resources(corpus_id)[0]
-        header = (tmp_path / "store" / "corpora" / corpus_id / "resources"
-                  / f"{resource.id}.header")
-        assert header.is_file()
-        assert f"subject: {resource.id}" in header.read_text()
 
     def test_resource_ids_count_up(self, archive):
         corpus_id, seg_id = goriot(archive)
@@ -1054,12 +1047,23 @@ class TestWithdraw:
                                                      tmp_path):
         corpus_id, morpho, resource = self.seed(archive)
         archive.withdraw(resource.id)
-        header_file = (tmp_path / "store" / "corpora" / corpus_id
-                       / "resources" / f"{resource.id}.header")
-        assert header_file.is_file()
-        assert "computed available: false" in header_file.read_text()
         assert "computed available: false" in \
-            archive.resource_header(resource.id)
+            build_resource_header(archive.resource(resource.id)).render()
+        assert not any((tmp_path / "store").rglob("*.header"))
+
+    def test_corpus_directory_holds_manifest_and_available_payloads(
+            self, archive, tmp_path):
+        corpus_id, morpho, resource = self.seed(archive)
+        second = archive.deposit(
+            corpus_id, "<w span=\"word_27\"\tmsd=\" \"\tlemma=\"madame\"/>",
+            "standoff-morpho", levels=[morpho.id]).resource
+        archive.withdraw(resource.id)
+        segmentation = archive.resources(corpus_id)[0]
+        directory = tmp_path / "store" / "corpora" / corpus_id
+        assert {path.relative_to(directory).as_posix()
+                for path in directory.rglob("*") if path.is_file()} \
+            == {"manifest", f"resources/{segmentation.filename}",
+                f"resources/{second.filename}"}
 
     def test_other_contributors_survive_withdraw(self, archive):
         corpus_id, morpho, resource = self.seed(archive)
@@ -1210,6 +1214,22 @@ class TestValidate:
          / resource.filename).unlink()
         codes = [v.code for v in archive.validate(corpus_id)]
         assert codes == ["missing-payload"]
+
+    def test_payload_missing_at_reload_reported(self, archive, tmp_path):
+        corpus_id, seg_id = goriot(archive)
+        morpho = morpho_level(archive, corpus_id, seg_id)
+        archive.deposit(corpus_id, fixture("goriot_standoff_morpho_full.xml"),
+                        "standoff-morpho", levels=[morpho.id])
+        segmentation = archive.resources(corpus_id)[0]
+        (tmp_path / "store" / "corpora" / corpus_id / "resources"
+         / segmentation.filename).unlink()
+        eager = Archive(tmp_path / "store")
+        deferred = Archive(tmp_path / "store", defer_parse=True)
+        for reloaded in (eager, deferred):
+            assert [(v.code, v.subject) for v in reloaded.validate()] == [
+                ("no-primary-anchor", morpho.id),
+                ("missing-payload", segmentation.id)]
+        assert export_catalog(deferred) == export_catalog(eager)
 
     def test_unknown_link_target_reported(self, archive):
         corpus_id, seg_id = goriot(archive)
@@ -1438,6 +1458,30 @@ class TestValidateLoadedManifests:
                          Archive(tmp_path / "store", defer_parse=True)):
             assert [(v.code, v.subject) for v in reloaded.validate()] \
                 == [("payload-digest-mismatch", result.resource.id)]
+
+    def test_unknown_stored_format_makes_its_manifest_unreadable(
+            self, tmp_path):
+        archive = Archive(tmp_path / "store", clock=lambda: FIXED_MOMENT)
+        for corpus_id in ("x", "y"):
+            archive.register_corpus(corpus_id.upper(), corpus_id=corpus_id)
+            seg = archive.add_level(corpus_id, "segmentation", "full")
+            archive.deposit(corpus_id, ONE_WORD, "segmentation",
+                            levels=[seg.id])
+        alone = Archive(tmp_path / "alone", clock=lambda: FIXED_MOMENT)
+        alone.register_corpus("Y", corpus_id="y")
+        seg = alone.add_level("y", "segmentation", "full")
+        alone.deposit("y", ONE_WORD, "segmentation", levels=[seg.id])
+        path = tmp_path / "store" / "corpora" / "x" / "manifest"
+        text = path.read_text(encoding="utf-8")
+        assert "format: segmentation\n" in text
+        path.write_text(text.replace("format: segmentation\n",
+                                     "format: bogus\n"), encoding="utf-8")
+        for reloaded in (Archive(tmp_path / "store"),
+                         Archive(tmp_path / "store", defer_parse=True)):
+            assert [c.id for c in reloaded.corpora()] == ["y"]
+            assert corpus_record(reloaded, "y") == corpus_record(alone, "y")
+            assert [(v.code, v.subject) for v in reloaded.validate()] \
+                == [("unreadable-manifest", "x")]
 
     def test_manifest_in_another_corpus_directory_is_unreadable(
             self, tmp_path):
