@@ -15,14 +15,19 @@ from dataclasses import dataclass
 
 from .errors import ParseError
 
-# Greedy over alternatives that start on disjoint characters: at each
-# position at most one applies, so the attribute loop stops where ``/>``
-# or ``>`` first closes the tag outside quotes, as a lazy loop would, and
-# backtracks linearly.  No ``[^>"'/]+`` inside the ``*``: that nesting
-# backtracks exponentially on a tag that never closes.
+# The attribute run as an unrolled loop: plain characters in bulk, then
+# one of a lone ``/``, a double-quoted or a single-quoted value, each
+# starting on a character the bulk run excludes.  So it stops where
+# ``/>`` or ``>`` first closes the tag outside quotes, as a lazy loop
+# would, and backtracks linearly on a tag that never closes; a plain run
+# nested directly inside the ``*`` would backtrack exponentially there.
 TAG_RE = re.compile(r"<(/?)([A-Za-z_][\w.-]*)"
-                    r"((?:[^>\"'/]|/(?!>)|\"[^\"]*\"|'[^']*')*)(/?)>")
-ATTR_RE = re.compile(r"([\w:.-]+)\s*=\s*(\"[^\"]*\"|'[^']*')")
+                    r"([^>\"'/]*(?:(?:/(?!>)|\"[^\"]*\"|'[^']*')[^>\"'/]*)*)"
+                    r"(/?)>")
+# The value without its quotes: the lookarounds make the closing quote
+# the opening one.
+ATTR_RE = re.compile(r"([\w:.-]+)\s*=\s*[\"']"
+                     r"((?<=\")[^\"]*(?=\")|(?<=')[^']*(?='))[\"']")
 
 _ENTITIES = {"&amp;": "&", "&lt;": "<", "&gt;": ">", "&quot;": '"', "&apos;": "'"}
 _ENTITY_RE = re.compile("|".join(_ENTITIES))
@@ -41,42 +46,41 @@ def escape(text: str) -> str:
 
 
 def parse_attrs(raw: str) -> dict[str, str]:
-    return {name: unescape(value[1:-1])
-            for name, value in ATTR_RE.findall(raw)}
-
-
-@dataclass
-class Tag:
-    """One tag occurrence: ``kind`` is 'open', 'close' or 'selfclose'."""
-
-    kind: str
-    name: str
-    attrs: dict[str, str]
-    line: int
+    """Attributes by name, a repeated name keeping its last value."""
+    attrs = dict(ATTR_RE.findall(raw))
+    if "&" in raw:
+        for name, value in attrs.items():
+            attrs[name] = unescape(value)
+    return attrs
 
 
 def iter_tags(doc: str):
-    """Yield (text_before, Tag) pairs, then a final (tail_text, None)."""
+    """Yield (text_before, tag) pairs, then a final (tail_text, None).
+
+    A tag is a tuple ``(kind, name, attrs, line)``: ``kind`` is 'open',
+    'close' or 'selfclose', ``attrs`` a new dict the caller may keep
+    (empty on a closing tag), ``line`` the 1-based line the tag starts on.
+    """
     pos = counted = 0
     line = 1
     for m in TAG_RE.finditer(doc):
-        line += doc.count("\n", counted, m.start())
-        counted = m.start()
+        start, end = m.span()
+        line += doc.count("\n", counted, start)
+        counted = start
         slash, name, raw_attrs, selfslash = m.groups()
-        if slash and selfslash:
-            raise ParseError(f"malformed tag {m.group(0)!r}", line=line)
-        kind = "close" if slash else ("selfclose" if selfslash else "open")
-        yield doc[pos:m.start()], Tag(
-            kind=kind,
-            name=name,
-            attrs=parse_attrs(raw_attrs) if not slash else {},
-            line=line,
-        )
-        pos = m.end()
+        if slash:
+            if selfslash:
+                raise ParseError(f"malformed tag {m.group(0)!r}", line=line)
+            tag = ("close", name, {}, line)
+        else:
+            tag = ("selfclose" if selfslash else "open", name,
+                   parse_attrs(raw_attrs), line)
+        yield doc[pos:start], tag
+        pos = end
     yield doc[pos:], None
 
 
-@dataclass
+@dataclass(slots=True)
 class Element:
     """Element extent over the markup-stripped character stream."""
 
@@ -106,19 +110,17 @@ def strip_markup(doc: str) -> tuple[str, list[Element]]:
             length += len(plain)
         if tag is None:
             break
-        if tag.kind == "open":
-            el = Element(tag.name, tag.attrs, length, length, len(stack), tag.line)
-            stack.append(el)
-            done.append(el)
-        elif tag.kind == "selfclose":
-            el = Element(tag.name, tag.attrs, length, length, len(stack), tag.line)
-            done.append(el)
+        kind, name, attrs, line = tag
+        if kind == "close":
+            if not stack or stack[-1].name != name:
+                raise ParseError(f"unexpected closing tag </{name}>",
+                                 line=line)
+            stack.pop().end = length
         else:
-            if not stack or stack[-1].name != tag.name:
-                raise ParseError(
-                    f"unexpected closing tag </{tag.name}>", line=tag.line)
-            el = stack.pop()
-            el.end = length
+            el = Element(name, attrs, length, length, len(stack), line)
+            done.append(el)
+            if kind == "open":
+                stack.append(el)
     if stack:
         raise ParseError(f"unclosed element <{stack[-1].name}>",
                          line=stack[-1].line)

@@ -8,13 +8,20 @@ from __future__ import annotations
 
 
 class CorpusForgeError(Exception):
-    """Base class for all domain errors."""
+    """Base class for all domain errors.
+
+    ``line``, when known, is the 1-based input line the error is about;
+    the message then starts with it.
+    """
 
     code = "error"
 
-    def __init__(self, message: str):
+    def __init__(self, message: str, line: int | None = None):
+        if line is not None:
+            message = f"line {line}: {message}"
         super().__init__(message)
         self.message = message
+        self.line = line
 
     def __str__(self) -> str:
         return f"{self.code}: {self.message}"
@@ -77,13 +84,6 @@ class NoLevelError(CorpusForgeError):
 class ParseError(CorpusForgeError):
     code = "parse-error"
 
-    def __init__(self, message: str, line: int | None = None):
-        if line is not None:
-            message = f"line {line}: {message}"
-        super().__init__(message)
-        self.line = line
-
-
 class MisalignmentError(CorpusForgeError):
     """An inline element boundary falls strictly inside a reference unit."""
 
@@ -126,13 +126,6 @@ class NestingError(CorpusForgeError):
     """Constituent depth increases by more than one step at a time."""
 
     code = "nesting"
-
-    def __init__(self, message: str, line: int | None = None):
-        if line is not None:
-            message = f"line {line}: {message}"
-        super().__init__(message)
-        self.line = line
-
 
 class RegistryError(CorpusForgeError):
     code = "registry-error"

@@ -20,6 +20,7 @@ from .errors import (
     MissingSpanError,
     NestingError,
     ParseError,
+    SpanSyntaxError,
     UnknownTargetError,
 )
 from .model import KIND_MORPHOSYNTAX
@@ -28,7 +29,7 @@ from .standoff import ReferenceUnit, SpanExpr, align_inline, iter_items
 from .standoff import span_for_indices  # noqa: F401
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Link:
     """Typed relation from an annotation item to other items by id."""
 
@@ -37,7 +38,7 @@ class Link:
     source: str | None = None
 
 
-@dataclass(frozen=True, eq=True)
+@dataclass(frozen=True, slots=True)
 class AnnotationItem:
     """One annotation unit: a markable, a row, a tag or a constituent.
 
@@ -64,6 +65,28 @@ class AnnotationItem:
                            MappingProxyType(self.categories))
 
 
+def _stray_text(chunk: str, where: str, text: str, tag) -> ParseError:
+    """The error for text outside elements, at the line the text starts.
+
+    ``(chunk, tag)`` is a pair from ``_markup.iter_tags(text)``.
+    """
+    lead = len(chunk) - len(chunk.lstrip())
+    if tag is None:  # the tail of ``text``
+        line = text.count("\n", 0, len(text) - len(chunk) + lead) + 1
+    else:
+        line = tag[3] - chunk.count("\n", lead)
+    return ParseError(f"stray text {chunk.strip()!r} {where}", line=line)
+
+
+def _at_line(line: int, build: Callable, *args):
+    """``build(*args)``, with the line of the tag read on the
+    ``SpanSyntaxError`` it raises."""
+    try:
+        return build(*args)
+    except SpanSyntaxError as err:
+        raise SpanSyntaxError(err.message, line=line) from None
+
+
 # --------------------------------------------------------------------------
 # segmentation:  <word id="word_27">Madame</word>
 # --------------------------------------------------------------------------
@@ -72,42 +95,37 @@ def parse_segmentation(text: str) -> list[ReferenceUnit]:
     units: list[ReferenceUnit] = []
     seen: set[str] = set()
     open_tag = None
-    buffer: list[str] = []
     for chunk, tag in _markup.iter_tags(text):
-        if open_tag is None:
-            if chunk.strip():
-                raise ParseError(
-                    f"stray text {chunk.strip()!r} between word elements")
-        else:
-            buffer.append(chunk)
+        if open_tag is None and chunk.strip():
+            raise _stray_text(chunk, "between word elements", text, tag)
         if tag is None:
             break
-        if tag.name != "word":
-            raise ParseError(f"unexpected element <{tag.name}>", line=tag.line)
-        if tag.kind == "open":
+        kind, name, attrs, line = tag
+        if name != "word":
+            raise ParseError(f"unexpected element <{name}>", line=line)
+        if kind == "open":
             if open_tag is not None:
-                raise ParseError("word elements cannot nest", line=tag.line)
-            open_tag, buffer = tag, []
-        elif tag.kind == "selfclose":
-            raise ParseError("word element carries no form", line=tag.line)
+                raise ParseError("word elements cannot nest", line=line)
+            open_tag = tag
+        elif kind == "selfclose":
+            raise ParseError("word element carries no form", line=line)
         else:
             if open_tag is None:
-                raise ParseError("closing tag without open word", line=tag.line)
-            unit_id = open_tag.attrs.get("id")
+                raise ParseError("closing tag without open word", line=line)
+            # no tag may come between a word's open and close tags, so
+            # the chunk before the close is the whole form
+            _, _, attrs, line = open_tag
+            unit_id = attrs.get("id")
             if not unit_id:
-                raise ParseError("word element lacks id attribute",
-                                 line=open_tag.line)
+                raise ParseError("word element lacks id attribute", line=line)
             if unit_id in seen:
-                raise ParseError(f"duplicate unit id {unit_id!r}",
-                                 line=open_tag.line)
+                raise ParseError(f"duplicate unit id {unit_id!r}", line=line)
             seen.add(unit_id)
-            units.append(ReferenceUnit(
-                id=unit_id,
-                form=_markup.unescape("".join(buffer)),
-                index=len(units)))
+            units.append(_at_line(line, ReferenceUnit, unit_id,
+                                  _markup.unescape(chunk), len(units)))
             open_tag = None
     if open_tag is not None:
-        raise ParseError("unclosed word element", line=open_tag.line)
+        raise ParseError("unclosed word element", line=open_tag[3])
     return units
 
 
@@ -157,21 +175,20 @@ def parse_standoff_morpho(text: str) -> list[AnnotationItem]:
     items = []
     for chunk, tag in _markup.iter_tags(text):
         if chunk.strip():
-            raise ParseError(f"stray text {chunk.strip()!r} between elements")
+            raise _stray_text(chunk, "between elements", text, tag)
         if tag is None:
             break
-        if tag.name != "w" or tag.kind != "selfclose":
-            raise ParseError(f"expected self-closing <w/>, got <{tag.name}>",
-                             line=tag.line)
-        attrs = dict(tag.attrs)
+        kind, name, attrs, line = tag
+        if name != "w" or kind != "selfclose":
+            raise ParseError(f"expected self-closing <w/>, got <{name}>",
+                             line=line)
         if "span" not in attrs:
-            raise MissingSpanError(
-                f"<w/> at line {tag.line} lacks a span attribute")
-        span = SpanExpr.parse(attrs.pop("span"))
+            raise MissingSpanError(f"<w/> at line {line} lacks a span attribute")
+        span = _at_line(line, SpanExpr.parse, attrs.pop("span"))
         if "lemma" not in attrs:
-            raise ParseError("<w/> lacks a lemma attribute", line=tag.line)
-        msd = attrs.pop("msd", " ")
-        categories = {"msd": msd.strip(), "lemma": attrs.pop("lemma")}
+            raise ParseError("<w/> lacks a lemma attribute", line=line)
+        categories = {"msd": attrs.pop("msd", " ").strip(),
+                      "lemma": attrs.pop("lemma")}
         categories.update(sorted(attrs.items()))
         items.append(AnnotationItem(span=span, element="w",
                                     categories=categories))
@@ -309,7 +326,7 @@ def parse_referential_standoff(text: str) -> list[AnnotationItem]:
     group_sizes: dict[str, int] = {}
     for el in elements:
         if el.name == "referentialMarkable":
-            attrs = dict(el.attrs)
+            attrs = el.attrs
             markable_id = attrs.pop("id", None)
             if not markable_id:
                 raise ParseError("markable lacks an id attribute",
@@ -324,7 +341,7 @@ def parse_referential_standoff(text: str) -> list[AnnotationItem]:
             alt_extents.append((el.start, el.end, f"alt_{alt_count}"))
             group_sizes[f"alt_{alt_count}"] = 0
         elif el.name == "referentialLink":
-            attrs = dict(el.attrs)
+            attrs = el.attrs
             target = attrs.pop("referentialTarget", None)
             if target is None:
                 raise ParseError("referentialLink lacks referentialTarget",
@@ -414,7 +431,7 @@ def parse_structural_inline(text: str) -> list[AnnotationItem]:
     tracked = [el for el in elements if el.name in STRUCTURAL_ELEMENTS]
 
     def build(el, kids):
-        attrs = dict(el.attrs)
+        attrs = el.attrs
         return AnnotationItem(
             id=attrs.pop("id", None),
             surface=stripped[el.start:el.end],
@@ -549,20 +566,21 @@ def parse_standoff_items(text: str) -> list[AnnotationItem]:
     items = []
     for chunk, tag in _markup.iter_tags(text):
         if chunk.strip():
-            raise ParseError(f"stray text {chunk.strip()!r} between items")
+            raise _stray_text(chunk, "between items", text, tag)
         if tag is None:
             break
-        if tag.name != "item" or tag.kind != "selfclose":
-            raise ParseError(f"expected self-closing <item/>, got <{tag.name}>",
-                             line=tag.line)
-        attrs = dict(tag.attrs)
+        kind, name, attrs, line = tag
+        if name != "item" or kind != "selfclose":
+            raise ParseError(f"expected self-closing <item/>, got <{name}>",
+                             line=line)
         span = attrs.pop("span", None)
         links = tuple(
             Link(type=key[len("link-"):], targets=tuple(attrs.pop(key).split()))
             for key in [k for k in attrs if k.startswith("link-")])
         items.append(AnnotationItem(
             id=attrs.pop("id", None),
-            span=SpanExpr.parse(span) if span is not None else None,
+            span=(_at_line(line, SpanExpr.parse, span)
+                  if span is not None else None),
             surface=attrs.pop("surface", None),
             element=attrs.pop("element", None),
             group=attrs.pop("group", None),

@@ -34,7 +34,7 @@ DETACH_CHARS = ".,;:!?()\"'«»"
 APOSTROPHES = "'’"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ReferenceUnit:
     """Minimal segmentation token, the anchor target of stand-off pointers.
 
@@ -141,7 +141,7 @@ def segment_text(text: str) -> list[ReferenceUnit]:
 _RANGE_SEP = ".."
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SpanExpr:
     """Pointer onto one or more reference units.
 
@@ -162,15 +162,13 @@ class SpanExpr:
 
     @classmethod
     def parse(cls, text: str) -> "SpanExpr":
-        if UNIT_ID_RE.fullmatch(text):
-            return cls(((text, None),))
+        """Read parts separated by commas and whitespace; ``__post_init__``
+        checks each id."""
         parts = []
-        for chunk in re.split(r"[,\s]+", text.strip()):
-            if not chunk:
-                continue
+        for chunk in text.replace(",", " ").split():
             if _RANGE_SEP in chunk:
-                start, sep, end = chunk.partition(_RANGE_SEP)
-                if not sep or _RANGE_SEP in end:
+                start, _, end = chunk.partition(_RANGE_SEP)
+                if _RANGE_SEP in end:
                     raise SpanSyntaxError(f"malformed range {chunk!r}")
                 parts.append((start, end))
             else:
@@ -286,7 +284,7 @@ def align_inline(inline_doc: str, units: list[ReferenceUnit]):
         if e not in ends:
             raise MisalignmentError(label, e)
         indices = list(range(starts[s], ends[e] + 1))
-        attrs = dict(el.attrs)
+        attrs = el.attrs
         item_id = attrs.pop("id", None)
         links = []
         ref = attrs.pop("ref", None)

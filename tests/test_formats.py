@@ -7,7 +7,7 @@ import string
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from corpus_forge import _markup
+from corpus_forge import _markup, standoff
 from corpus_forge.errors import (
     MissingSpanError,
     NestingError,
@@ -39,7 +39,7 @@ from corpus_forge.formats import (
     syntax_terminals,
 )
 from corpus_forge.standoff import ReferenceUnit, SpanExpr, segment_text
-from strategies import payload_items
+from strategies import attr_names, payload_items
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 
@@ -93,6 +93,33 @@ class TestMarkupScanner:
     def test_attributes_keep_the_last_of_a_repeated_name(self):
         assert _markup.parse_attrs(' a="1" b = \'x&amp;y\' a="2"') \
             == {"a": "2", "b": "x&y"}
+
+    # Value pieces as written and as read: the five entities and text
+    # that holds no ``&``; OTHER_QUOTE is the quote that does not
+    # delimit the value.
+    PIECES = {"&amp;": "&", "&lt;": "<", "&gt;": ">", "&quot;": '"',
+              "&apos;": "'", "lt;": "lt;", "amp;": "amp;", "a": "a",
+              "é": "é", " ": " ", "=": "=", "<>/": "<>/"}
+    OTHER_QUOTE = "other quote"
+
+    @given(st.lists(st.tuples(
+        attr_names, st.sampled_from("\"'"),
+        st.lists(st.sampled_from([*PIECES, OTHER_QUOTE]), max_size=5),
+        st.sampled_from(["", " ", "\t", "\n "]),
+        st.sampled_from(["", " ", "\n"])), max_size=5))
+    @example([("a", '"', ["&amp;", "lt;"], "", ""),
+              ("b", "'", [OTHER_QUOTE], " ", " "),
+              ("a", '"', [OTHER_QUOTE, "&apos;"], "", "")])
+    def test_attributes_read_each_value_unescaped_once(self, attrs):
+        raw, expected = "", {}
+        for name, quote, pieces, before, after in attrs:
+            other = "'" if quote == '"' else '"'
+            written = [other if piece == self.OTHER_QUOTE else piece
+                       for piece in pieces]
+            raw += f" {name}{before}={after}{quote}{''.join(written)}{quote}"
+            expected[name] = "".join(self.PIECES.get(piece, piece)
+                                     for piece in written)
+        assert _markup.parse_attrs(raw) == expected
 
 
 class TestSegmentationCodec:
@@ -509,6 +536,87 @@ class TestStandoffItemsCodec:
         with pytest.raises(ParseError):
             serialize_standoff_items(
                 [AnnotationItem(links=(Link("r", ("a",), source="b"),))])
+
+
+class TestErrorLines:
+    """Codec errors name the line of the input they concern."""
+
+    @pytest.mark.parametrize("parse, doc, error, line", [
+        (parse_segmentation,
+         '<word id="word_1">a</word>\n\n  loose\n<word id="word_2">b</word>',
+         ParseError, 3),
+        (parse_standoff_morpho,
+         '<w span="word_1" lemma="a"/>\nloose <w span="word_2" lemma="b"/>',
+         ParseError, 2),
+        (parse_standoff_items, '<item span="word_1"/>\n<item/>\n\nloose',
+         ParseError, 4),
+        (parse_segmentation, '<word id="word_1">a</word>\n<word id="w2">b</word>',
+         SpanSyntaxError, 2),
+        (parse_segmentation,
+         '<word id="word_1">a</word>\n\n<word id="word_2">b\n</word>',
+         SpanSyntaxError, 3),
+        (parse_standoff_morpho, '<w span="word_1" lemma="a"/>\n'
+         '<w span="word_2 word_0" lemma="b"/>', SpanSyntaxError, 2),
+        (parse_standoff_morpho, '<w span="word_1" lemma="a"/>\n'
+         '<w span="word_1..word_2..word_3" lemma="b"/>', SpanSyntaxError, 2),
+        (parse_standoff_morpho, '<w span="word_1" lemma="a"/>\n'
+         '<w span=" , " lemma="b"/>', SpanSyntaxError, 2),
+        (parse_standoff_items, '<item/>\n<item/>\n<item span="word_x"/>',
+         SpanSyntaxError, 3),
+        (parse_standoff_items, '<item/>\n<item/>\n<item span="word_1.."/>',
+         SpanSyntaxError, 3),
+        (parse_standoff_items, '<item/>\n<item/>\n<item span=""/>',
+         SpanSyntaxError, 3),
+    ], ids=["segmentation-stray-text", "standoff-morpho-stray-text",
+            "standoff-items-stray-tail", "segmentation-invalid-unit-id",
+            "segmentation-padded-form", "standoff-morpho-invalid-span-id",
+            "standoff-morpho-malformed-range", "standoff-morpho-empty-span",
+            "standoff-items-invalid-span-id", "standoff-items-malformed-range",
+            "standoff-items-empty-span"])
+    def test_codec_error_names_its_line(self, parse, doc, error, line):
+        with pytest.raises(error) as err:
+            parse(doc)
+        assert type(err.value) is error
+        assert err.value.line == line
+        assert str(err.value).startswith(f"{error.code}: line {line}: ")
+
+
+class CountingPattern:
+    """Stand-in for a compiled pattern that counts its ``fullmatch``
+    calls."""
+
+    def __init__(self, pattern):
+        self.pattern = pattern
+        self.calls = 0
+
+    def fullmatch(self, text):
+        self.calls += 1
+        return self.pattern.fullmatch(text)
+
+
+@pytest.mark.parametrize("parse, line", [
+    (parse_segmentation, '<word id="word_{}">a</word>'),
+    (parse_standoff_morpho, '<w span="word_{}" lemma="a"/>'),
+    (parse_standoff_items, '<item span="word_{}"/>'),
+], ids=["segmentation", "standoff-morpho", "standoff-items"])
+def test_each_unit_id_is_checked_once(monkeypatch, parse, line):
+    counter = CountingPattern(standoff.UNIT_ID_RE)
+    monkeypatch.setattr(standoff, "UNIT_ID_RE", counter)
+    n = 7
+    assert len(parse("\n".join(line.format(i) for i in range(1, n + 1)))) == n
+    assert counter.calls == n
+
+
+def test_parsed_objects_have_no_instance_dict():
+    units = parse_segmentation(fixture("fig03_segmentation.xml"))
+    items = parse_standoff_morpho(fixture("fig05_standoff_morpho.xml"))
+    links = [link for item in parse_referential_standoff(
+        fixture("fig10_referential.xml")) for link in item.links]
+    _, elements = _markup.strip_markup(fixture("fig02_structure.xml"))
+    for parsed in (units, [item.span for item in items], items, links,
+                   elements):
+        assert parsed
+        assert not any(hasattr(obj, "__dict__") for obj in parsed)
 
 
 class TestFormatRegistry:
