@@ -21,8 +21,15 @@ from .errors import ParseError
 # ``/>`` or ``>`` first closes the tag outside quotes, as a lazy loop
 # would, and backtracks linearly on a tag that never closes; a plain run
 # nested directly inside the ``*`` would backtrack exponentially there.
+# The plain run stops at ``<``, which XML allows nowhere in a tag, so
+# many tags that never close scan in linear time, not each to the end
+# of the document.  An attempt outside quotes is given up at a ``<``, so
+# every earlier attempt still going where a later one starts is inside
+# quotes; each quote character maps the three states (outside, in
+# ``"``, in ``'``) one to one, so attempts that reach one character are
+# in different states: three at most.
 TAG_RE = re.compile(r"<(/?)([A-Za-z_][\w.-]*)"
-                    r"([^>\"'/]*(?:(?:/(?!>)|\"[^\"]*\"|'[^']*')[^>\"'/]*)*)"
+                    r"([^<>\"'/]*(?:(?:/(?!>)|\"[^\"]*\"|'[^']*')[^<>\"'/]*)*)"
                     r"(/?)>")
 # The value without its quotes: the lookarounds make the closing quote
 # the opening one.

@@ -13,19 +13,22 @@ A state holds one :class:`Parsed` entry per level; a state loaded from
 its manifest makes them, empty, on first use.  The first read of a
 level's units or items parses that level's payloads, and those of the
 segmentations it anchors on, once for every snapshot that shares the
-entry.  A corpus's catalog record, stamp and summary block are rendered
-on their first read too, and kept on its state.  So a published state
-changes only when its first reads fill entries and those renderings, and
-a read may parse or render, but it still never waits for the writers'
-lock.  Writers take that lock and build the next snapshot as a draft: it
-copies the map of corpora and the state of each corpus it writes, and
-shares every other state, and every level entry it does not write, with
-the published snapshot.  An entry it replaces or drops is filled first,
-so a snapshot that shares it keeps its answers after a payload is
-deleted.  Writers write payload and manifest from the draft and
-publish it last with one assignment, so a write that fails changes
-nothing.  Entities are immutable, so reads and writers hand out the
-snapshot's own.
+entry.  The catalog reads no entry: each level's ``summary``, which
+every write records in the manifest from the entries it fills, gives
+its counts and granularity (a level loaded without one gets it from
+its entry).  A corpus's catalog record, stamp and summary block are
+rendered on their first read, and kept on its state.  So a published
+state changes only when its first reads fill entries and those
+renderings, and a read may parse or render, but it still never waits
+for the writers' lock.  Writers take that lock and build the next
+snapshot as a draft: it copies the map of corpora and the state of each
+corpus it writes, and shares every other state, and every level entry it
+does not write, with the published snapshot.  An entry it replaces or
+drops is filled first, so a snapshot that shares it keeps its answers
+after a payload is deleted.  Writers write payload and manifest from the
+draft and publish it last with one assignment, so a write that fails
+changes nothing.  Entities are immutable, so reads and writers hand out
+the snapshot's own.
 """
 
 from __future__ import annotations
@@ -73,6 +76,7 @@ from .model import (
     KIND_SYNTAX,
     Corpus,
     Level,
+    LevelSummary,
     Resource,
     Violation,
     deposit_order,
@@ -146,10 +150,11 @@ class Parsed:
     """What the stored payloads that target one level parsed into.
 
     A level's entry is filled in place by its first read
-    (``CorpusState.parsed``) and only read from then on.  A draft shares
-    the entries of the levels it does not write; for a level it writes it
-    makes a new entry and replaces its fields, never changing a list in
-    them.
+    (``CorpusState.parsed``) and only read from then on, but for its
+    ``summary``, kept on first use (``CorpusState.parse_summary``).  A
+    draft shares the entries of the levels it does not write; for a level
+    it writes it makes a new entry and replaces its fields, never
+    changing a list in them.
     """
 
     units: list[ReferenceUnit] = field(default_factory=list)
@@ -163,6 +168,8 @@ class Parsed:
     mismatched: frozenset[str] = frozenset()
     filled: bool = False
     filling: bool = False  # by the thread that holds the state's lock
+    # What the filled entry holds, as a level summary; made on first use.
+    summary: LevelSummary | None = None
 
     def held(self, before: Resource | None = None) -> int:
         """How many units were deposited before ``before``; all for None.
@@ -175,6 +182,20 @@ class Parsed:
                 break
             held = end
         return held
+
+
+_TURN_ELEMENTS = ("u", "turn")
+
+
+def _summary(level: Level, entry: Parsed) -> LevelSummary:
+    """What ``entry``, one level's, holds, as its manifest records it."""
+    items = iter_items(entry.items)
+    if level.kind == KIND_SEGMENTATION and entry.units:
+        granularity = SEGMENTATION_GRANULARITY
+    else:
+        granularity = granularity_of(entry.items)
+    turns = [item for item in items if item.element in _TURN_ELEMENTS]
+    return LevelSummary(len(entry.units), len(items), len(turns), granularity)
 
 
 @dataclass(frozen=True)
@@ -261,16 +282,43 @@ class CorpusState:
                            dict(self.resources), self.versions, entries,
                            self._lock)
 
-    def drop(self, level_ids) -> None:
+    def drop(self, level_ids) -> list[str]:
         """Give ``level_ids``, and every level that depends on them, entries
-        that their next read fills again, as a reload would.  Each is
-        filled first, so every snapshot that shared it keeps its answers
-        after a later write deletes a payload."""
+        that their next read fills again, as a reload would; return their
+        ids.  Each is filled first, so every snapshot that shared it keeps
+        its answers after a later write deletes a payload."""
         dropped = [l.id for l in self.levels.values() if l.id in level_ids
                    or any(d.id in level_ids for d in self.closure(l))]
         for level_id in dropped:
             self.parsed(level_id)
         self._entries.update((level_id, Parsed()) for level_id in dropped)
+        return dropped
+
+    def parse_summary(self, level_id: str) -> LevelSummary:
+        """What the level's stored payloads parse into, as a summary;
+        made once per filled entry."""
+        entry = self.parsed(level_id)
+        if entry.summary is not None:
+            return entry.summary
+        summary = _summary(self.levels[level_id], entry)
+        if entry.filled:  # not while a dependency cycle reads it half filled
+            entry.summary = summary  # two readers make the same one
+        return summary
+
+    def summarize(self, level_ids) -> None:
+        """Record each level's summary, from its entry, filled first if
+        it is not; in a draft's own state."""
+        for level_id in level_ids:
+            self.levels[level_id] = dataclasses.replace(
+                self.levels[level_id], summary=self.parse_summary(level_id))
+
+    def summary(self, level_id: str) -> LevelSummary:
+        """The level's summary as recorded at its last write; a level
+        read from a manifest without one gets it from its entry."""
+        level = self.levels[level_id]
+        if level.summary is not None:
+            return level.summary
+        return self.parse_summary(level_id)
 
     def closure(self, level: Level):
         """Yield the levels ``level`` depends on, directly or not, nearest
@@ -283,29 +331,21 @@ class CorpusState:
             frontier = [self.levels[i] for i in ids if i in self.levels]
             yield from frontier
 
-    def anchor(self, level_id: str,
-               before: Resource | None = None) -> str | None:
+    def anchor(self, level_id: str, before: Resource | None = None,
+               recorded: bool = False) -> str | None:
         """The nearest segmentation in the level's closure that holds
-        units, or that held some before ``before``."""
+        units, or that held some before ``before``; with ``recorded``,
+        that holds some by its summary, so nothing is parsed."""
         return next((l.id for l in self.closure(self.levels[level_id])
                      if l.kind == KIND_SEGMENTATION
-                     and self.parsed(l.id).held(before)), None)
+                     and (self.summary(l.id).units if recorded
+                          else self.parsed(l.id).held(before))), None)
 
     def coverage(self, level_id: str) -> list[str]:
         anchor, entry = self.anchor(level_id), self.parsed(level_id)
         return reconstruct_coverage(
             self.levels[level_id].kind, entry.units, entry.items,
             self.parsed(anchor).units if anchor is not None else None)
-
-    def granularity(self, level_id: str) -> frozenset[str]:
-        entry = self.parsed(level_id)
-        if self.levels[level_id].kind == KIND_SEGMENTATION and entry.units:
-            return SEGMENTATION_GRANULARITY
-        return granularity_of(entry.items)
-
-    def materialized(self, level_id: str) -> bool:
-        entry = self.parsed(level_id)
-        return bool(entry.units or entry.items)
 
 
 class Snapshot:
@@ -475,6 +515,8 @@ class Snapshot:
         corpus = state.corpus
         levels = _by_id(state.levels)
         resources = _deposited(state.resources)
+        missing = {r.id for r in resources if r.available and not
+                   _payload_path(self.root, corpus.id, r).is_file()}
 
         for entity in (*levels, *resources, *state.versions):
             if entity.corpus_id != corpus.id:
@@ -524,7 +566,19 @@ class Snapshot:
             if entry.unparsed is not None:
                 out.append(entry.unparsed)
                 continue
-            if not state.materialized(level.id):
+            # A payload that is gone or altered is reported on its
+            # resource, and changes the level's summary through it.
+            if level.summary is not None and not entry.mismatched and all(
+                    level.id not in state.resources[r].levels
+                    for r in missing):
+                summary = state.parse_summary(level.id)
+                if summary != level.summary:
+                    dump = manifest_mod.SUMMARY.dump
+                    out.append(Violation(
+                        "level-summary-mismatch", level.id,
+                        f"manifest records summary {dump(level.summary)!r} "
+                        f"but its payloads parse into {dump(summary)!r}"))
+            if not (entry.units or entry.items):
                 continue
             try:
                 tokens = state.coverage(level.id)
@@ -565,15 +619,15 @@ class Snapshot:
                         f"references unknown level {level_id!r}"))
             if not resource.available:
                 continue
-            path = _payload_path(self.root, corpus.id, resource)
-            if not path.is_file():
+            if resource.id in missing:
                 out.append(Violation(
                     "missing-payload", resource.id,
                     "marked available but its payload file is gone"))
             elif resource.id in mismatched or (
                     # No level reads it: its digest is checked here.
                     state.levels.keys().isdisjoint(resource.levels)
-                    and not _digest_matches(resource, path.read_bytes())):
+                    and not _digest_matches(resource, _payload_path(
+                        self.root, corpus.id, resource).read_bytes())):
                 out.append(Violation(
                     "payload-digest-mismatch", resource.id,
                     "stored payload's SHA-256 is not the one recorded at "
@@ -585,8 +639,10 @@ class Archive:
     """The archive at ``root``.  Each public method of :class:`Snapshot`
     is also a read of ``Archive``, of its last published snapshot.
 
-    Opening parses every stored payload, unless ``defer_parse`` is true:
-    then each level's payloads are parsed on its first read.
+    Opening parses every stored payload and summarizes each level's
+    (what ``validate`` checks the recorded summaries against), unless
+    ``defer_parse`` is true: then each level's payloads are parsed on its
+    first read.
     """
 
     def __init__(self, root, clock=None, *, defer_parse: bool = False):
@@ -597,7 +653,7 @@ class Archive:
         if not defer_parse:
             for state in self._view._corpora.values():
                 for level_id in state.levels:
-                    state.parsed(level_id)
+                    state.parse_summary(level_id)
 
     # -- storage ----------------------------------------------------------
 
@@ -733,7 +789,8 @@ class Archive:
             coverage=spec.coverage,
             depends_on=tuple(deps),
             declared_meta=manifest_mod.storable_meta(spec.meta),
-            created_at=_iso(self._clock()))
+            created_at=_iso(self._clock()),
+            summary=LevelSummary())
         state.levels[level.id] = level
         state._entries[level.id] = Parsed(filled=True)
         draft._owners["levels"][level.id] = corpus_id
@@ -816,11 +873,12 @@ class Archive:
                 raise DependencyCycleError(
                     f"adding {dep_id!r} under {level_id!r} closes a "
                     f"dependency cycle") from err
-            state.drop([level_id])
-            level = state.levels[level_id] = dataclasses.replace(
+            dropped = state.drop([level_id])
+            state.levels[level_id] = dataclasses.replace(
                 level, depends_on=level.depends_on + ((dep_id, purpose),))
+            state.summarize(dropped)
             self._publish(draft, state.corpus.id)
-            return level
+            return state.levels[level_id]
 
     # -- deposit -----------------------------------------------------------
 
@@ -879,9 +937,11 @@ class Archive:
             draft._owners["resources"][resource_id] = corpus_id
             fresh_by_kind: dict[str, list[AnnotationItem]] = {}
             for level, earlier, value in parsed:
-                entry = state._entries[level.id] = dataclasses.replace(earlier)
+                entry = state._entries[level.id] = dataclasses.replace(
+                    earlier, summary=None)
                 fresh_by_kind.setdefault(level.kind, []).extend(
                     self._add_parsed(entry, level.id, resource, value))
+            state.summarize(level.id for level in targets)
 
             records = self._record_versions(
                 state, resource, targets, fresh_by_kind, now)
@@ -960,7 +1020,8 @@ class Archive:
             prior = chain[-1] if chain else None
             kind_levels = [l for l in targets if l.kind == kind]
             granularity = frozenset().union(
-                *(state.granularity(level.id) for level in kind_levels))
+                *(state.summary(level.id).granularity
+                  for level in kind_levels))
             classification = classify_submission(
                 granularity, prior.granularity if prior else None,
                 validated=resource.validated)
@@ -1023,9 +1084,10 @@ class Archive:
             if resource.available:
                 corpus_id = state.corpus.id
                 state = draft._writable(corpus_id)
-                state.drop(resource.levels)
+                dropped = state.drop(resource.levels)
                 resource = state.resources[resource_id] = dataclasses.replace(
                     resource, available=False)
+                state.summarize(dropped)
                 self._publish(draft, corpus_id)
                 # Last, so readers of earlier snapshots still find it.
                 _payload_path(self.root, corpus_id, resource).unlink(

@@ -17,7 +17,6 @@ from pathlib import Path
 from types import MappingProxyType
 
 from .errors import ParseError, StoreError
-from .formats import iter_items
 from .manifest import escape_value, unescape_value
 from .model import (COVERAGE_FULL, KIND_SEGMENTATION, KIND_STRUCTURE,
                     Resource, deposit_order)
@@ -38,8 +37,6 @@ TIER_FIELDS: dict[str, frozenset[str]] = {
     TIER_RESOURCE: frozenset({
         "depositor", "license", "note", "description"}),
 }
-
-_TURN_ELEMENTS = ("u", "turn")
 
 
 @dataclass(frozen=True)
@@ -132,9 +129,11 @@ def parse_header(text: str) -> MetadataHeader:
 # -- archive-coupled builders ---------------------------------------------
 #
 # Each reads one snapshot's corpus states directly (``Snapshot._state``),
-# not through its public reads, which copy whole lists.  A corpus's
-# record, stamp and summary block are rendered once per published state
-# of the corpus (``Snapshot._rendered``); the archive-wide reads join them.
+# not through its public reads, which copy whole lists.  Counts, anchors
+# and granularity come from each level's recorded summary
+# (``CorpusState.summary``), so no payload is parsed.  A corpus's record,
+# stamp and summary block are rendered once per published state of the
+# corpus (``Snapshot._rendered``); the archive-wide reads join them.
 
 
 def compute_auto_stats(archive, corpus_id: str) -> dict[str, str]:
@@ -144,22 +143,16 @@ def compute_auto_stats(archive, corpus_id: str) -> dict[str, str]:
     state = archive.snapshot()._state(corpus_id)
     levels = sorted(state.levels.values(),
                     key=lambda l: (l.coverage != COVERAGE_FULL, l.id))
-    word_count = 0
-    for level in levels:
-        if level.kind != KIND_SEGMENTATION:
-            continue
-        units = state.parsed(level.id).units
-        if units:
-            word_count = len(units)
-            break
+    units = [state.summary(l.id).units for l in levels
+             if l.kind == KIND_SEGMENTATION]
+    word_count = next((n for n in units if n), 0)
     stats = {
         "word-count": str(word_count),
         "level-count": str(len(state.levels)),
         "resource-count": str(len(state.resources)),
     }
-    turns = sum(1 for level in levels if level.kind == KIND_STRUCTURE
-                for item in iter_items(state.parsed(level.id).items)
-                if item.element in _TURN_ELEMENTS)
+    turns = sum(state.summary(level.id).turns for level in levels
+                if level.kind == KIND_STRUCTURE)
     if turns:
         stats["turn-count"] = str(turns)
     return stats
@@ -203,29 +196,24 @@ def corpus_header(archive, corpus_id: str) -> MetadataHeader:
 
 def level_header(archive, level_id: str) -> MetadataHeader:
     state = archive.snapshot()._level_state(level_id)
-    level = state.levels[level_id]
-    materialized = state.materialized(level_id)
+    level, summary = state.levels[level_id], state.summary(level_id)
+    materialized = bool(summary.units or summary.items)
     computed: dict[str, str] = {
         "kind": level.kind,
         "coverage": level.coverage,
         "classification": level.classify(),
         "materialized": "true" if materialized else "false",
     }
-    anchor = state.anchor(level_id)
+    anchor = state.anchor(level_id, recorded=True)
     if anchor is not None:
         computed["anchor"] = anchor
     if level.depends_on:
         computed["depends-on"] = ",".join(
             f"{dep_id}|{purpose}" for dep_id, purpose in level.depends_on)
-    if level.kind == KIND_SEGMENTATION:
-        computed["items"] = str(len(state.parsed(level_id).units))
-    else:
-        computed["items"] = str(sum(
-            1 for _ in iter_items(state.parsed(level_id).items)))
-    if materialized:
-        categories = state.granularity(level_id)
-        if categories:
-            computed["granularity"] = ",".join(sorted(categories))
+    computed["items"] = str(summary.units if level.kind == KIND_SEGMENTATION
+                            else summary.items)
+    if materialized and summary.granularity:
+        computed["granularity"] = ",".join(sorted(summary.granularity))
     return build_header(TIER_LEVEL, level_id, level.declared_meta, computed,
                         generated_at=level.created_at)
 

@@ -402,8 +402,9 @@ def serialize_referential_standoff(items: list[AnnotationItem]) -> str:
 
 def resolve_link_targets(items: list[AnnotationItem]) -> None:
     """Check that every link target and source names a declared item id."""
-    ids = {item.id for item in iter_items(items) if item.id is not None}
-    for item in iter_items(items):
+    flat = iter_items(items)
+    ids = {item.id for item in flat if item.id is not None}
+    for item in flat:
         for link in item.links:
             for target in link.targets:
                 if target not in ids:

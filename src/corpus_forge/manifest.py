@@ -7,6 +7,12 @@ a key, the attribute it holds, its codec and its default (or
 ``REQUIRED``), in line order.  A line ends only at ``\\n``: values escape
 backslash, newline and carriage return, and all after the first ``": "``
 is the value.  An empty optional value is ``-``; a literal ``-`` is ``\\-``.
+
+A level block's ``summary`` row records what the level's stored payloads
+parsed into at its last write, so the catalog reads no payload: unit
+count, item count, ``u``/``turn`` item count and granularity categories,
+space-separated, as in ``summary: 76 0 0 reference-unit``.  A manifest
+written before summaries has no such row, and re-dumps without it.
 """
 
 from __future__ import annotations
@@ -16,7 +22,7 @@ from types import MappingProxyType
 from typing import Any, Callable, Mapping, NamedTuple
 
 from .errors import StoreError
-from .model import Corpus, Level, Resource
+from .model import Corpus, Level, LevelSummary, Resource
 from .versioning import Classification, VersionRecord
 
 ARCHIVE_FORMAT = "1"
@@ -66,6 +72,7 @@ class Codec(NamedTuple):
     dump: Callable[[Any], str]
     load: Callable[[str], Any]  # raises ValueError on a malformed value
     many: bool = False  # one line per element of a tuple
+    absent: bool = False  # no line for None
 
 
 def _dashed(empty) -> Codec:
@@ -93,11 +100,23 @@ LEVEL_IDS = Codec(
     lambda s: tuple(i for i in unescape_value(s).split(",") if i))
 GRANULARITY = Codec(
     lambda cats: escape_value(",".join(sorted(cats))) or "-",
-    lambda s: frozenset(c for c in unescape_value(s).split(",")
-                        if c and c != "-"))
+    lambda s: frozenset(unescape_value(s).split(",")) - {"", "-"})
 DEPENDS_ON = Codec(lambda dep: escape_value(f"{dep[0]}|{dep[1]}"),
                    lambda s: tuple(unescape_value(s).partition("|")[::2]),
                    many=True)
+
+
+def _summary(text: str) -> LevelSummary:
+    units, items, turns, granularity = text.split(" ", 3)
+    if not (units + items + turns).isdigit():  # int() refuses an empty one
+        raise ValueError(text)
+    return LevelSummary(int(units), int(items), int(turns),
+                        GRANULARITY.load(granularity))
+
+
+SUMMARY = Codec(lambda s: (f"{s.units} {s.items} {s.turns} "
+                           f"{GRANULARITY.dump(s.granularity)}"),
+                _summary, absent=True)
 VARIANT_GROUPS = Codec(lambda g: escape_value(f"{g[0]}|{g[1]}"),
                        _variant_group, many=True)
 
@@ -118,7 +137,7 @@ class Block:
             value = getattr(entity, attr)
             if codec.many:
                 lines.extend(f"{key}: {codec.dump(v)}" for v in value)
-            else:
+            elif value is not None or not codec.absent:
                 lines.append(f"{key}: {codec.dump(value)}")
         if self.meta:
             lines.extend(f"meta-{key}: {escape_value(value)}" for key, value
@@ -168,6 +187,7 @@ LEVEL = Block(Level, True,
     ("coverage", "coverage", TEXT, REQUIRED),
     ("created", "created_at", OPTIONAL, ""),
     ("depends-on", "depends_on", DEPENDS_ON, ()),
+    ("summary", "summary", SUMMARY, None),
 )
 RESOURCE = Block(Resource, True,
     ("resource", "id", TEXT, REQUIRED),

@@ -15,7 +15,7 @@ from __future__ import annotations
 import re
 import unicodedata
 from dataclasses import dataclass, field
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 # Declared coverage contribution of a level.  A level contributing no
 # coverage of its own must reconstruct it through its dependencies.
@@ -52,6 +52,17 @@ class Corpus:
     created_at: str = ""
 
 
+class LevelSummary(NamedTuple):
+    """What a level's stored payloads parsed into when it was last
+    written: reference units, annotation items (nested ones included),
+    ``u``/``turn`` items among them, and data categories."""
+
+    units: int = 0
+    items: int = 0
+    turns: int = 0
+    granularity: frozenset[str] = frozenset()
+
+
 @dataclass(frozen=True)
 class Level:
     id: str
@@ -61,6 +72,8 @@ class Level:
     depends_on: tuple[tuple[str, str], ...] = ()  # (level id, purpose)
     declared_meta: Mapping[str, str] = field(default_factory=dict)
     created_at: str = ""
+    # None for a level read from a manifest written before summaries.
+    summary: LevelSummary | None = None
 
     def classify(self) -> str:
         """Primary levels contribute coverage; secondary levels only

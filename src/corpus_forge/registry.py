@@ -139,29 +139,19 @@ def granularity_of(items: list[AnnotationItem]) -> frozenset[str]:
     attribute values probe compound aliases (``msd:s``) and only count
     when registered.
     """
+    # The distinct terms first, then each resolved once: a level's items
+    # repeat a handful of keys and values.
+    flat = iter_items(items)
+    pairs = {pair for item in flat for pair in item.categories.items()
+             if pair[1]}
+    compounds = {f"{key}:{sub}" for key, value in pairs if ":" in value
+                 for sub in value.split(":")[1:]}
     registry = Registry.default()
-    categories: set[str] = set()
-    for item in iter_items(items):
-        if item.element is not None:
-            resolved = registry.lookup(item.element)
-            if resolved is not None:
-                categories.add(resolved)
-        for key, value in item.categories.items():
-            if not value:
-                continue
-            resolved = registry.lookup(key)
-            if resolved is not None:
-                categories.add(resolved)
-            else:
-                categories.add(f"x-{key}")
-            for sub in value.split(":")[1:]:
-                compound = registry.lookup(f"{key}:{sub}")
-                if compound is not None:
-                    categories.add(compound)
-        for link in item.links:
-            resolved = registry.lookup(link.type)
-            if resolved is not None:
-                categories.add(resolved)
-            else:
-                categories.add(f"x-{link.type}")
+    categories = {registry.lookup(term) for term
+                  in {item.element for item in flat} | compounds}
+    categories.discard(None)
+    categories.update(
+        registry.lookup(term) or f"x-{term}" for term
+        in {key for key, _ in pairs}
+        | {link.type for item in flat for link in item.links})
     return frozenset(categories)

@@ -36,7 +36,7 @@ from corpus_forge.errors import (
     UnknownEntityError,
 )
 from corpus_forge.manifest import dumps_corpus
-from corpus_forge.model import Corpus, Level, Resource
+from corpus_forge.model import Corpus, Level, LevelSummary, Resource
 from corpus_forge.registry import Registry
 from corpus_forge.standoff import (
     coverage_fingerprint,
@@ -1418,7 +1418,9 @@ class TestValidateLoadedManifests:
         assert [(v.code, v.subject) for v in reloaded.validate()] \
             == [("parse-error", morpho.id),
                 ("payload-digest-mismatch", result.resource.id)]
-        assert not materialized(reloaded, morpho.id)
+        assert reloaded.level_items(morpho.id) == []
+        # The catalog describes what was deposited.
+        assert materialized(reloaded, morpho.id)
         assert len(reloaded.level_units(seg_id)) == 76
         with pytest.raises(StoreError):
             reloaded.resource_payload(result.resource.id)
@@ -1501,6 +1503,103 @@ class TestValidateLoadedManifests:
             == [("unreadable-manifest", "x")]
         with pytest.raises(StoreError):
             reloaded.register_corpus("X", corpus_id="x")
+
+
+class TestLevelSummaries:
+    """Each level's manifest block records what its payloads parsed into,
+    so the catalog renders from manifests alone; ``validate`` checks the
+    record against a parse."""
+
+    def build(self, archive):
+        """Goriot with a segmentation, a morphology, a structure and a
+        dialogue structure with turns; returns the corpus id."""
+        corpus_id, seg_id = goriot(archive)
+        archive.deposit(corpus_id, fixture("goriot_standoff_morpho_full.xml"),
+                        "standoff-morpho", levels=[
+                            morpho_level(archive, corpus_id, seg_id).id])
+        for payload in (fixture("fig02_structure.xml"),
+                        "<turn>Bonjour docteur</turn> <turn>Bonjour</turn>"):
+            archive.deposit(corpus_id, payload, "structural-inline",
+                            new_levels=[LevelSpec("structure", "partial")])
+        return corpus_id
+
+    @staticmethod
+    def manifest(root, corpus_id):
+        return root / "store" / "corpora" / corpus_id / "manifest"
+
+    def test_deposit_records_its_levels_summaries(self, archive, tmp_path):
+        corpus_id = self.build(archive)
+        text = self.manifest(tmp_path, corpus_id).read_text(encoding="utf-8")
+        assert "\nsummary: 76 0 0 reference-unit\n" in text
+        assert "\nsummary: 0 76 0 inflection,lemma,part-of-speech\n" in text
+        assert archive.level(f"{corpus_id}-structure-2").summary \
+            == LevelSummary(0, 2, 2, frozenset({"text-structure"}))
+        assert "computed turn-count: 2\n" in corpus_record(archive, corpus_id)
+
+    def test_a_new_level_records_an_empty_summary(self, archive):
+        archive.register_corpus("X", corpus_id="x")
+        assert archive.add_level("x", "segmentation", "full").summary \
+            == LevelSummary()
+
+    def test_withdraw_rewrites_the_levels_it_drops(self, archive, tmp_path):
+        corpus_id = self.build(archive)
+        seg_id = f"{corpus_id}-segmentation-1"
+        ref = archive.deposit(
+            corpus_id, fixture("fig08_inline_coref.xml"), "inline-coref",
+            new_levels=[LevelSpec("reference", "none", (seg_id,))]).levels[0]
+        assert archive.level(ref).summary.items == 2
+        archive.withdraw(archive.resources(corpus_id)[0].id)
+        assert archive.level(seg_id).summary == LevelSummary()
+        # Inline coreference aligns on the units it no longer finds.
+        assert archive.level(ref).summary == LevelSummary()
+        assert not materialized(archive, ref)
+        reloaded = Archive(tmp_path / "store")
+        assert reloaded.level(ref).summary == LevelSummary()
+        assert export_catalog(reloaded) == export_catalog(archive)
+
+    def test_an_edited_summary_is_reported(self, archive, tmp_path):
+        corpus_id = self.build(archive)
+        path = self.manifest(tmp_path, corpus_id)
+        text = path.read_text(encoding="utf-8")
+        path.write_text(text.replace("\nsummary: 0 76 0 ",
+                                     "\nsummary: 0 75 0 "), encoding="utf-8")
+        for reloaded in (Archive(tmp_path / "store"),
+                         Archive(tmp_path / "store", defer_parse=True)):
+            assert [(v.code, v.subject, v.message)
+                    for v in reloaded.validate()] == [(
+                        "level-summary-mismatch",
+                        f"{corpus_id}-morphosyntax-1",
+                        "manifest records summary '0 75 0 inflection,lemma,"
+                        "part-of-speech' but its payloads parse into "
+                        "'0 76 0 inflection,lemma,part-of-speech'")]
+            # The catalog describes what was deposited.
+            assert computed(reloaded, f"{corpus_id}-morphosyntax-1")[
+                "items"] == "75"
+
+    def test_manifests_without_summaries_read_as_before(self, archive,
+                                                        tmp_path):
+        corpus_id = self.build(archive)
+        archive.register_corpus("Other", corpus_id="other")
+        archive.add_level("other", "segmentation", "full")
+        manifests = sorted((tmp_path / "store").glob("corpora/*/manifest"))
+        assert len(manifests) == 2
+        for path in manifests:
+            text = path.read_text(encoding="utf-8")
+            legacy = re.sub(r"\nsummary: [^\n]*", "", text)
+            assert "summary" not in legacy and legacy != text
+            path.write_text(legacy, encoding="utf-8")
+        path = self.manifest(tmp_path, corpus_id)
+        for reloaded in (Archive(tmp_path / "store"),
+                         Archive(tmp_path / "store", defer_parse=True)):
+            assert export_catalog(reloaded) == export_catalog(archive)
+            assert reloaded.validate() == []
+        # A write records the summaries of the levels it writes only.
+        Archive(tmp_path / "store").deposit(
+            corpus_id, '<word id="word_900">Fin</word>', "segmentation",
+            levels=[f"{corpus_id}-segmentation-1"])
+        written = path.read_text(encoding="utf-8")
+        assert re.findall(r"\nsummary: [^\n]*", written) \
+            == ["\nsummary: 77 0 0 reference-unit"]
 
 
 class TestPersistence:
@@ -1696,7 +1795,8 @@ class TestConcurrency:
             seg = archive.add_level(corpus_id, "segmentation", "full")
             archive.deposit(corpus_id, payload, "segmentation",
                             levels=[seg.id])
-        records = {c: corpus_record(archive, c) for c in ids}
+        expected = {c: (corpus_record(archive, c),
+                        archive.coverage(f"{c}-segmentation-1")) for c in ids}
         deferred = Archive(tmp_path / "store", defer_parse=True)
         held = deferred.snapshot()
         parsed, errors = [], []
@@ -1710,7 +1810,9 @@ class TestConcurrency:
         def reader(i):
             try:
                 for corpus_id in ids[i % 4:] + ids[:i % 4]:
-                    assert corpus_record(held, corpus_id) == records[corpus_id]
+                    assert (corpus_record(held, corpus_id),
+                            held.coverage(f"{corpus_id}-segmentation-1")) \
+                        == expected[corpus_id]
             except Exception as err:  # pragma: no cover - failure reporting
                 errors.append(err)
 
@@ -1790,8 +1892,9 @@ class TestConcurrency:
             sys.setswitchinterval(interval)
         assert not any(t.is_alive() for t in threads)
         assert errors == []
-        assert sorted(parsed) == sorted(f"{c}-r00{n}" for c in ids
-                                        for n in (1, 2))
+        # Records render from the manifests' summaries: only the deposit
+        # parses, the earlier payload of the level it writes.
+        assert parsed == ["c3-r001"]
         written = corpus_record(Archive(tmp_path / "store"), "c3")
         assert written != fresh["c3"]
         assert len(seen) == 32

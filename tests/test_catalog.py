@@ -7,7 +7,6 @@ from datetime import datetime, timezone
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from corpus_forge import archive as archive_mod
 from corpus_forge import catalog
 from corpus_forge.archive import Archive
 from corpus_forge.catalog import (
@@ -338,8 +337,8 @@ class TestRenderedOncePerState:
                 calls.append(name)
                 return function(*args)
             return call
-        monkeypatch.setattr(archive_mod, "granularity_of", counted(
-            "granularity_of", archive_mod.granularity_of))
+        monkeypatch.setattr(catalog, "compute_auto_stats", counted(
+            "compute_auto_stats", catalog.compute_auto_stats))
         monkeypatch.setattr(MetadataHeader, "render", counted(
             "render", MetadataHeader.render))
         snapshot = archive.snapshot()
@@ -347,7 +346,7 @@ class TestRenderedOncePerState:
                  lambda: export_catalog(snapshot),
                  lambda: catalog_summary(snapshot))
         first = [read() for read in reads]
-        assert {"granularity_of", "render"} <= set(calls)
+        assert {"compute_auto_stats", "render"} <= set(calls)
         for read, text in zip(reads, first):
             calls.clear()
             assert read() == text

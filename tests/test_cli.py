@@ -7,6 +7,7 @@ from datetime import datetime, timedelta, timezone
 
 import pytest
 
+from corpus_forge import cli
 from corpus_forge.archive import Archive, LevelSpec
 from corpus_forge.catalog import export_catalog, parse_header
 from corpus_forge.cli import main
@@ -69,7 +70,7 @@ class TestInit:
 class TestParsesWhatItReads:
     """A command parses the stored payloads of the levels it reads, and of
     their anchors, each available one once; a command that reads one
-    corpus parses no other corpus."""
+    corpus parses no other corpus.  A catalog read parses none."""
 
     CORPORA = ("a", "b", "c")
 
@@ -102,7 +103,7 @@ class TestParsesWhatItReads:
           "--new-level", "morphosyntax:none:b-segmentation-1", "MORPHO"],
          ["b-r001"]),
         (["coverage", "--level", "b-morphosyntax-1"], ["b-r001", "b-r002"]),
-        (["show", "--corpus", "b"], ["b-r001", "b-r002"]),
+        (["show", "--corpus", "b"], []),
     ], ids=["deposit", "coverage", "show"])
     def test_one_corpus_parses_only_that_corpus(
             self, root, tmp_path, capsys, parsed, argv, expected):
@@ -111,17 +112,20 @@ class TestParsesWhatItReads:
         assert run(capsys, *argv, "--root", root)[0] == 0
         assert sorted(parsed) == expected
 
-    @pytest.mark.parametrize("command", ["validate", "export"])
+    @pytest.mark.parametrize("command, expected", [
+        ("validate", [f"{c}-r00{n}" for c in CORPORA for n in (1, 2)]),
+        ("export", []),
+    ], ids=["validate", "export"])
     def test_whole_archive_parses_each_payload_once(
-            self, root, capsys, parsed, command):
+            self, root, capsys, parsed, command, expected):
         assert run(capsys, command, "--root", root)[0] == 0
-        assert sorted(parsed) == [f"{c}-r00{n}" for c in self.CORPORA
-                                  for n in (1, 2)]
+        assert sorted(parsed) == expected
 
 
 class TestParsesTheLevelsItReads:
     """Inside one corpus, a command parses the payloads of the levels it
-    reads and of the segmentations they anchor on, not every payload."""
+    reads and of the segmentations they anchor on, not every payload.  A
+    catalog read parses none."""
 
     @pytest.fixture
     def parsed(self, root, tmp_path, monkeypatch):
@@ -161,8 +165,8 @@ class TestParsesTheLevelsItReads:
         (["deposit", "--corpus", "t", "--format", "standoff-morpho",
           "--new-level", "morphosyntax:none:t-segmentation-1", "MORPHO"],
          ["t-r001"]),
-        (["show", "--level", "t-reference-1"], ["t-r001", "t-r004"]),
-        (["show", "--level", "t-segmentation-1"], ["t-r001"]),
+        (["show", "--level", "t-reference-1"], []),
+        (["show", "--level", "t-segmentation-1"], []),
     ], ids=["coverage", "coverage-unanchored", "deposit", "show-level",
             "show-segmentation"])
     def test_command_parses_its_levels_and_their_anchors(
@@ -171,6 +175,60 @@ class TestParsesTheLevelsItReads:
                 for arg in argv]
         assert run(capsys, *argv, "--root", root)[0] == 0
         assert sorted(parsed) == expected
+
+
+class TestCatalogReadsParseNothing:
+    """A catalog read renders from the manifests' level summaries: with
+    the CLI's deferred open it parses no payload, and prints what an
+    eager open of the archive prints."""
+
+    @pytest.fixture
+    def archive_root(self, root):
+        archive = Archive(root)
+        for corpus_id in ("a", "b"):
+            archive.register_corpus(corpus_id.upper(), corpus_id=corpus_id)
+            seg = archive.add_level(corpus_id, "segmentation", "full")
+            archive.deposit(corpus_id, '<word id="word_1">Madame</word>\n'
+                            '<word id="word_2">Vauquer</word>',
+                            "segmentation", levels=[seg.id])
+            archive.deposit(corpus_id, '<w span="word_1" lemma="madame"/>',
+                            "standoff-morpho", new_levels=[
+                                LevelSpec("morphosyntax", "none", (seg.id,))])
+            archive.deposit(corpus_id, "<turn>Madame Vauquer</turn>",
+                            "structural-inline",
+                            new_levels=[LevelSpec("structure", "full")])
+        return root
+
+    @pytest.mark.parametrize("argv", [
+        ["list"], ["list", "--corpus", "b"],
+        ["show", "--corpus", "b"], ["show", "--corpus", "b", "--machine"],
+        ["show", "--level", "b-morphosyntax-1"],
+        ["show", "--level", "b-segmentation-1"],
+        ["show", "--resource", "b-r002"],
+        ["export"], ["catalog"], ["catalog", "--machine"],
+    ], ids=lambda argv: "-".join(arg.strip("-") for arg in argv))
+    def test_reads_no_payload_and_prints_as_an_eager_open(
+            self, archive_root, capsys, monkeypatch, argv):
+        export = pathlib.Path(archive_root) / "catalog.export"
+        eager = Archive(archive_root)
+        monkeypatch.setattr(cli, "_open_archive", lambda args: eager)
+        code, expected, _ = run(capsys, *argv, "--root", archive_root)
+        expected_export = export.read_bytes() if export.exists() else None
+        assert code == 0 and expected
+        monkeypatch.undo()
+        export.unlink(missing_ok=True)
+        calls = []
+        materialize = Archive._materialize
+
+        def counted(state, resource, *rest):
+            calls.append(resource.id)
+            return materialize(state, resource, *rest)
+        monkeypatch.setattr(Archive, "_materialize", counted)
+        code, out, _ = run(capsys, *argv, "--root", archive_root)
+        assert (code, calls) == (0, [])
+        assert out == expected
+        assert (export.read_bytes() if export.exists() else None) \
+            == expected_export
 
 
 class TestDeposit:

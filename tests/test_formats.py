@@ -75,11 +75,56 @@ def full_units():
     return parse_segmentation(fixture("goriot_segmentation_full.xml"))
 
 
+def well_formed_documents():
+    """Markup fragments XML would accept as element content, where also
+    an attribute value may hold ``<``: no ``<`` in text; ``>``, ``/``,
+    ``=`` and the other quote may appear in both."""
+    text = st.text(st.sampled_from("ab =/>\"'&;\n\t"), max_size=6)
+    name = st.from_regex(r"[A-Za-z_][A-Za-z0-9_.-]{0,3}", fullmatch=True)
+    space = st.sampled_from(["", " ", "\n", " \t"])
+    attribute = st.builds(
+        lambda name, before, after, quote, value:
+            f" {name}{before}={after}{quote}{value.replace(quote, '')}{quote}",
+        name, space, space, st.sampled_from("\"'"),
+        st.text(st.sampled_from("ab <>/=\"'&;\n"), max_size=6))
+    start = st.builds(
+        lambda name, attrs, space: (name, "".join(attrs) + space),
+        name, st.lists(attribute, max_size=3), space)
+
+    def element(children):
+        return st.builds(
+            lambda tag, body, space: (
+                f"<{tag[0]}{tag[1]}{space}/>" if body is None
+                else f"<{tag[0]}{tag[1]}>{body}</{tag[0]}{space}>"),
+            start, st.none() | children, space)
+    content = st.recursive(
+        text, lambda children: st.lists(element(children) | text,
+                                        max_size=4).map("".join),
+        max_leaves=12)
+    return st.lists(element(content) | text, max_size=4).map("".join)
+
+
 class TestMarkupScanner:
     # The tag pattern as a lazy loop that takes one character at a time:
     # the scanner's greedy pattern must find exactly its matches.
     LAZY_TAG_RE = re.compile(
-        r"<(/?)([A-Za-z_][\w.-]*)((?:[^>\"']|\"[^\"]*\"|'[^']*')*?)(/?)>")
+        r"<(/?)([A-Za-z_][\w.-]*)((?:[^<>\"']|\"[^\"]*\"|'[^']*')*?)(/?)>")
+    # The tag pattern before it stopped at ``<``: it scanned each tag that
+    # never closes to the end of the document.
+    CROSSING_TAG_RE = re.compile(
+        r"<(/?)([A-Za-z_][\w.-]*)"
+        r"([^>\"'/]*(?:(?:/(?!>)|\"[^\"]*\"|'[^']*')[^>\"'/]*)*)(/?)>")
+
+    @given(well_formed_documents())
+    @example('<a x="1>2" y=\'"/>\'/>t>/<b\n><c z = "" />d</c ></b>')
+    def test_well_formed_documents_scan_as_before(self, doc):
+        assert [(m.span(), m.groups()) for m in _markup.TAG_RE.finditer(doc)] \
+            == [(m.span(), m.groups())
+                for m in self.CROSSING_TAG_RE.finditer(doc)]
+
+    def test_a_less_than_sign_ends_a_tag_that_never_closed(self):
+        assert [m.group(0) for m in _markup.TAG_RE.finditer(
+            '<w a="1" <b/> <c x="<"/>')] == ["<b/>", '<c x="<"/>']
 
     @given(st.text(st.sampled_from("<>/=\"' \n" + string.ascii_lowercase),
                    max_size=60))

@@ -15,9 +15,16 @@ from corpus_forge.manifest import (
     loads_corpus,
     unescape_value,
 )
-from corpus_forge.model import COVERAGE_VALUES, Corpus, Level, Resource, slugify
+from corpus_forge.model import (
+    COVERAGE_VALUES,
+    Corpus,
+    Level,
+    LevelSummary,
+    Resource,
+    slugify,
+)
 from corpus_forge.versioning import Classification, VersionRecord
-from strategies import category_ids, kinds, metas, texts
+from strategies import attr_names, category_ids, kinds, metas, texts
 
 FORMAT_1 = pathlib.Path(__file__).parent / "fixtures" / "format1.manifest"
 
@@ -117,6 +124,13 @@ class TestRoundTrip:
         assert loaded[0].variant_groups == ()
 
 
+# Provisional categories are ``x-`` and an attribute name or link type.
+summaries = st.builds(
+    LevelSummary, st.integers(0, 10**6), st.integers(0, 10**6),
+    st.integers(0, 10**6),
+    st.frozensets(category_ids | attr_names.map("x-".__add__), max_size=3))
+
+
 @st.composite
 def entities(draw):
     """A corpus with levels, resources and versions as the archive makes
@@ -135,7 +149,8 @@ def entities(draw):
         id=level_id, corpus_id=corpus_id, kind=kind,
         coverage=draw(st.sampled_from(COVERAGE_VALUES)),
         depends_on=tuple(zip(draw(some_levels), draw(st.lists(texts)))),
-        declared_meta=draw(metas), created_at=draw(texts))
+        declared_meta=draw(metas), created_at=draw(texts),
+        summary=draw(st.none() | summaries))
         for level_id, kind in zip(level_ids, level_kinds)]
     resources = [Resource(
         id=draw(texts), corpus_id=corpus_id,
@@ -300,6 +315,18 @@ class TestStrictness:
                                    "variant-group: alt_1|two")
         with pytest.raises(StoreError):
             loads_corpus(text)
+
+    @pytest.mark.parametrize("value", ["", "-", "1 2 3", "1 2 x lemma",
+                                       "1 -2 3 lemma", "1  2 3 lemma"])
+    def test_malformed_summary(self, value):
+        corpus, levels, resources, versions = full_entities()
+        level = dataclasses.replace(levels[0], summary=LevelSummary(
+            1, 2, 3, frozenset({"lemma"})))
+        text = dumps_corpus(corpus, [level], [], [])
+        assert "\nsummary: 1 2 3 lemma\n" in text
+        with pytest.raises(StoreError):
+            loads_corpus(text.replace("summary: 1 2 3 lemma",
+                                      f"summary: {value}"))
 
 
 class TestModelHelpers:

@@ -3,11 +3,13 @@
 import pathlib
 
 import pytest
+from hypothesis import given, strategies as st
 
 from corpus_forge.errors import RegistryError
 from corpus_forge.formats import (
     AnnotationItem,
     Link,
+    iter_items,
     parse_inline_coref,
     parse_inline_morpho,
     parse_referential_standoff,
@@ -23,7 +25,7 @@ from corpus_forge.registry import (
     Registry,
     granularity_of,
 )
-from strategies import REGISTRY_IDS
+from strategies import REGISTRY_IDS, attr_names
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 
@@ -193,3 +195,49 @@ class TestGranularityExtraction:
 
     def test_footprint_of_nothing_is_empty(self):
         assert granularity_of([]) == frozenset()
+
+
+def granularity_item_by_item(items):
+    """``granularity_of`` as it resolved each term of each item in turn:
+    the reference for the one that resolves each distinct term once."""
+    registry = Registry.default()
+    categories = set()
+    for item in iter_items(items):
+        if item.element is not None:
+            resolved = registry.lookup(item.element)
+            if resolved is not None:
+                categories.add(resolved)
+        for key, value in item.categories.items():
+            if not value:
+                continue
+            categories.add(registry.lookup(key) or f"x-{key}")
+            for sub in value.split(":")[1:]:
+                compound = registry.lookup(f"{key}:{sub}")
+                if compound is not None:
+                    categories.add(compound)
+        for link in item.links:
+            categories.add(registry.lookup(link.type) or f"x-{link.type}")
+    return frozenset(categories)
+
+
+# Registered terms and unknown ones, with values that hold compound
+# sub-values (``msd`` with ``s`` reads ``msd:s``).
+TERMS = st.sampled_from(["msd", "lemma", "u", "turn", "w", "coref", "ident",
+                         "type", "function"]) | attr_names
+VALUES = st.sampled_from(["", "x", "N:s", "V:3s:pst", "A::p", ":"])
+ITEMS = st.recursive(
+    st.builds(AnnotationItem, element=st.none() | TERMS,
+              categories=st.dictionaries(TERMS, VALUES, max_size=3),
+              links=st.lists(st.builds(Link, type=TERMS,
+                                       targets=st.just(("m_1",))),
+                             max_size=2).map(tuple)),
+    lambda children: st.builds(
+        AnnotationItem, element=st.none() | TERMS,
+        children=st.lists(children, max_size=3).map(tuple)),
+    max_leaves=8)
+
+
+@given(st.lists(ITEMS, max_size=4))
+def test_granularity_resolves_as_item_by_item(items):
+    assert granularity_of(items) == granularity_item_by_item(items)
+

@@ -1,5 +1,5 @@
-"""Scale gates: the engine's time grows linearly with a corpus's size and
-with the number of corpora.
+"""Scale gates: the engine's time grows linearly with a corpus's size,
+with the number of corpora, and with the length of a malformed document.
 
 One round through ``Archive`` (a segmentation deposit, a stand-off
 morphology level over it, ``coverage`` and ``validate``) is timed at n
@@ -13,10 +13,14 @@ import shutil
 import statistics
 import time
 
+import pytest
+
 from corpus_forge.archive import Archive, LevelSpec
 from corpus_forge.catalog import catalog_summary, export_catalog
+from corpus_forge.errors import ParseError
 from corpus_forge.formats import (
     AnnotationItem,
+    parse_standoff_morpho,
     serialize_segmentation,
     serialize_standoff_morpho,
 )
@@ -61,6 +65,24 @@ def test_round_grows_linearly(tmp_path):
     ratio = statistics.median(ratios)
     assert ratio < 8, (
         f"{4 * N} tokens took {ratio:.1f}x as long as {N} "
+        f"(median of {sorted(round(r, 1) for r in ratios)})")
+
+
+def test_unclosed_tags_scan_linearly():
+    """A document of many tags that never close is refused in time linear
+    in its length, not scanned to its end from each ``<``."""
+    documents = {n: '<w span="word_1" lemma="a" ' * n for n in (250, 1000)}
+
+    def seconds(n, round_):
+        start = time.perf_counter()
+        for _ in range(10):
+            with pytest.raises(ParseError, match="stray text"):
+                parse_standoff_morpho(documents[n])
+        return time.perf_counter() - start
+    ratios = median_ratio(seconds, 250, 1000, rounds=9)
+    ratio = statistics.median(ratios)
+    assert ratio < 8, (
+        f"4x the unclosed tags took {ratio:.1f}x as long "
         f"(median of {sorted(round(r, 1) for r in ratios)})")
 
 
@@ -119,17 +141,24 @@ def test_catalog_and_validate_grow_linearly_with_corpora(tmp_path):
     for corpus in large.corpora()[:CORPORA]:
         shutil.copytree(large.root / "corpora" / corpus.id,
                         tmp_path / "small" / "corpora" / corpus.id)
-    archives = {CORPORA: Archive(tmp_path / "small"), 4 * CORPORA: large}
-    assert [len(a.corpora()) for a in archives.values()] \
-        == [CORPORA, 4 * CORPORA]
+    roots = {CORPORA: tmp_path / "small", 4 * CORPORA: large.root}
+    assert [len(Archive(r, defer_parse=True).corpora())
+            for r in roots.values()] == [CORPORA, 4 * CORPORA]
     assert large.validate() == []
-    reads = {"export_catalog": export_catalog,
-             "catalog_summary": catalog_summary,
-             "validate": Archive.validate}
-    for name, read in reads.items():
+    # Each read is timed on fresh opens, made untimed: the catalog renders
+    # every record from the manifests and ``validate`` parses every
+    # payload, where a second read of one archive would join memoized
+    # text.  A summary block takes microseconds, so its sample times four.
+    reads = {"export_catalog": (export_catalog, 1),
+             "catalog_summary": (catalog_summary, 4),
+             "validate": (Archive.validate, 1)}
+    for name, (read, repeat) in reads.items():
         def seconds(n, round_):
+            archives = [Archive(roots[n], defer_parse=True)
+                        for _ in range(repeat)]
             start = time.perf_counter()
-            read(archives[n])
+            for archive in archives:
+                read(archive)
             return time.perf_counter() - start
         ratios = median_ratio(seconds, CORPORA, 4 * CORPORA, rounds=9)
         ratio = statistics.median(ratios)
