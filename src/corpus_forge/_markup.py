@@ -47,11 +47,6 @@ def unescape(text: str) -> str:
     return _ENTITY_RE.sub(lambda m: _ENTITIES[m[0]], text)
 
 
-def escape(text: str) -> str:
-    return (text.replace("&", "&amp;").replace("<", "&lt;")
-            .replace(">", "&gt;").replace('"', "&quot;"))
-
-
 def parse_attrs(raw: str) -> dict[str, str]:
     """Attributes by name, a repeated name keeping its last value."""
     attrs = dict(ATTR_RE.findall(raw))

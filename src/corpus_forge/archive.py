@@ -9,8 +9,8 @@ Reads never wait for the writers' lock: each is answered from the last
 published :class:`Snapshot`, and ``Archive.snapshot()`` returns it, so
 several reads see one commit.  A snapshot maps each corpus id to that
 corpus's :class:`CorpusState`, so a read of one corpus touches no other.
-A state holds one :class:`Parsed` entry per level; a state loaded from
-its manifest makes them, empty, on first use.  The first read of a
+A state holds one :class:`Parsed` entry per level, empty when the state
+is loaded from its manifest.  The first read of a
 level's units or items parses that level's payloads, and those of the
 segmentations it anchors on, once for every snapshot that shares the
 entry.  The catalog reads no entry: each level's ``summary``, which
@@ -219,8 +219,7 @@ class CorpusState:
     levels: dict[str, Level] = field(default_factory=dict)
     resources: dict[str, Resource] = field(default_factory=dict)
     versions: tuple[VersionRecord, ...] = ()
-    # One entry per level; a state loaded from its manifest makes them on
-    # first use (``_made``).  A ``copy`` shares the entries, and with them
+    # One entry per level.  A ``copy`` shares the entries, and with them
     # the lock under which a first read fills one, so an entry is filled
     # once for every state that shares it.
     _entries: dict[str, Parsed] = field(default_factory=dict, repr=False)
@@ -235,10 +234,9 @@ class CorpusState:
     def parsed(self, level_id: str) -> Parsed:
         """The level's entry, parsed from its stored payloads on its first
         read."""
-        entry = self._entries.get(level_id)
-        if entry is None or not entry.filled:
+        entry = self._entries[level_id]
+        if not entry.filled:
             with self._lock:
-                entry = self._made()[level_id]
                 # An entry this thread is filling is read as it stands:
                 # a dependency cycle reads its units, which parse first.
                 if not (entry.filled or entry.filling):
@@ -267,20 +265,12 @@ class CorpusState:
             # Looked up on the class at each call, as a tracer patches it.
             Archive._materialize(self, resource, payload, level_id, entry)
 
-    def _made(self) -> dict[str, Parsed]:
-        """The level entries, made on first use; under the lock."""
-        if not self._entries:
-            self._entries.update({l: Parsed() for l in self.levels})
-        return self._entries
-
     def copy(self) -> CorpusState:
         """A draft's own copy.  It shares every level entry, filled or
         not, with this state."""
-        with self._lock:
-            entries = dict(self._made())
         return CorpusState(self.corpus, self.root, dict(self.levels),
-                           dict(self.resources), self.versions, entries,
-                           self._lock)
+                           dict(self.resources), self.versions,
+                           dict(self._entries), self._lock)
 
     def drop(self, level_ids) -> list[str]:
         """Give ``level_ids``, and every level that depends on them, entries
@@ -677,14 +667,28 @@ class Archive:
                     if resource.format not in FORMATS:
                         raise StoreError(f"resource {resource.id!r} has the "
                                          f"unknown format {resource.format!r}")
+                    # The only name a deposit writes; another could name
+                    # another resource's payload, or a file outside the
+                    # corpus's resources directory.
+                    if (resource.filename
+                            != f"{resource.id}.{resource.format}"
+                            or "/" in resource.filename):
+                        raise StoreError(f"resource {resource.id!r} has the "
+                                         f"file {resource.filename!r}")
+                levels_by_id = {l.id: l for l in levels}
+                resources_by_id = {r.id: r for r in resources}
+                # The next write would keep one block of a repeated id.
+                if (len(levels_by_id) < len(levels)
+                        or len(resources_by_id) < len(resources)):
+                    raise StoreError("it repeats a level or resource id")
             except (StoreError, UnicodeDecodeError) as err:
                 view._unreadable[entry.name] = Violation(
                     "unreadable-manifest", entry.name,
                     f"manifest does not load: {err}")
                 continue
             state = view._corpora[corpus.id] = CorpusState(
-                corpus, self.root, {l.id: l for l in levels},
-                {r.id: r for r in resources}, tuple(versions))
+                corpus, self.root, levels_by_id, resources_by_id,
+                tuple(versions), {l: Parsed() for l in levels_by_id})
             for kind in ("levels", "resources"):
                 view._owners[kind].update(
                     dict.fromkeys(getattr(state, kind), corpus.id))

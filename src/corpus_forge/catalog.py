@@ -16,8 +16,8 @@ from dataclasses import dataclass
 from pathlib import Path
 from types import MappingProxyType
 
-from .errors import ParseError, StoreError
-from .manifest import escape_value, unescape_value
+from .errors import StoreError
+from .manifest import escape_value
 from .model import (COVERAGE_FULL, KIND_SEGMENTATION, KIND_STRUCTURE,
                     Resource, deposit_order)
 
@@ -90,40 +90,6 @@ def build_header(tier: str, subject_id: str, declared,
         computed=tuple(computed_pairs),
         generated_at=generated_at or "-",
         warnings=tuple(warnings))
-
-
-def parse_header(text: str) -> MetadataHeader:
-    tier = subject = generated = None
-    declared: list[tuple[str, str]] = []
-    computed: list[tuple[str, str]] = []
-    warnings: list[str] = []
-    for lineno, raw in enumerate(text.split("\n"), 1):
-        if not raw.strip():
-            continue
-        key, sep, value = raw.partition(": ")
-        if not sep:
-            raise ParseError(f"header line {lineno}: not a key: value pair")
-        value = unescape_value(value)
-        if key == "header":
-            tier = value
-        elif key == "subject":
-            subject = value
-        elif key == "generated":
-            generated = value
-        elif key.startswith("declared "):
-            declared.append((key[len("declared "):], value))
-        elif key.startswith("computed "):
-            computed.append((key[len("computed "):], value))
-        elif key == "warning":
-            warnings.append(value)
-        else:
-            raise ParseError(f"header line {lineno}: unknown key {key!r}")
-    if tier is None or subject is None or generated is None:
-        raise ParseError("header lacks its header/subject/generated preamble")
-    return MetadataHeader(
-        tier=tier, subject_id=subject,
-        declared=tuple(declared), computed=tuple(computed),
-        generated_at=generated, warnings=tuple(warnings))
 
 
 # -- archive-coupled builders ---------------------------------------------

@@ -1,6 +1,8 @@
-"""Interchange codecs for annotation payloads.
+"""Interchange codecs for annotation payloads: parsers only.
 
-Every deposit format parses into a common shape: a list of
+The archive stores each payload as deposited and serves it back
+verbatim, so it reads these formats and never writes one.  Every
+deposit format parses into a common shape: a list of
 :class:`AnnotationItem` trees (or, for segmentations, a list of
 :class:`~corpus_forge.standoff.ReferenceUnit`).  Items carry at most one
 of two anchorings — a ``span`` pointing at reference units, or a
@@ -129,11 +131,6 @@ def parse_segmentation(text: str) -> list[ReferenceUnit]:
     return units
 
 
-def serialize_segmentation(units: list[ReferenceUnit]) -> str:
-    return "\n".join(
-        f'<word id="{u.id}">{_markup.escape(u.form)}</word>' for u in units)
-
-
 # --------------------------------------------------------------------------
 # tabular-morpho:  index <TAB> form <TAB> lemma <TAB> tag <TAB> fine tag
 # --------------------------------------------------------------------------
@@ -159,12 +156,6 @@ def parse_tabular_morpho(text: str) -> list[AnnotationItem]:
         items.append(AnnotationItem(surface=values[1] or None,
                                     categories=categories))
     return items
-
-
-def serialize_tabular_morpho(items: list[AnnotationItem]) -> str:
-    return "\n".join(
-        "\t".join(item.categories.get(col, "") for col in TABULAR_COLUMNS)
-        for item in items)
 
 
 # --------------------------------------------------------------------------
@@ -193,24 +184,6 @@ def parse_standoff_morpho(text: str) -> list[AnnotationItem]:
         items.append(AnnotationItem(span=span, element="w",
                                     categories=categories))
     return items
-
-
-def serialize_standoff_morpho(items: list[AnnotationItem]) -> str:
-    lines = []
-    for item in items:
-        if item.span is None:
-            raise MissingSpanError("stand-off morphology item lacks a span")
-        if "lemma" not in item.categories:
-            raise ParseError("morphology item lacks a lemma category")
-        extra = {k: v for k, v in item.categories.items()
-                 if k not in ("msd", "lemma")}
-        msd = item.categories.get("msd", "") or " "
-        line = (f'<w span="{item.span}"\tmsd="{_markup.escape(msd)}"'
-                f'\tlemma="{_markup.escape(item.categories["lemma"])}"')
-        for key in sorted(extra):
-            line += f'\t{key}="{_markup.escape(extra[key])}"'
-        lines.append(line + "/>")
-    return "\n".join(lines)
 
 
 # --------------------------------------------------------------------------
@@ -274,20 +247,6 @@ def parse_inline_morpho(
         raise ParseError(
             f"stray text {stripped[cursor:].strip()!r} after last <w>")
     return items
-
-
-def serialize_inline_morpho(items: list[AnnotationItem]) -> str:
-    lines = []
-    for item in items:
-        if item.surface is None:
-            raise ParseError("inline morphology item lacks a surface")
-        if "lemma" not in item.categories:
-            raise ParseError("morphology item lacks a lemma category")
-        attrs = "".join(
-            f' {k}="{_markup.escape(v)}"'
-            for k, v in sorted(item.categories.items()))
-        lines.append(f"<w{attrs}>{_markup.escape(item.surface)}</w>")
-    return "\n".join(lines)
 
 
 # --------------------------------------------------------------------------
@@ -365,39 +324,6 @@ def parse_referential_standoff(text: str) -> list[AnnotationItem]:
         if size == 0:
             raise ParseError(f"variant group {group} holds no links")
     return items
-
-
-def serialize_referential_standoff(items: list[AnnotationItem]) -> str:
-    lines = []
-    open_group = None
-    for item in items:
-        if item.group != open_group:
-            if open_group is not None:
-                lines.append("</alt>")
-            if item.group is not None:
-                lines.append("<alt>")
-            open_group = item.group
-        attrs = "".join(f' {k}="{_markup.escape(v)}"'
-                        for k, v in sorted(item.categories.items()))
-        if item.element == "referentialMarkable":
-            lines.append(
-                f'<referentialMarkable id="{_markup.escape(item.id)}"{attrs}>'
-                f"{_markup.escape(item.surface or '')}</referentialMarkable>")
-        else:
-            link = item.links[0]
-            parts = ["<referentialLink"]
-            if link.source is not None:
-                parts.append(' referentialSource='
-                             f'"id({_markup.escape(link.source)})"')
-            targets = ",".join(f"id({t})" for t in link.targets)
-            parts.append(f' referentialTarget="{_markup.escape(targets)}"')
-            if link.type != "reference":
-                parts.append(f' type="{_markup.escape(link.type)}"')
-            indent = "  " if item.group is not None else ""
-            lines.append(indent + "".join(parts) + attrs + "/>")
-    if open_group is not None:
-        lines.append("</alt>")
-    return "\n".join(lines)
 
 
 def resolve_link_targets(items: list[AnnotationItem]) -> None:
@@ -534,34 +460,6 @@ def syntax_terminals(items: list[AnnotationItem]) -> list[AnnotationItem]:
 # --------------------------------------------------------------------------
 # standoff-items:  generic flat item dump, one self-closing tag per line
 # --------------------------------------------------------------------------
-
-_RESERVED_ATTRS = ("id", "span", "element", "surface", "group")
-
-
-def serialize_standoff_items(items: list[AnnotationItem]) -> str:
-    lines = []
-    for item in items:
-        if item.children:
-            raise ParseError("nested items have no flat stand-off form")
-        for key in item.categories:
-            if key in _RESERVED_ATTRS or key.startswith("link-"):
-                raise ParseError(f"category key {key!r} collides with a "
-                                 "reserved item attribute")
-        parts = ["<item"]
-        for key in _RESERVED_ATTRS:
-            value = getattr(item, key)
-            if value is not None:
-                parts.append(f' {key}="{_markup.escape(str(value))}"')
-        for key in sorted(item.categories):
-            parts.append(f' {key}="{_markup.escape(item.categories[key])}"')
-        for link in item.links:
-            if link.source is not None:
-                raise ParseError("sourced links have no flat stand-off form")
-            parts.append(
-                f' link-{link.type}="{_markup.escape(" ".join(link.targets))}"')
-        lines.append("".join(parts) + "/>")
-    return "\n".join(lines)
-
 
 def parse_standoff_items(text: str) -> list[AnnotationItem]:
     items = []

@@ -107,7 +107,9 @@ def make_server(archive, host: str = "127.0.0.1",
 
 
 def serve(root, host: str = "127.0.0.1", port: int = 8080) -> None:
-    archive = Archive(root)
+    """Serve ``root`` until interrupted.  Every endpoint reads recorded
+    level summaries or stored bytes, so the open parses no payload."""
+    archive = Archive(root, defer_parse=True)
     server = make_server(archive, host, port)
     try:
         server.serve_forever()

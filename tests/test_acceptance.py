@@ -33,8 +33,6 @@ from corpus_forge.formats import (
     parse_standoff_morpho,
     parse_syntax_constituency,
     parse_tabular_morpho,
-    serialize_segmentation,
-    serialize_standoff_morpho,
     syntax_terminals,
 )
 from corpus_forge.manifest import dumps_corpus
@@ -51,6 +49,7 @@ from corpus_forge.versioning import (
     classify_submission,
     compare_granularity,
 )
+from oracles import serialize_segmentation, serialize_standoff_morpho
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -409,7 +408,8 @@ def test_end_to_end_cli_and_service_pipeline(tmp_path, capsys):
         server = make_server(store, port=0)
         import threading
         import urllib.request
-        thread = threading.Thread(target=server.serve_forever, daemon=True)
+        thread = threading.Thread(target=server.serve_forever,
+                                  kwargs={"poll_interval": 0.05}, daemon=True)
         thread.start()
         try:
             host, port = server.server_address[:2]

@@ -1,6 +1,7 @@
 """Archive engine: registration, deposits, versioning, validation,
 persistence, and concurrency."""
 
+import ast
 import dataclasses
 import hashlib
 import pathlib
@@ -1504,6 +1505,54 @@ class TestValidateLoadedManifests:
         with pytest.raises(StoreError):
             reloaded.register_corpus("X", corpus_id="x")
 
+    @pytest.mark.parametrize("resource_id, filename", [
+        ("x-r001", "../../../../outside.segmentation"),
+        ("../../../../outside", "../../../../outside.segmentation"),
+        ("x-r001", "x-r002.segmentation")])
+    def test_resource_file_other_than_its_own_is_unreadable(
+            self, tmp_path, resource_id, filename):
+        # From the corpus's resources directory, "../../../../" is tmp_path.
+        outside = tmp_path / "outside.segmentation"
+        outside.write_text(ONE_WORD, encoding="utf-8")
+        seg = Level(id="x-segmentation-1", corpus_id="x",
+                    kind="segmentation", coverage="full")
+        resource = Resource(id=resource_id, corpus_id="x",
+                            format="segmentation", filename=filename,
+                            levels=(seg.id,))
+        self.write_manifest(tmp_path, Corpus(id="x", title="X"), [seg],
+                            [resource])
+        (tmp_path / "store" / "corpora" / "x" / "resources").mkdir()
+        reloaded = Archive(tmp_path / "store")
+        assert [(v.code, v.subject) for v in reloaded.validate()] \
+            == [("unreadable-manifest", "x")]
+        with pytest.raises(UnknownEntityError):
+            reloaded.resource_payload(resource_id)
+        with pytest.raises(UnknownEntityError):
+            reloaded.withdraw(resource_id)
+        assert outside.read_text(encoding="utf-8") == ONE_WORD
+
+    @pytest.mark.parametrize("block", ["level", "resource"])
+    def test_repeated_block_makes_its_manifest_unreadable(
+            self, tmp_path, block):
+        archive = Archive(tmp_path / "store")
+        archive.register_corpus("X", corpus_id="x")
+        seg = archive.add_level("x", "segmentation", "full")
+        archive.deposit("x", ONE_WORD, "segmentation", levels=[seg.id])
+        path = tmp_path / "store" / "corpora" / "x" / "manifest"
+        blocks = path.read_text(encoding="utf-8").split("\n\n")
+        repeated = next(b for b in blocks if b.startswith(f"{block}: "))
+        blocks.insert(blocks.index(repeated), repeated)
+        path.write_text("\n\n".join(blocks), encoding="utf-8")
+        damaged = path.read_bytes()
+        reloaded = Archive(tmp_path / "store")
+        assert [(v.code, v.subject) for v in reloaded.validate()] \
+            == [("unreadable-manifest", "x")]
+        # A write would keep one of the two blocks.
+        with pytest.raises(UnknownEntityError):
+            reloaded.add_level("x", "morphosyntax", "none",
+                               depends_on=[seg.id])
+        assert path.read_bytes() == damaged
+
 
 class TestLevelSummaries:
     """Each level's manifest block records what its payloads parsed into,
@@ -2204,15 +2253,40 @@ class TestCorpusIsolation:
 def test_every_public_read_has_a_caller_outside_the_tests():
     """Each public method of Snapshot (and so of Archive) and of Registry
     is called in the package or the benchmark, or README documents it.
-    A caller is found by name: ``.name(`` in their Python source."""
+    A caller is found by name: ``.name(`` in their Python source.
+
+    Each public module-level function and class of the package is
+    referenced there outside its own definition, or README names it.  A
+    reference is an identifier, an attribute or an imported name, or a
+    string that is the whole name (the tracer patches by name); so the
+    codecs count, which only ``FORMATS`` reaches."""
     repo = pathlib.Path(__file__).parents[1]
-    code = "".join(path.read_text(encoding="utf-8")
-                   for folder in ("src", "perfbench")
-                   for path in sorted((repo / folder).rglob("*.py")))
+    sources = {path: path.read_text(encoding="utf-8")
+               for folder in ("src", "perfbench")
+               for path in sorted((repo / folder).rglob("*.py"))}
+    code = "".join(sources.values())
     readme = (repo / "README.md").read_text(encoding="utf-8")
     unused = [f"{cls.__name__}.{name}" for cls in (Snapshot, Registry)
               for name in vars(cls)
               if not name.startswith("_") and callable(getattr(cls, name))
               and f".{name}(" not in code
               and not re.search(rf"`{name}[`(]", readme)]
+    trees = {path: ast.parse(source) for path, source in sources.items()}
+    referenced = set()
+    for node in (node for tree in trees.values() for node in ast.walk(tree)):
+        if isinstance(node, ast.Name):
+            referenced.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            referenced.add(node.attr)
+        elif isinstance(node, ast.alias):
+            referenced.add(node.name)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            referenced.add(node.value)
+    unused += [f"{path.stem}.{node.name}" for path, tree in trees.items()
+               if path.is_relative_to(repo / "src" / "corpus_forge")
+               for node in tree.body
+               if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+               and not node.name.startswith("_")
+               and node.name not in referenced
+               and not re.search(rf"`{node.name}[`(]", readme)]
     assert unused == []

@@ -20,10 +20,10 @@ from corpus_forge.catalog import (
     corpus_record,
     export_catalog,
     level_header,
-    parse_header,
     write_export,
 )
 from corpus_forge.errors import ParseError, StoreError
+from oracles import parse_header
 from strategies import metas, texts
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"

@@ -9,9 +9,10 @@ import pytest
 
 from corpus_forge import cli
 from corpus_forge.archive import Archive, LevelSpec
-from corpus_forge.catalog import export_catalog, parse_header
+from corpus_forge.catalog import export_catalog
 from corpus_forge.cli import main
 from corpus_forge.model import Resource
+from oracles import parse_header
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 

@@ -30,15 +30,17 @@ from corpus_forge.formats import (
     parse_syntax_constituency,
     parse_tabular_morpho,
     resolve_link_targets,
+    syntax_terminals,
+)
+from corpus_forge.standoff import ReferenceUnit, SpanExpr, segment_text
+from oracles import (
     serialize_inline_morpho,
     serialize_referential_standoff,
     serialize_segmentation,
     serialize_standoff_items,
     serialize_standoff_morpho,
     serialize_tabular_morpho,
-    syntax_terminals,
 )
-from corpus_forge.standoff import ReferenceUnit, SpanExpr, segment_text
 from strategies import attr_names, payload_items
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"

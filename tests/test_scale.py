@@ -18,13 +18,9 @@ import pytest
 from corpus_forge.archive import Archive, LevelSpec
 from corpus_forge.catalog import catalog_summary, export_catalog
 from corpus_forge.errors import ParseError
-from corpus_forge.formats import (
-    AnnotationItem,
-    parse_standoff_morpho,
-    serialize_segmentation,
-    serialize_standoff_morpho,
-)
+from corpus_forge.formats import AnnotationItem, parse_standoff_morpho
 from corpus_forge.standoff import ReferenceUnit, SpanExpr
+from oracles import serialize_segmentation, serialize_standoff_morpho
 
 WORDS = ("Madame", "Vauquer", ",", "née", "de", "Conflans", "est", "une",
          "vieille", "femme", "qui", "tient", "à", "Paris", "une", "pension",

@@ -1,5 +1,6 @@
 """HTTP facade: request handling, status codes, referential integrity."""
 
+import dataclasses
 import hashlib
 import pathlib
 import re
@@ -9,6 +10,7 @@ import urllib.request
 
 import pytest
 
+from corpus_forge import formats, service
 from corpus_forge.archive import Archive, LevelSpec
 from corpus_forge.catalog import export_catalog
 from corpus_forge.service import _bind, handle_request, main, make_server
@@ -161,6 +163,37 @@ def test_crlf_payload_is_served_verbatim(tmp_path):
     assert len(body) == resource.size
 
 
+def test_serve_answers_each_endpoint_without_a_parse(
+        archive, tmp_path, monkeypatch):
+    parses = []
+    for tag, codec in list(formats.FORMATS.items()):
+        def counted(*args, parse=codec.parse, tag=tag):
+            parses.append(tag)
+            return parse(*args)
+        monkeypatch.setitem(formats.FORMATS, tag,
+                            dataclasses.replace(codec, parse=counted))
+    statuses = []
+
+    class Server:
+        def __init__(self, served):
+            self.served = served
+
+        def serve_forever(self):
+            for path in ("/corpora", "/corpora/pere-goriot",
+                         "/resources/pere-goriot-r002",
+                         "/resources/pere-goriot-r002/header"):
+                statuses.append(get(self.served, path)[0])
+
+        def server_close(self):
+            pass
+
+    monkeypatch.setattr(service, "make_server",
+                        lambda served, host, port: Server(served))
+    service.serve(tmp_path / "store")
+    assert statuses == [200] * 4
+    assert parses == []
+
+
 @pytest.mark.parametrize("bind", ["localhost", "localhost:", "localhost:http",
                                   "localhost:70000"])
 def test_bind_without_a_port_number_is_a_usage_error(tmp_path, capsys, bind):
@@ -195,7 +228,8 @@ class TestLiveServer:
     @pytest.fixture
     def base_url(self, archive):
         server = make_server(archive, port=0)
-        thread = threading.Thread(target=server.serve_forever, daemon=True)
+        thread = threading.Thread(target=server.serve_forever,
+                                  kwargs={"poll_interval": 0.05}, daemon=True)
         thread.start()
         host, port = server.server_address[:2]
         yield f"http://{host}:{port}"
