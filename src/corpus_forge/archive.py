@@ -5,6 +5,16 @@ One :class:`Archive` owns a directory tree::
     <root>/corpora/<corpus-id>/manifest
     <root>/corpora/<corpus-id>/resources/<resource-id>.<format>
 
+Opening lists ``corpora/`` and loads no manifest: a corpus's manifest
+loads on the first read of that corpus, once, into a cache that every
+snapshot of the archive shares (:class:`_Listing`).  A level or resource
+id finds its corpus by one rule: the corpora that may hold it are those
+whose id is a prefix of it ending at a ``-``, and the longest of them
+that holds it owns it.  Only an id that none of them holds (unknown, or
+outside the naming rule) loads every manifest; then the first corpus by
+id that holds it owns it.  ``corpora()``, ``validate()`` of the whole
+archive and the catalog load every corpus.
+
 Reads never wait for the writers' lock: each is answered from the last
 published :class:`Snapshot`, and ``Archive.snapshot()`` returns it, so
 several reads see one commit.  A snapshot maps each corpus id to that
@@ -19,11 +29,11 @@ its counts and granularity (a level loaded without one gets it from
 its entry).  A corpus's catalog record, stamp and summary block are
 rendered on their first read, and kept on its state.  So a published
 state changes only when its first reads fill entries and those
-renderings, and a read may parse or render, but it still never waits
-for the writers' lock.  Writers take that lock and build the next
-snapshot as a draft: it copies the map of corpora and the state of each
-corpus it writes, and shares every other state, and every level entry it
-does not write, with the published snapshot.  An entry it replaces or
+renderings, and a read may load, parse or render, but it still never
+waits for the writers' lock.  Writers take that lock and build the next
+snapshot as a draft: it copies the state of each corpus it writes, and
+shares every other state, and every level entry it does not write, with
+the published snapshot.  An entry it replaces or
 drops is filled first, so a snapshot that shares it keeps its answers
 after a payload is deleted.  Writers write payload and manifest from the
 draft and publish it last with one assignment, so a write that fails
@@ -39,6 +49,7 @@ import dataclasses
 import functools
 import graphlib
 import hashlib
+import os
 import threading
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
@@ -115,10 +126,6 @@ def _deposited(resources: dict[str, Resource]) -> list[Resource]:
 
 def _corpus_dir(root: Path, corpus_id: str) -> Path:
     return root / "corpora" / corpus_id
-
-
-def _payload_path(root: Path, corpus_id: str, resource: Resource) -> Path:
-    return _corpus_dir(root, corpus_id) / "resources" / resource.filename
 
 
 def _digest_matches(resource: Resource, payload: bytes) -> bool:
@@ -225,6 +232,9 @@ class CorpusState:
     _entries: dict[str, Parsed] = field(default_factory=dict, repr=False)
     _lock: threading.RLock = field(default_factory=threading.RLock,
                                    repr=False)
+    # Payload paths by file name, built on first use; every copy shares
+    # them.  Not by resource id: a deposit that fails frees its id.
+    _paths: dict[str, Path] = field(default_factory=dict, repr=False)
     # Rendered catalog fragments by name, filled on their first read once
     # the state is published.  No ``__init__`` argument, so a ``copy`` or
     # ``replace`` starts with an empty one.
@@ -256,21 +266,31 @@ class CorpusState:
                  if r.available and level_id in r.levels),
                 key=lambda r: (not FORMATS[r.format].yields_units,
                                deposit_order(r))):
-            path = _payload_path(self.root, self.corpus.id, resource)
-            if not path.is_file():
+            try:
+                payload = self.payload_path(resource).read_bytes()
+            except (FileNotFoundError, IsADirectoryError, NotADirectoryError):
                 continue  # reported by validate() as missing-payload
-            payload = path.read_bytes()
             if not _digest_matches(resource, payload):
                 entry.mismatched |= {resource.id}
             # Looked up on the class at each call, as a tracer patches it.
             Archive._materialize(self, resource, payload, level_id, entry)
+
+    def payload_path(self, resource: Resource) -> Path:
+        """Where the payload of ``resource``, one of this corpus's, is
+        stored."""
+        path = self._paths.get(resource.filename)
+        if path is None:
+            path = self._paths[resource.filename] = Path(
+                self.root, "corpora", self.corpus.id, "resources",
+                resource.filename)
+        return path
 
     def copy(self) -> CorpusState:
         """A draft's own copy.  It shares every level entry, filled or
         not, with this state."""
         return CorpusState(self.corpus, self.root, dict(self.levels),
                            dict(self.resources), self.versions,
-                           dict(self._entries), self._lock)
+                           dict(self._entries), self._lock, self._paths)
 
     def drop(self, level_ids) -> list[str]:
         """Give ``level_ids``, and every level that depends on them, entries
@@ -338,26 +358,106 @@ class CorpusState:
             self.parsed(anchor).units if anchor is not None else None)
 
 
-class Snapshot:
-    """One commit of an archive, and every read of it.
+class _Listing:
+    """The names an archive listed in ``corpora/`` when it opened, and the
+    state of each corpus among them, loaded from its manifest on the
+    corpus's first read.
 
-    It maps each corpus id to that corpus's :class:`CorpusState`.  A
-    writer changes only a draft (``_draft``): a new map of corpora in
-    which each corpus it writes gets a copy of its state (``_writable``)
-    and every other corpus keeps the published one.  A level or resource
-    id finds its corpus through ``_owners``, which no write copies.
+    Every snapshot of the archive shares it.  A corpus loads once, under
+    the lock.  A writer loads the corpus it writes before it copies the
+    state, so a state kept here never holds a commit of this archive, and
+    a snapshot that had not read that corpus before the commit answers
+    from it as it stood before.
     """
 
     def __init__(self, root: Path):
         self.root = root
+        # A name that holds no manifest is not a corpus, which its first
+        # read finds.
+        try:
+            self.names = frozenset(os.listdir(root / "corpora"))
+        except (FileNotFoundError, NotADirectoryError):
+            self.names = frozenset()
+        # Listed name -> its state, or None: not a corpus, or a manifest
+        # that does not load.
+        self._states: dict[str, CorpusState | None] = {}
+        # Listed directories whose manifest did not load, by name: their
+        # ids stay taken, and ``validate`` reports them.
+        self.unreadable: dict[str, Violation] = {}
+        self._lock = threading.Lock()
+
+    def state(self, name: str) -> CorpusState | None:
+        """The state of the listed corpus ``name``, loaded on first use;
+        None if it is not a listed corpus or its manifest does not load."""
+        if name not in self._states:
+            if name not in self.names:
+                return None
+            with self._lock:
+                if name not in self._states:
+                    self._states[name] = self._load(name)
+        return self._states[name]
+
+    def _load(self, name: str) -> CorpusState | None:
+        try:
+            corpus, levels, resources, versions = manifest_mod.loads_corpus(
+                Path(self.root, "corpora", name, "manifest").read_text(
+                    encoding="utf-8"))
+            if corpus.id != name:
+                # Its payloads and its writes are in its directory.
+                raise StoreError(f"it names corpus {corpus.id!r}, not "
+                                 "the one its directory names")
+            for resource in resources:
+                if resource.format not in FORMATS:
+                    raise StoreError(f"resource {resource.id!r} has the "
+                                     f"unknown format {resource.format!r}")
+                # The only name a deposit writes; another could name
+                # another resource's payload, or a file outside the
+                # corpus's resources directory.
+                if (resource.filename != f"{resource.id}.{resource.format}"
+                        or "/" in resource.filename):
+                    raise StoreError(f"resource {resource.id!r} has the "
+                                     f"file {resource.filename!r}")
+            levels_by_id = {l.id: l for l in levels}
+            resources_by_id = {r.id: r for r in resources}
+            # The next write would keep one block of a repeated id.
+            if (len(levels_by_id) < len(levels)
+                    or len(resources_by_id) < len(resources)):
+                raise StoreError("it repeats a level or resource id")
+        except (FileNotFoundError, IsADirectoryError, NotADirectoryError):
+            return None  # not a corpus
+        except (StoreError, UnicodeDecodeError) as err:
+            self.unreadable[name] = Violation(
+                "unreadable-manifest", name, f"manifest does not load: {err}")
+            return None
+        return CorpusState(corpus, self.root, levels_by_id, resources_by_id,
+                           tuple(versions), {l: Parsed() for l in levels_by_id})
+
+
+class Snapshot:
+    """One commit of an archive, and every read of it.
+
+    It maps each corpus id to that corpus's :class:`CorpusState`: the
+    states its commits wrote, and for every other corpus the state that
+    the archive's :class:`_Listing` loads on first read.  A writer
+    changes only a draft (``_draft``), in which each corpus it writes
+    gets a copy of its state (``_writable``); every other corpus keeps
+    the published one.  A level or resource id finds its corpus by the
+    rule of ``_holder``.
+    """
+
+    def __init__(self, listing: _Listing):
+        self.root = listing.root
+        self._listing = listing
+        # The states its commits wrote, new corpora too, and those its
+        # reads found in the listing.
         self._corpora: dict[str, CorpusState] = {}
-        # Corpus directories whose manifest did not load, by directory
-        # name: their ids stay taken, and ``validate`` reports them.
-        self._unreadable: dict[str, Violation] = {}
-        # "levels" or "resources" -> entity id -> the id of the corpus
-        # that holds it.  Every snapshot of one archive shares it, and it
-        # only grows: a draft adds each id it mints, also one it never
-        # publishes, so ``_holder`` checks the corpus's state holds it.
+        # Whether ``_corpora`` holds every corpus: every listed name has
+        # been looked up.
+        self._complete = False
+        # "levels" or "resources" -> entity id -> the id of the corpus that
+        # holds it, as ``_holder`` found it, so that a repeated read by id
+        # takes two lookups.  Each snapshot has its own, and an entry names
+        # a corpus, so it finds this snapshot's state of that corpus.
         self._owners: dict[str, dict[str, str]] = {
             "levels": {}, "resources": {}}
         # Corpora whose state this draft has copied, and may still change;
@@ -365,9 +465,9 @@ class Snapshot:
         self._written: set[str] = set()
 
     def _draft(self) -> Snapshot:
-        draft = Snapshot(self.root)
+        draft = Snapshot(self._listing)
         draft._corpora = dict(self._corpora)
-        draft._unreadable, draft._owners = self._unreadable, self._owners
+        draft._complete = self._complete
         return draft
 
     def _writable(self, corpus_id: str, **changes) -> CorpusState:
@@ -386,10 +486,36 @@ class Snapshot:
         """The last published snapshot; reads on it all see one commit."""
         return self
 
+    def _find(self, corpus_id: str) -> CorpusState | None:
+        state = self._corpora.get(corpus_id)
+        if state is None:
+            state = self._listing.state(corpus_id)
+            if state is not None:
+                self._corpora[corpus_id] = state  # the same for every reader
+        return state
+
     def _state(self, corpus_id: str) -> CorpusState:
-        if corpus_id not in self._corpora:
+        if corpus_id in self._corpora:
+            return self._corpora[corpus_id]
+        state = self._find(corpus_id)
+        if state is None:
             raise UnknownEntityError(f"unknown corpus {corpus_id!r}")
-        return self._corpora[corpus_id]
+        return state
+
+    def _taken(self, corpus_id: str) -> bool:
+        """Whether a corpus, or a directory whose manifest does not load,
+        has the id."""
+        return (self._find(corpus_id) is not None
+                or corpus_id in self._listing.unreadable)
+
+    def _ids(self) -> list[str]:
+        """Every corpus's id, in order; this loads every manifest."""
+        if not self._complete:
+            # In order, so that the sort below mostly finds it sorted.
+            for corpus_id in sorted(self._listing.names):
+                self._find(corpus_id)
+            self._complete = True
+        return sorted(self._corpora)
 
     def _rendered(self, corpus_id: str, name: str,
                   render: Callable[[Snapshot, str], str]) -> str:
@@ -405,13 +531,33 @@ class Snapshot:
             text = state._catalog.setdefault(name, render(self, corpus_id))
         return text
 
-    def _holder(self, kind: str, entity_id: str) -> CorpusState | None:
-        """The state that holds a level or resource (``kind`` is "levels"
-        or "resources"), or None."""
-        state = self._corpora.get(self._owners[kind].get(entity_id))
-        if state is not None and entity_id in getattr(state, kind):
-            return state
+    def _candidate(self, kind: str, entity_id: str) -> CorpusState | None:
+        """Of the corpora whose id is a prefix of a level or resource id
+        ending at a ``-``, the state of the longest that holds it, or
+        None; ``kind`` is "levels" or "resources"."""
+        end = len(entity_id)
+        while (end := entity_id.rfind("-", 0, end)) > 0:
+            state = self._find(entity_id[:end])
+            if state is not None and entity_id in getattr(state, kind):
+                return state
         return None
+
+    def _holder(self, kind: str, entity_id: str) -> CorpusState | None:
+        """The state that holds a level or resource, or None: its
+        ``_candidate``; else, loading every manifest, the first corpus by
+        id that holds it.  Two corpora that hold one id are reported by
+        ``validate``.  The owner found is kept in ``_owners``."""
+        owners = self._owners[kind]
+        if entity_id in owners:
+            return self._corpora[owners[entity_id]]
+        state = self._candidate(kind, entity_id)
+        if state is None:
+            state = next((state for state in map(self._corpora.get,
+                                                 self._ids())
+                          if entity_id in getattr(state, kind)), None)
+        if state is not None:
+            owners[entity_id] = state.corpus.id
+        return state
 
     def _level_state(self, level_id: str) -> CorpusState:
         state = self._holder("levels", level_id)
@@ -429,7 +575,7 @@ class Snapshot:
         return self._state(corpus_id).corpus
 
     def corpora(self) -> list[Corpus]:
-        return [self._corpora[cid].corpus for cid in sorted(self._corpora)]
+        return [self._corpora[cid].corpus for cid in self._ids()]
 
     def level(self, level_id: str) -> Level:
         return self._level_state(level_id).levels[level_id]
@@ -450,8 +596,7 @@ class Snapshot:
         try:
             if resource.available:
                 # read_text would turn CRLF into LF: serve it verbatim
-                payload = _payload_path(self.root, state.corpus.id,
-                                        resource).read_bytes()
+                payload = state.payload_path(resource).read_bytes()
         except FileNotFoundError:
             pass  # lost, or withdrawn after this snapshot was published
         if payload is None:
@@ -493,20 +638,41 @@ class Snapshot:
     def validate(self, corpus_id: str | None = None) -> list[Violation]:
         out: list[Violation] = []
         for cid in ([corpus_id] if corpus_id
-                    else sorted({*self._corpora, *self._unreadable})):
-            if cid in self._unreadable:
-                out.append(self._unreadable[cid])
+                    else sorted({*self._ids(), *self._listing.unreadable})):
+            state = self._find(cid)
+            if state is not None:
+                out.extend(self._validate_corpus(state))
+            elif cid in self._listing.unreadable:
+                out.append(self._listing.unreadable[cid])
             else:
-                out.extend(self._validate_corpus(self._state(cid)))
+                raise UnknownEntityError(f"unknown corpus {cid!r}")
+        if not corpus_id:
+            out.extend(self._shared_ids())
         return out
+
+    def _shared_ids(self) -> list[Violation]:
+        """A level or resource id that two corpora's manifests hold: a
+        read by id finds the owner ``_holder`` picks."""
+        holders: dict[tuple[str, str], list[str]] = {}
+        for state in map(self._corpora.get, self._ids()):
+            for kind in ("levels", "resources"):
+                for entity_id in getattr(state, kind):
+                    holders.setdefault((entity_id, kind), []).append(
+                        state.corpus.id)
+        return [Violation(
+            "shared-id", entity_id,
+            f"{kind[:-1]} id held by corpora {', '.join(map(repr, held))}; "
+            f"a read by id finds {self._holder(kind, entity_id).corpus.id!r}")
+            for (entity_id, kind), held in sorted(holders.items())
+            if len(held) > 1]
 
     def _validate_corpus(self, state: CorpusState) -> list[Violation]:
         out: list[Violation] = []
         corpus = state.corpus
         levels = _by_id(state.levels)
         resources = _deposited(state.resources)
-        missing = {r.id for r in resources if r.available and not
-                   _payload_path(self.root, corpus.id, r).is_file()}
+        missing = {r.id for r in resources
+                   if r.available and not state.payload_path(r).is_file()}
 
         for entity in (*levels, *resources, *state.versions):
             if entity.corpus_id != corpus.id:
@@ -616,8 +782,8 @@ class Snapshot:
             elif resource.id in mismatched or (
                     # No level reads it: its digest is checked here.
                     state.levels.keys().isdisjoint(resource.levels)
-                    and not _digest_matches(resource, _payload_path(
-                        self.root, corpus.id, resource).read_bytes())):
+                    and not _digest_matches(
+                        resource, state.payload_path(resource).read_bytes())):
                 out.append(Violation(
                     "payload-digest-mismatch", resource.id,
                     "stored payload's SHA-256 is not the one recorded at "
@@ -629,70 +795,28 @@ class Archive:
     """The archive at ``root``.  Each public method of :class:`Snapshot`
     is also a read of ``Archive``, of its last published snapshot.
 
-    Opening parses every stored payload and summarizes each level's
-    (what ``validate`` checks the recorded summaries against), unless
-    ``defer_parse`` is true: then each level's payloads are parsed on its
-    first read.
+    Opening lists the corpora, loads every manifest and parses every
+    stored payload, summarizing each level's (what ``validate`` checks
+    the recorded summaries against), unless ``defer_parse`` is true: then
+    it only lists the corpora, a corpus's manifest loads on the first
+    read of that corpus, and each level's payloads are parsed on its
+    first read.  A level or resource id belongs to the longest corpus id
+    that is a prefix of it ending at a ``-`` and holds it (see
+    ``Snapshot._holder``).
     """
 
     def __init__(self, root, clock=None, *, defer_parse: bool = False):
         self.root = Path(root)
         self._clock = clock or (lambda: datetime.now(timezone.utc))
         self._lock = threading.Lock()
-        self._view = self._load()
+        self._view = Snapshot(_Listing(self.root))
         if not defer_parse:
-            for state in self._view._corpora.values():
+            view = self._view
+            for state in map(view._corpora.get, view._ids()):
                 for level_id in state.levels:
                     state.parse_summary(level_id)
 
     # -- storage ----------------------------------------------------------
-
-    def _load(self) -> Snapshot:
-        view = Snapshot(self.root)
-        corpora_dir = self.root / "corpora"
-        if not corpora_dir.is_dir():
-            return view
-        for entry in sorted(corpora_dir.iterdir()):
-            manifest_path = entry / "manifest"
-            if not entry.is_dir() or not manifest_path.is_file():
-                continue
-            try:
-                corpus, levels, resources, versions = manifest_mod.loads_corpus(
-                    manifest_path.read_text(encoding="utf-8"))
-                if corpus.id != entry.name:
-                    # Its payloads and its writes are in its directory.
-                    raise StoreError(f"it names corpus {corpus.id!r}, not "
-                                     "the one its directory names")
-                for resource in resources:
-                    if resource.format not in FORMATS:
-                        raise StoreError(f"resource {resource.id!r} has the "
-                                         f"unknown format {resource.format!r}")
-                    # The only name a deposit writes; another could name
-                    # another resource's payload, or a file outside the
-                    # corpus's resources directory.
-                    if (resource.filename
-                            != f"{resource.id}.{resource.format}"
-                            or "/" in resource.filename):
-                        raise StoreError(f"resource {resource.id!r} has the "
-                                         f"file {resource.filename!r}")
-                levels_by_id = {l.id: l for l in levels}
-                resources_by_id = {r.id: r for r in resources}
-                # The next write would keep one block of a repeated id.
-                if (len(levels_by_id) < len(levels)
-                        or len(resources_by_id) < len(resources)):
-                    raise StoreError("it repeats a level or resource id")
-            except (StoreError, UnicodeDecodeError) as err:
-                view._unreadable[entry.name] = Violation(
-                    "unreadable-manifest", entry.name,
-                    f"manifest does not load: {err}")
-                continue
-            state = view._corpora[corpus.id] = CorpusState(
-                corpus, self.root, levels_by_id, resources_by_id,
-                tuple(versions), {l: Parsed() for l in levels_by_id})
-            for kind in ("levels", "resources"):
-                view._owners[kind].update(
-                    dict.fromkeys(getattr(state, kind), corpus.id))
-        return view
 
     def _publish(self, draft: Snapshot, *corpus_ids: str) -> None:
         """Write the manifests of ``corpus_ids``, then publish ``draft``."""
@@ -731,12 +855,12 @@ class Archive:
             if slugify(corpus_id) != corpus_id:
                 raise StoreError(f"corpus id {corpus_id!r} is not a slug "
                                  "(lowercase ascii words joined by '-')")
-            if corpus_id in draft._corpora or corpus_id in draft._unreadable:
+            if draft._taken(corpus_id):
                 raise StoreError(f"corpus id {corpus_id!r} already exists")
         else:
             base = slugify(title)
             corpus_id, n = base, 1
-            while corpus_id in draft._corpora or corpus_id in draft._unreadable:
+            while draft._taken(corpus_id):
                 n += 1
                 corpus_id = f"{base}-{n}"
         corpus = Corpus(
@@ -774,17 +898,16 @@ class Archive:
             dep_id, purpose = (entry if isinstance(entry, tuple)
                                else (entry, "anchors-to"))
             manifest_mod.storable_text({"dependency purpose": purpose})
-            if draft._holder("levels", dep_id) is None:
-                raise UnknownDependencyError(
-                    f"dependency {dep_id!r} does not exist")
             if dep_id not in state.levels:
                 raise UnknownDependencyError(
-                    f"dependency {dep_id!r} belongs to another corpus")
+                    f"dependency {dep_id!r} belongs to another corpus"
+                    if draft._holder("levels", dep_id)
+                    else f"dependency {dep_id!r} does not exist")
             deps.append((dep_id, purpose))
-        # Level ids are unique across corpora: "a" + "b-x" is "a-b" + "x".
+        # Level ids are unique across corpora: "a" + "b-x" is "a-b" + "x",
+        # so every corpus that may hold the id is checked.
         number = 1
-        while draft._holder("levels",
-                            f"{corpus_id}-{kind}-{number}") is not None:
+        while draft._candidate("levels", f"{corpus_id}-{kind}-{number}"):
             number += 1
         level = Level(
             id=f"{corpus_id}-{kind}-{number}",
@@ -797,7 +920,6 @@ class Archive:
             summary=LevelSummary())
         state.levels[level.id] = level
         state._entries[level.id] = Parsed(filled=True)
-        draft._owners["levels"][level.id] = corpus_id
         return level
 
     def register_table(self, text: str, language: str = "") -> list[Corpus]:
@@ -901,8 +1023,9 @@ class Archive:
 
             targets: list[Level] = []
             for level_id in levels:
-                level = draft.level(level_id)
-                if level_id not in state.levels:
+                level = state.levels.get(level_id)
+                if level is None:
+                    draft.level(level_id)  # raises for an unknown level
                     raise UnknownEntityError(
                         f"level {level_id!r} belongs to another corpus")
                 if level in targets:
@@ -938,7 +1061,6 @@ class Archive:
                 sha256=hashlib.sha256(text.encode("utf-8")).hexdigest(),
                 size=len(text.encode("utf-8")),
                 declared_meta=manifest_mod.storable_meta(meta))
-            draft._owners["resources"][resource_id] = corpus_id
             fresh_by_kind: dict[str, list[AnnotationItem]] = {}
             for level, earlier, value in parsed:
                 entry = state._entries[level.id] = dataclasses.replace(
@@ -953,7 +1075,7 @@ class Archive:
                             versions=state.versions + tuple(records),
                             corpus=self._fingerprinted(state, targets))
 
-            path = _payload_path(draft.root, corpus_id, resource)
+            path = state.payload_path(resource)
             path.parent.mkdir(parents=True, exist_ok=True)
             path.write_text(text, encoding="utf-8")
             self._publish(draft, corpus_id)
@@ -1094,8 +1216,7 @@ class Archive:
                 state.summarize(dropped)
                 self._publish(draft, corpus_id)
                 # Last, so readers of earlier snapshots still find it.
-                _payload_path(self.root, corpus_id, resource).unlink(
-                    missing_ok=True)
+                state.payload_path(resource).unlink(missing_ok=True)
             return resource
 
     @staticmethod

@@ -1553,6 +1553,25 @@ class TestValidateLoadedManifests:
                                depends_on=[seg.id])
         assert path.read_bytes() == damaged
 
+    @pytest.mark.parametrize("first", ["a", "a-b", None])
+    def test_an_id_two_manifests_hold_has_one_owner(self, tmp_path, first):
+        # The longest corpus id that prefixes the level id owns it; an id
+        # outside the naming rule goes to the first corpus by id.
+        for corpus_id in ("a", "a-b"):
+            self.write_manifest(tmp_path, Corpus(id=corpus_id, title="T"), [
+                Level(id=level_id, corpus_id=corpus_id, kind="segmentation",
+                      coverage="full")
+                for level_id in ("a-b-segmentation-1", "seg")])
+        reloaded = Archive(tmp_path / "store", defer_parse=first is not None)
+        if first is not None:
+            reloaded.levels(first)
+        assert [reloaded.level(level_id).corpus_id
+                for level_id in ("a-b-segmentation-1", "seg")] == ["a-b", "a"]
+        violations = reloaded.validate()
+        assert [(v.code, v.subject) for v in violations] == [
+            ("shared-id", "a-b-segmentation-1"), ("shared-id", "seg")]
+        assert violations[0].message.endswith("a read by id finds 'a-b'")
+
 
 class TestLevelSummaries:
     """Each level's manifest block records what its payloads parsed into,
@@ -2248,6 +2267,44 @@ class TestCorpusIsolation:
             assert held.coverage(level_id) == coverage
             assert level_header(held, level_id).render() == header
         assert not deferred.level_items(ref.id)
+
+
+class TestLoadOnFirstRead:
+    """A deferred open lists the corpora; a corpus's manifest loads on the
+    first read of that corpus, as it was when the archive opened."""
+
+    def test_held_snapshot_answers_from_the_manifest_at_open(
+            self, archive, tmp_path):
+        for corpus_id in ("x", "y"):
+            archive.register_corpus(corpus_id.upper(), corpus_id=corpus_id)
+            seg = archive.add_level(corpus_id, "segmentation", "full")
+            archive.deposit(corpus_id, ONE_WORD, "segmentation",
+                            levels=[seg.id])
+        opened = Archive(tmp_path / "store")
+        expected = (opened.levels("y"), opened.resources("y"),
+                    corpus_record(opened, "y"))
+        deferred = Archive(tmp_path / "store", defer_parse=True)
+        held = deferred.snapshot()
+        assert held.corpus("x").id == "x"  # y is not read yet
+        deferred.deposit("y", '<w span="word_1" lemma="madame"/>',
+                         "standoff-morpho", new_levels=[
+                             LevelSpec("morphosyntax", "none", (seg.id,))])
+        assert (held.levels("y"), held.resources("y"),
+                corpus_record(held, "y")) == expected
+        assert len(deferred.levels("y")) == 2
+        assert corpus_record(deferred, "y") \
+            == corpus_record(Archive(tmp_path / "store"), "y")
+
+    def test_ids_minted_after_a_deferred_open_stay_unique(
+            self, archive, tmp_path):
+        archive.register_corpus("A", corpus_id="a")
+        archive.register_corpus("A B", corpus_id="a-b")
+        seg = archive.add_level("a-b", "segmentation", "full")
+        deferred = Archive(tmp_path / "store", defer_parse=True)
+        odd = deferred.add_level("a", "b-segmentation", "full")
+        assert odd.id != seg.id
+        assert deferred.register_corpus("A B").id == "a-b-2"
+        assert deferred.validate() == []
 
 
 def test_every_public_read_has_a_caller_outside_the_tests():

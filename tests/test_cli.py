@@ -7,7 +7,7 @@ from datetime import datetime, timedelta, timezone
 
 import pytest
 
-from corpus_forge import cli
+from corpus_forge import cli, manifest
 from corpus_forge.archive import Archive, LevelSpec
 from corpus_forge.catalog import export_catalog
 from corpus_forge.cli import main
@@ -230,6 +230,87 @@ class TestCatalogReadsParseNothing:
         assert out == expected
         assert (export.read_bytes() if export.exists() else None) \
             == expected_export
+
+
+class TestLoadsTheCorporaItReads:
+    """A command that names a corpus, level or resource loads the
+    manifests of the corpora whose id may prefix the id it names, not the
+    archive; a command that reads the whole archive loads each manifest
+    once."""
+
+    ALL = ["a", "a-b", "b", "c"]
+
+    @pytest.fixture
+    def loaded(self, root, tmp_path, monkeypatch):
+        """Corpus ids, one per manifest loaded, in an archive of corpora
+        a, a-b, b and c with a segmentation and a morphology each.  Level
+        a-b-segmentation-1 is a's, so a-b's segmentation is
+        a-b-segmentation-2."""
+        archive = Archive(root)
+        for corpus_id in self.ALL:
+            archive.register_corpus(corpus_id.upper(), corpus_id=corpus_id)
+        archive.add_level("a", "b-segmentation", "full")
+        for corpus_id in self.ALL:
+            seg = archive.add_level(corpus_id, "segmentation", "full")
+            archive.deposit(corpus_id, '<word id="word_1">Madame</word>',
+                            "segmentation", levels=[seg.id])
+            archive.deposit(corpus_id, '<w span="word_1" lemma="madame"/>',
+                            "standoff-morpho", new_levels=[
+                                LevelSpec("morphosyntax", "none", (seg.id,))])
+        (tmp_path / "morpho.xml").write_text(
+            '<w span="word_1" lemma="dame"/>', encoding="utf-8")
+        calls = []
+        loads = manifest.loads_corpus
+
+        def counted(text):
+            corpus, *rest = loads(text)
+            calls.append(corpus.id)
+            return (corpus, *rest)
+        monkeypatch.setattr(manifest, "loads_corpus", counted)
+        return calls
+
+    @pytest.mark.parametrize("argv, expected", [
+        # The new level a-b-morphosyntax-2 may be a's or a-b's.
+        (["deposit", "--corpus", "a-b", "--format", "standoff-morpho",
+          "--new-level", "morphosyntax:none:a-b-segmentation-2", "MORPHO"],
+         ["a", "a-b"]),
+        (["deposit", "--corpus", "b", "--format", "standoff-morpho",
+          "--new-level", "morphosyntax:none:b-segmentation-1", "MORPHO"],
+         ["b"]),
+        (["coverage", "--level", "a-b-morphosyntax-1"], ["a-b"]),
+        (["classify", "--level", "a-b-segmentation-1"], ["a", "a-b"]),
+        (["show", "--level", "a-b-segmentation-2"], ["a-b"]),
+        (["show", "--resource", "a-b-r002"], ["a-b"]),
+        (["show", "--corpus", "a-b"], ["a-b"]),
+        (["list", "--corpus", "a-b"], ["a-b"]),
+    ], ids=["deposit-two-candidates", "deposit", "coverage",
+            "classify-two-candidates", "show-level", "show-resource",
+            "show-corpus", "list-corpus"])
+    def test_one_corpus_loads_only_its_candidates(
+            self, root, tmp_path, capsys, loaded, argv, expected):
+        argv = [str(tmp_path / "morpho.xml") if arg == "MORPHO" else arg
+                for arg in argv]
+        assert run(capsys, *argv, "--root", root)[0] == 0
+        assert sorted(loaded) == expected
+
+    @pytest.mark.parametrize("command", ["validate", "list", "export"])
+    def test_whole_archive_loads_each_manifest_once(
+            self, root, capsys, loaded, command):
+        assert run(capsys, command, "--root", root)[0] == 0
+        assert sorted(loaded) == self.ALL
+
+    def test_a_corrupt_manifest_leaves_other_corpora_readable(
+            self, root, capsys, loaded):
+        with (pathlib.Path(root) / "corpora" / "b" / "manifest").open(
+                "a", encoding="utf-8") as handle:
+            handle.write("stray line\n")
+        code, out, _ = run(capsys, "coverage", "--root", root,
+                           "--level", "c-morphosyntax-1")
+        assert (code, out) == (0, "Madame\n")
+        code, out, _ = run(capsys, "validate", "--root", root)
+        assert code == 1
+        assert out.startswith("unreadable-manifest [b]: ")
+        assert out.endswith("\nviolations: 1\n")
 
 
 class TestDeposit:
