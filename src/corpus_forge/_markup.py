@@ -56,27 +56,32 @@ def parse_attrs(raw: str) -> dict[str, str]:
     return attrs
 
 
+def line_at(doc: str, offset: int) -> int:
+    """The 1-based line of ``doc`` that ``offset`` falls on.  Counted
+    only for an error, so a scan counts no newlines."""
+    return doc.count("\n", 0, offset) + 1
+
+
 def iter_tags(doc: str):
     """Yield (text_before, tag) pairs, then a final (tail_text, None).
 
-    A tag is a tuple ``(kind, name, attrs, line)``: ``kind`` is 'open',
+    A tag is a tuple ``(kind, name, attrs, start)``: ``kind`` is 'open',
     'close' or 'selfclose', ``attrs`` a new dict the caller may keep
-    (empty on a closing tag), ``line`` the 1-based line the tag starts on.
+    (empty on a closing tag), ``start`` the offset in ``doc`` of its
+    ``<``, which :func:`line_at` turns into a line.
     """
-    pos = counted = 0
-    line = 1
+    pos = 0
     for m in TAG_RE.finditer(doc):
         start, end = m.span()
-        line += doc.count("\n", counted, start)
-        counted = start
         slash, name, raw_attrs, selfslash = m.groups()
         if slash:
             if selfslash:
-                raise ParseError(f"malformed tag {m.group(0)!r}", line=line)
-            tag = ("close", name, {}, line)
+                raise ParseError(f"malformed tag {m.group(0)!r}",
+                                 line=line_at(doc, start))
+            tag = ("close", name, {}, start)
         else:
             tag = ("selfclose" if selfslash else "open", name,
-                   parse_attrs(raw_attrs), line)
+                   parse_attrs(raw_attrs), start)
         yield doc[pos:start], tag
         pos = end
     yield doc[pos:], None
@@ -84,14 +89,15 @@ def iter_tags(doc: str):
 
 @dataclass(slots=True)
 class Element:
-    """Element extent over the markup-stripped character stream."""
+    """Element extent over the markup-stripped character stream;
+    ``offset`` is where its start tag begins in the source document."""
 
     name: str
     attrs: dict[str, str]
     start: int
     end: int
     depth: int
-    line: int
+    offset: int
 
 
 def strip_markup(doc: str) -> tuple[str, list[Element]]:
@@ -112,18 +118,18 @@ def strip_markup(doc: str) -> tuple[str, list[Element]]:
             length += len(plain)
         if tag is None:
             break
-        kind, name, attrs, line = tag
+        kind, name, attrs, offset = tag
         if kind == "close":
             if not stack or stack[-1].name != name:
                 raise ParseError(f"unexpected closing tag </{name}>",
-                                 line=line)
+                                 line=line_at(doc, offset))
             stack.pop().end = length
         else:
-            el = Element(name, attrs, length, length, len(stack), line)
+            el = Element(name, attrs, length, length, len(stack), offset)
             done.append(el)
             if kind == "open":
                 stack.append(el)
     if stack:
         raise ParseError(f"unclosed element <{stack[-1].name}>",
-                         line=stack[-1].line)
+                         line=line_at(doc, stack[-1].offset))
     return "".join(out), done

@@ -17,11 +17,20 @@ class CorpusForgeError(Exception):
     code = "error"
 
     def __init__(self, message: str, line: int | None = None):
-        if line is not None:
-            message = f"line {line}: {message}"
         super().__init__(message)
         self.message = message
-        self.line = line
+        self.line = None
+        if line is not None:
+            self.name_line(line)
+
+    def name_line(self, line: int) -> None:
+        """Name ``line`` as the one the error is about, unless it names a
+        line already: a codec names the line of the tag it was reading
+        when an error rose."""
+        if self.line is None:
+            self.line = line
+            self.message = f"line {line}: {self.message}"
+            self.args = (self.message,)
 
     def __str__(self) -> str:
         return f"{self.code}: {self.message}"

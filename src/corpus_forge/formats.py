@@ -18,15 +18,22 @@ from types import MappingProxyType
 from typing import Callable, Mapping
 
 from . import _markup
+from ._markup import line_at
 from .errors import (
+    CorpusForgeError,
     MissingSpanError,
     NestingError,
     ParseError,
-    SpanSyntaxError,
     UnknownTargetError,
 )
 from .model import KIND_MORPHOSYNTAX
-from .standoff import ReferenceUnit, SpanExpr, align_inline, iter_items
+from .standoff import (
+    ReferenceUnit,
+    SpanExpr,
+    align_inline,
+    iter_items,
+    slot_setters,
+)
 # Unused here; ``perfbench/tracer.py`` still patches it.
 from .standoff import span_for_indices  # noqa: F401
 
@@ -51,20 +58,36 @@ class AnnotationItem:
     its caller must not keep changing.
     """
 
-    id: str | None = None
-    span: SpanExpr | None = None
-    surface: str | None = None
-    element: str | None = None
-    categories: Mapping[str, str] = field(default_factory=dict)
-    links: tuple[Link, ...] = ()
-    children: tuple["AnnotationItem", ...] = ()
-    group: str | None = None
+    id: str | None
+    span: SpanExpr | None
+    surface: str | None
+    element: str | None
+    categories: Mapping[str, str]
+    links: tuple[Link, ...]
+    children: tuple["AnnotationItem", ...]
+    group: str | None
 
     __hash__ = None  # a categories mapping keeps items unhashable by design
 
-    def __post_init__(self):
-        object.__setattr__(self, "categories",
-                           MappingProxyType(self.categories))
+    def __init__(self, id: str | None = None, span: SpanExpr | None = None,
+                 surface: str | None = None, element: str | None = None,
+                 categories: Mapping[str, str] = MappingProxyType({}),
+                 links: tuple[Link, ...] = (),
+                 children: tuple["AnnotationItem", ...] = (),
+                 group: str | None = None):
+        (set_id, set_span, set_surface, set_element, set_categories,
+         set_links, set_children, set_group) = _ITEM_SLOTS
+        set_id(self, id)
+        set_span(self, span)
+        set_surface(self, surface)
+        set_element(self, element)
+        set_categories(self, MappingProxyType(categories))
+        set_links(self, links)
+        set_children(self, children)
+        set_group(self, group)
+
+
+_ITEM_SLOTS = slot_setters(AnnotationItem)
 
 
 def _stray_text(chunk: str, where: str, text: str, tag) -> ParseError:
@@ -72,21 +95,10 @@ def _stray_text(chunk: str, where: str, text: str, tag) -> ParseError:
 
     ``(chunk, tag)`` is a pair from ``_markup.iter_tags(text)``.
     """
+    end = len(text) if tag is None else tag[3]
     lead = len(chunk) - len(chunk.lstrip())
-    if tag is None:  # the tail of ``text``
-        line = text.count("\n", 0, len(text) - len(chunk) + lead) + 1
-    else:
-        line = tag[3] - chunk.count("\n", lead)
-    return ParseError(f"stray text {chunk.strip()!r} {where}", line=line)
-
-
-def _at_line(line: int, build: Callable, *args):
-    """``build(*args)``, with the line of the tag read on the
-    ``SpanSyntaxError`` it raises."""
-    try:
-        return build(*args)
-    except SpanSyntaxError as err:
-        raise SpanSyntaxError(err.message, line=line) from None
+    return ParseError(f"stray text {chunk.strip()!r} {where}",
+                      line=line_at(text, end - len(chunk) + lead))
 
 
 # --------------------------------------------------------------------------
@@ -97,37 +109,43 @@ def parse_segmentation(text: str) -> list[ReferenceUnit]:
     units: list[ReferenceUnit] = []
     seen: set[str] = set()
     open_tag = None
-    for chunk, tag in _markup.iter_tags(text):
-        if open_tag is None and chunk.strip():
-            raise _stray_text(chunk, "between word elements", text, tag)
-        if tag is None:
-            break
-        kind, name, attrs, line = tag
-        if name != "word":
-            raise ParseError(f"unexpected element <{name}>", line=line)
-        if kind == "open":
-            if open_tag is not None:
-                raise ParseError("word elements cannot nest", line=line)
-            open_tag = tag
-        elif kind == "selfclose":
-            raise ParseError("word element carries no form", line=line)
-        else:
-            if open_tag is None:
-                raise ParseError("closing tag without open word", line=line)
-            # no tag may come between a word's open and close tags, so
-            # the chunk before the close is the whole form
-            _, _, attrs, line = open_tag
-            unit_id = attrs.get("id")
-            if not unit_id:
-                raise ParseError("word element lacks id attribute", line=line)
-            if unit_id in seen:
-                raise ParseError(f"duplicate unit id {unit_id!r}", line=line)
-            seen.add(unit_id)
-            units.append(_at_line(line, ReferenceUnit, unit_id,
-                                  _markup.unescape(chunk), len(units)))
-            open_tag = None
-    if open_tag is not None:
-        raise ParseError("unclosed word element", line=open_tag[3])
+    at = 0  # offset of the tag an error is about
+    try:
+        for chunk, tag in _markup.iter_tags(text):
+            if open_tag is None and chunk.strip():
+                raise _stray_text(chunk, "between word elements", text, tag)
+            if tag is None:
+                break
+            kind, name, attrs, at = tag
+            if name != "word":
+                raise ParseError(f"unexpected element <{name}>")
+            if kind == "open":
+                if open_tag is not None:
+                    raise ParseError("word elements cannot nest")
+                open_tag = tag
+            elif kind == "selfclose":
+                raise ParseError("word element carries no form")
+            else:
+                if open_tag is None:
+                    raise ParseError("closing tag without open word")
+                # no tag may come between a word's open and close tags, so
+                # the chunk before the close is the whole form
+                _, _, attrs, at = open_tag
+                unit_id = attrs.get("id")
+                if not unit_id:
+                    raise ParseError("word element lacks id attribute")
+                if unit_id in seen:
+                    raise ParseError(f"duplicate unit id {unit_id!r}")
+                seen.add(unit_id)
+                units.append(ReferenceUnit(unit_id, _markup.unescape(chunk),
+                                           len(units)))
+                open_tag = None
+        if open_tag is not None:
+            at = open_tag[3]
+            raise ParseError("unclosed word element")
+    except CorpusForgeError as err:
+        err.name_line(line_at(text, at))
+        raise
     return units
 
 
@@ -164,25 +182,29 @@ def parse_tabular_morpho(text: str) -> list[AnnotationItem]:
 
 def parse_standoff_morpho(text: str) -> list[AnnotationItem]:
     items = []
-    for chunk, tag in _markup.iter_tags(text):
-        if chunk.strip():
-            raise _stray_text(chunk, "between elements", text, tag)
-        if tag is None:
-            break
-        kind, name, attrs, line = tag
-        if name != "w" or kind != "selfclose":
-            raise ParseError(f"expected self-closing <w/>, got <{name}>",
-                             line=line)
-        if "span" not in attrs:
-            raise MissingSpanError(f"<w/> at line {line} lacks a span attribute")
-        span = _at_line(line, SpanExpr.parse, attrs.pop("span"))
-        if "lemma" not in attrs:
-            raise ParseError("<w/> lacks a lemma attribute", line=line)
-        categories = {"msd": attrs.pop("msd", " ").strip(),
-                      "lemma": attrs.pop("lemma")}
-        categories.update(sorted(attrs.items()))
-        items.append(AnnotationItem(span=span, element="w",
-                                    categories=categories))
+    at = 0  # offset of the tag an error is about
+    try:
+        for chunk, tag in _markup.iter_tags(text):
+            if chunk.strip():
+                raise _stray_text(chunk, "between elements", text, tag)
+            if tag is None:
+                break
+            kind, name, attrs, at = tag
+            if name != "w" or kind != "selfclose":
+                raise ParseError(f"expected self-closing <w/>, got <{name}>")
+            if "span" not in attrs:
+                raise MissingSpanError("<w/> lacks a span attribute")
+            span = SpanExpr.parse(attrs.pop("span"))
+            if "lemma" not in attrs:
+                raise ParseError("<w/> lacks a lemma attribute")
+            categories = {"msd": attrs.pop("msd", " ").strip(),
+                          "lemma": attrs.pop("lemma")}
+            categories.update(sorted(attrs.items()))
+            items.append(AnnotationItem(span=span, element="w",
+                                        categories=categories))
+    except CorpusForgeError as err:
+        err.name_line(line_at(text, at))
+        raise
     return items
 
 
@@ -227,22 +249,26 @@ def parse_inline_morpho(
     stripped, elements = _markup.strip_markup(text)
     cursor = 0
     items = []
-    for el in elements:
-        if el.name != "w":
-            raise ParseError(f"unexpected element <{el.name}>", line=el.line)
-        if "lemma" not in el.attrs:
-            raise ParseError("<w> lacks a lemma attribute", line=el.line)
-        if stripped[cursor:el.start].strip():
-            raise ParseError(
-                f"stray text {stripped[cursor:el.start].strip()!r} "
-                "outside <w> elements", line=el.line)
-        cursor = el.end
-        surface = stripped[el.start:el.end]
-        if not surface.strip():
-            raise ParseError("<w> covers no text", line=el.line)
-        categories = dict(sorted(el.attrs.items()))
-        items.append(AnnotationItem(surface=surface, element="w",
-                                    categories=categories))
+    try:
+        for el in elements:
+            if el.name != "w":
+                raise ParseError(f"unexpected element <{el.name}>")
+            if "lemma" not in el.attrs:
+                raise ParseError("<w> lacks a lemma attribute")
+            if stripped[cursor:el.start].strip():
+                raise ParseError(
+                    f"stray text {stripped[cursor:el.start].strip()!r} "
+                    "outside <w> elements")
+            cursor = el.end
+            surface = stripped[el.start:el.end]
+            if not surface.strip():
+                raise ParseError("<w> covers no text")
+            categories = dict(sorted(el.attrs.items()))
+            items.append(AnnotationItem(surface=surface, element="w",
+                                        categories=categories))
+    except CorpusForgeError as err:
+        err.name_line(line_at(text, el.offset))
+        raise
     if stripped[cursor:].strip():
         raise ParseError(
             f"stray text {stripped[cursor:].strip()!r} after last <w>")
@@ -256,16 +282,16 @@ def parse_inline_morpho(
 _ID_REF_RE = re.compile(r"id\(([^()\s,]+)\)")
 
 
-def _parse_id_refs(value: str, line: int) -> tuple[str, ...]:
+def _parse_id_refs(value: str) -> tuple[str, ...]:
     refs = []
     for part in value.split(","):
         part = part.strip()
         m = _ID_REF_RE.fullmatch(part)
         if not m:
-            raise ParseError(f"malformed id reference {part!r}", line=line)
+            raise ParseError(f"malformed id reference {part!r}")
         refs.append(m.group(1))
     if not refs:
-        raise ParseError("empty id reference list", line=line)
+        raise ParseError("empty id reference list")
     return tuple(refs)
 
 
@@ -280,49 +306,53 @@ def parse_referential_standoff(text: str) -> list[AnnotationItem]:
     doc = text.replace("</struct>", "</referentialMarkable>")
     stripped, elements = _markup.strip_markup(doc)
     items: list[AnnotationItem] = []
-    alt_extents: list[tuple[int, int, str]] = []
-    alt_count = 0
+    alts: list[tuple[int, int, str, int]] = []  # start, end, group, offset
     group_sizes: dict[str, int] = {}
-    for el in elements:
-        if el.name == "referentialMarkable":
-            attrs = el.attrs
-            markable_id = attrs.pop("id", None)
-            if not markable_id:
-                raise ParseError("markable lacks an id attribute",
-                                 line=el.line)
-            items.append(AnnotationItem(
-                id=markable_id,
-                surface=stripped[el.start:el.end],
-                element=el.name,
-                categories=attrs))
-        elif el.name == "alt":
-            alt_count += 1
-            alt_extents.append((el.start, el.end, f"alt_{alt_count}"))
-            group_sizes[f"alt_{alt_count}"] = 0
-        elif el.name == "referentialLink":
-            attrs = el.attrs
-            target = attrs.pop("referentialTarget", None)
-            if target is None:
-                raise ParseError("referentialLink lacks referentialTarget",
-                                 line=el.line)
-            source = attrs.pop("referentialSource", None)
-            link = Link(
-                type=attrs.pop("type", "reference"),
-                targets=_parse_id_refs(target, el.line),
-                source=(_parse_id_refs(source, el.line)[0]
-                        if source is not None else None))
-            group = next(
-                (g for s, e, g in alt_extents if s <= el.start <= e), None)
-            if group is not None:
-                group_sizes[group] += 1
-            items.append(AnnotationItem(
-                element=el.name, categories=attrs, links=(link,),
-                group=group))
-        else:
-            raise ParseError(f"unexpected element <{el.name}>", line=el.line)
-    for group, size in group_sizes.items():
-        if size == 0:
-            raise ParseError(f"variant group {group} holds no links")
+    at = 0  # offset of the tag an error is about
+    try:
+        for el in elements:
+            at = el.offset
+            if el.name == "referentialMarkable":
+                attrs = el.attrs
+                markable_id = attrs.pop("id", None)
+                if not markable_id:
+                    raise ParseError("markable lacks an id attribute")
+                items.append(AnnotationItem(
+                    id=markable_id,
+                    surface=stripped[el.start:el.end],
+                    element=el.name,
+                    categories=attrs))
+            elif el.name == "alt":
+                group = f"alt_{len(alts) + 1}"
+                alts.append((el.start, el.end, group, at))
+                group_sizes[group] = 0
+            elif el.name == "referentialLink":
+                attrs = el.attrs
+                target = attrs.pop("referentialTarget", None)
+                if target is None:
+                    raise ParseError(
+                        "referentialLink lacks referentialTarget")
+                source = attrs.pop("referentialSource", None)
+                link = Link(
+                    type=attrs.pop("type", "reference"),
+                    targets=_parse_id_refs(target),
+                    source=(_parse_id_refs(source)[0]
+                            if source is not None else None))
+                group = next(
+                    (g for s, e, g, _ in alts if s <= el.start <= e), None)
+                if group is not None:
+                    group_sizes[group] += 1
+                items.append(AnnotationItem(
+                    element=el.name, categories=attrs, links=(link,),
+                    group=group))
+            else:
+                raise ParseError(f"unexpected element <{el.name}>")
+        for _, _, group, at in alts:
+            if not group_sizes[group]:
+                raise ParseError(f"variant group {group} holds no links")
+    except CorpusForgeError as err:
+        err.name_line(line_at(doc, at))
+        raise
     return items
 
 
@@ -463,28 +493,33 @@ def syntax_terminals(items: list[AnnotationItem]) -> list[AnnotationItem]:
 
 def parse_standoff_items(text: str) -> list[AnnotationItem]:
     items = []
-    for chunk, tag in _markup.iter_tags(text):
-        if chunk.strip():
-            raise _stray_text(chunk, "between items", text, tag)
-        if tag is None:
-            break
-        kind, name, attrs, line = tag
-        if name != "item" or kind != "selfclose":
-            raise ParseError(f"expected self-closing <item/>, got <{name}>",
-                             line=line)
-        span = attrs.pop("span", None)
-        links = tuple(
-            Link(type=key[len("link-"):], targets=tuple(attrs.pop(key).split()))
-            for key in [k for k in attrs if k.startswith("link-")])
-        items.append(AnnotationItem(
-            id=attrs.pop("id", None),
-            span=(_at_line(line, SpanExpr.parse, span)
-                  if span is not None else None),
-            surface=attrs.pop("surface", None),
-            element=attrs.pop("element", None),
-            group=attrs.pop("group", None),
-            categories=dict(sorted(attrs.items())),
-            links=links))
+    at = 0  # offset of the tag an error is about
+    try:
+        for chunk, tag in _markup.iter_tags(text):
+            if chunk.strip():
+                raise _stray_text(chunk, "between items", text, tag)
+            if tag is None:
+                break
+            kind, name, attrs, at = tag
+            if name != "item" or kind != "selfclose":
+                raise ParseError(
+                    f"expected self-closing <item/>, got <{name}>")
+            span = attrs.pop("span", None)
+            links = tuple(
+                Link(type=key[len("link-"):],
+                     targets=tuple(attrs.pop(key).split()))
+                for key in [k for k in attrs if k.startswith("link-")])
+            items.append(AnnotationItem(
+                id=attrs.pop("id", None),
+                span=SpanExpr.parse(span) if span is not None else None,
+                surface=attrs.pop("surface", None),
+                element=attrs.pop("element", None),
+                group=attrs.pop("group", None),
+                categories=dict(sorted(attrs.items())),
+                links=links))
+    except CorpusForgeError as err:
+        err.name_line(line_at(text, at))
+        raise
     return items
 
 

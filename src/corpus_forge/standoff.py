@@ -12,7 +12,7 @@ from __future__ import annotations
 import hashlib
 import re
 import unicodedata
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from .errors import (
     DanglingPointerError,
@@ -34,6 +34,14 @@ DETACH_CHARS = ".,;:!?()\"'«»"
 APOSTROPHES = "'’"
 
 
+def slot_setters(cls) -> tuple:
+    """The ``__set__`` of each field's slot of a frozen slotted dataclass,
+    in field order: a value type's own ``__init__`` stores its fields
+    through these at a fraction of the cost of the generated one's
+    ``object.__setattr__`` calls."""
+    return tuple(getattr(cls, f.name).__set__ for f in fields(cls))
+
+
 @dataclass(frozen=True, slots=True)
 class ReferenceUnit:
     """Minimal segmentation token, the anchor target of stand-off pointers.
@@ -45,13 +53,20 @@ class ReferenceUnit:
     form: str
     index: int
 
-    def __post_init__(self):
-        if not UNIT_ID_RE.fullmatch(self.id):
-            raise SpanSyntaxError(f"invalid reference unit id {self.id!r}")
-        if not self.form or self.form != self.form.strip():
+    def __init__(self, id: str, form: str, index: int):
+        if not UNIT_ID_RE.fullmatch(id):
+            raise SpanSyntaxError(f"invalid reference unit id {id!r}")
+        if not form or form != form.strip():
             raise SpanSyntaxError(
-                f"unit {self.id}: form must be non-empty without "
-                f"surrounding whitespace, got {self.form!r}")
+                f"unit {id}: form must be non-empty without "
+                f"surrounding whitespace, got {form!r}")
+        set_id, set_form, set_index = _UNIT_SLOTS
+        set_id(self, id)
+        set_form(self, form)
+        set_index(self, index)
+
+
+_UNIT_SLOTS = slot_setters(ReferenceUnit)
 
 
 # Lowercase contracted forms and their expansions.  "des" is deliberately
@@ -152,18 +167,23 @@ class SpanExpr:
 
     parts: tuple[tuple[str, str | None], ...]
 
-    def __post_init__(self):
-        if not self.parts:
+    def __init__(self, parts: tuple[tuple[str, str | None], ...]):
+        if not parts:
             raise SpanSyntaxError("span expression has no parts")
-        for start, end in self.parts:
+        for start, end in parts:
             for unit_id in (start,) if end is None else (start, end):
                 if not UNIT_ID_RE.fullmatch(unit_id):
                     raise SpanSyntaxError(f"invalid unit id {unit_id!r} in span")
+        (set_parts,) = _SPAN_SLOTS
+        set_parts(self, parts)
 
     @classmethod
     def parse(cls, text: str) -> "SpanExpr":
-        """Read parts separated by commas and whitespace; ``__post_init__``
-        checks each id."""
+        """Read parts separated by commas and whitespace; ``__init__``
+        checks each id.  A lone id, the form every generated stand-off
+        span takes, is checked by its one match."""
+        if UNIT_ID_RE.fullmatch(text):
+            return _checked_span(((text, None),))
         parts = []
         for chunk in text.replace(",", " ").split():
             if _RANGE_SEP in chunk:
@@ -181,15 +201,28 @@ class SpanExpr:
             for start, end in self.parts)
 
 
-def resolve_span(expr: SpanExpr, units: list[ReferenceUnit]) -> list[ReferenceUnit]:
+_SPAN_SLOTS = slot_setters(SpanExpr)
+
+
+def _checked_span(parts: tuple[tuple[str, str | None], ...]) -> SpanExpr:
+    """A span over non-empty parts whose every id is already checked."""
+    (set_parts,) = _SPAN_SLOTS
+    span = object.__new__(SpanExpr)
+    set_parts(span, parts)
+    return span
+
+
+def resolve_span(span, units: list[ReferenceUnit]) -> list[ReferenceUnit]:
     """Dereference a span expression against one segmentation's units.
 
+    ``span`` is a :class:`SpanExpr` or the ``parts`` of checked spans.
     Returns the referenced units in document order, without duplicates.
     Ranges expand inclusively by document position.
     """
+    parts = span.parts if isinstance(span, SpanExpr) else span
     by_id = {u.id: u for u in units}
     picked: set[int] = set()
-    for start, end in expr.parts:
+    for start, end in parts:
         if start not in by_id:
             raise DanglingPointerError(start)
         first = by_id[start]
@@ -236,7 +269,7 @@ def span_for_indices(units: list[ReferenceUnit], indices: list[int]) -> SpanExpr
             parts.append((units[a].id, None))
         else:
             parts.append((units[a].id, units[b].id))
-    return SpanExpr(tuple(parts))
+    return _checked_span(tuple(parts))
 
 
 def align_inline(inline_doc: str, units: list[ReferenceUnit]):
@@ -366,7 +399,8 @@ def reconstruct_coverage(kind: str, units: list[ReferenceUnit], items,
     if anchor_units is None:
         raise NoPrimaryAnchorError()
 
-    # one resolution over every item's parts: document order, no repeats
-    parts = tuple(part for item in iter_items(items) if item.span is not None
-                  for part in item.span.parts)
-    return [u.form for u in resolve_span(SpanExpr(parts), anchor_units)]
+    # one resolution over every item's parts: document order, no repeats;
+    # each span checked its ids when it was built
+    parts = [part for item in iter_items(items) if item.span is not None
+             for part in item.span.parts]
+    return [u.form for u in resolve_span(parts, anchor_units)]

@@ -1,14 +1,18 @@
 """Interchange codec behaviour, pinned against the fixture corpus."""
 
+import dataclasses
 import pathlib
 import re
 import string
+from types import MappingProxyType
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from corpus_forge import _markup, standoff
+from corpus_forge.archive import Archive, LevelSpec
 from corpus_forge.errors import (
+    CorpusForgeError,
     MissingSpanError,
     NestingError,
     ParseError,
@@ -614,18 +618,63 @@ class TestErrorLines:
          SpanSyntaxError, 3),
         (parse_standoff_items, '<item/>\n<item/>\n<item span=""/>',
          SpanSyntaxError, 3),
+        (parse_standoff_morpho, '<w span="word_1" lemma="a"/>\n<w lemma="b"/>',
+         MissingSpanError, 2),
+        (parse_referential_standoff,
+         '<referentialLink referentialTarget="id(a)"/>\n\n<alt>\n</alt>',
+         ParseError, 3),
     ], ids=["segmentation-stray-text", "standoff-morpho-stray-text",
             "standoff-items-stray-tail", "segmentation-invalid-unit-id",
             "segmentation-padded-form", "standoff-morpho-invalid-span-id",
             "standoff-morpho-malformed-range", "standoff-morpho-empty-span",
             "standoff-items-invalid-span-id", "standoff-items-malformed-range",
-            "standoff-items-empty-span"])
+            "standoff-items-empty-span", "standoff-morpho-missing-span",
+            "referential-empty-variant-group"])
     def test_codec_error_names_its_line(self, parse, doc, error, line):
         with pytest.raises(error) as err:
             parse(doc)
         assert type(err.value) is error
         assert err.value.line == line
         assert str(err.value).startswith(f"{error.code}: line {line}: ")
+
+
+# Per codec: a well-formed line, formatted with a unit number, and faults
+# that each make the codec raise an error naming the fault's first line.
+LINE_FAULTS = {
+    "segmentation": (parse_segmentation, '<word id="word_{}">a</word>', [
+        "loose", '<word id="word_0">a</word>', '<w id="word_99">a</w>',
+        '<word id="word_99"/>', "<word>a</word>",
+        '<word id="word_99">a\n</word>', '<word id="word_99">a'
+        '<word id="word_98">b</word></word>']),
+    "standoff-morpho": (parse_standoff_morpho,
+                        '<w span="word_{}" lemma="a"/>', [
+        "loose", '<w span="word_0" lemma="a"/>', '<w lemma="a"/>',
+        '<w span="word_1"/>', '<item span="word_1"/>',
+        '<w span="word_1..word_2..word_3" lemma="a"/>',
+        '<w span=" , " lemma="a"/>', '<w span="word_1" lemma="a">']),
+    "standoff-items": (parse_standoff_items, '<item span="word_{}"/>', [
+        "loose", '<item span="word_x"/>', '<item span="word_1.."/>',
+        '<item span=""/>', "<w/>", "<item>", "</item/>"]),
+}
+
+
+@pytest.mark.parametrize("codec", sorted(LINE_FAULTS))
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_a_fault_on_any_line_is_named(codec, data):
+    """The offset of a tag turns into the line it starts on, after any
+    run of well-formed and blank lines."""
+    parse, good, faults = LINE_FAULTS[codec]
+    lines = [line.format(number) for number, line in enumerate(
+        data.draw(st.lists(st.sampled_from([good, "", "  "]), max_size=8)),
+        1)]
+    at = data.draw(st.integers(0, len(lines)))
+    lines.insert(at, data.draw(st.sampled_from(["", " ", "\t"]))
+                 + data.draw(st.sampled_from(faults)))
+    with pytest.raises(CorpusForgeError) as err:
+        parse("\n".join(lines))
+    assert err.value.line == at + 1
+    assert str(err.value).startswith(f"{err.value.code}: line {at + 1}: ")
 
 
 class CountingPattern:
@@ -654,6 +703,24 @@ def test_each_unit_id_is_checked_once(monkeypatch, parse, line):
     assert counter.calls == n
 
 
+def test_coverage_of_a_filled_level_checks_no_unit_id(monkeypatch, tmp_path):
+    archive = Archive(tmp_path / "store")
+    archive.register_corpus("T", corpus_id="t")
+    seg = archive.add_level("t", "segmentation", "full")
+    archive.deposit("t", '<word id="word_1">a</word>\n'
+                    '<word id="word_2">b</word>', "segmentation",
+                    levels=[seg.id])
+    (morph,) = archive.deposit(
+        "t", '<w span="word_2" lemma="b"/>\n<w span="word_1..word_2" '
+        'lemma="a"/>', "standoff-morpho",
+        new_levels=[LevelSpec("morphosyntax", "none", (seg.id,))]).levels
+    assert archive.coverage(morph) == ["a", "b"]  # fills both entries
+    counter = CountingPattern(standoff.UNIT_ID_RE)
+    monkeypatch.setattr(standoff, "UNIT_ID_RE", counter)
+    assert archive.coverage(morph) == ["a", "b"]
+    assert counter.calls == 0
+
+
 def test_parsed_objects_have_no_instance_dict():
     units = parse_segmentation(fixture("fig03_segmentation.xml"))
     items = parse_standoff_morpho(fixture("fig05_standoff_morpho.xml"))
@@ -664,6 +731,98 @@ def test_parsed_objects_have_no_instance_dict():
                    elements):
         assert parsed
         assert not any(hasattr(obj, "__dict__") for obj in parsed)
+
+
+# Each value type a codec builds: a value, its repr and a change for
+# ``dataclasses.replace``.
+VALUES = {
+    "ReferenceUnit": (ReferenceUnit("word_1", "Madame", 0),
+                      "ReferenceUnit(id='word_1', form='Madame', index=0)",
+                      {"index": 4}),
+    "SpanExpr": (SpanExpr((("word_1", None), ("word_2", "word_3"))),
+                 "SpanExpr(parts=(('word_1', None), ('word_2', 'word_3')))",
+                 {"parts": (("word_9", None),)}),
+    "Link": (Link("coref", ("m2",), source="m1"),
+             "Link(type='coref', targets=('m2',), source='m1')",
+             {"source": None}),
+    "AnnotationItem": (
+        AnnotationItem(id="m1", span=SpanExpr.parse("word_1"), element="w",
+                       categories={"lemma": "a"},
+                       links=(Link("coref", ("m2",)),), group="alt_1"),
+        "AnnotationItem(id='m1', span=SpanExpr(parts=(('word_1', None),)), "
+        "surface=None, element='w', categories=mappingproxy({'lemma': 'a'}), "
+        "links=(Link(type='coref', targets=('m2',), source=None),), "
+        "children=(), group='alt_1')",
+        {"group": None}),
+}
+
+
+class TestValueTypes:
+    """Value types keep the dataclass contract, also those whose own
+    ``__init__`` stores each field through its slot."""
+
+    @pytest.mark.parametrize("name", sorted(VALUES))
+    def test_every_field_is_frozen(self, name):
+        value = VALUES[name][0]
+        for f in dataclasses.fields(value):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(value, f.name, getattr(value, f.name))
+
+    @pytest.mark.parametrize("name", sorted(VALUES))
+    def test_replace_eq_and_repr(self, name):
+        value, text, changes = VALUES[name]
+        assert repr(value) == text
+        copy = dataclasses.replace(value)
+        assert copy == value and copy is not value
+        changed = dataclasses.replace(value, **changes)
+        assert changed != value
+        assert {f.name: getattr(changed, f.name)
+                for f in dataclasses.fields(value)} \
+            == {f.name: changes.get(f.name, getattr(value, f.name))
+                for f in dataclasses.fields(value)}
+
+    def test_only_an_item_is_unhashable(self):
+        for name, (value, _, _) in VALUES.items():
+            if name == "AnnotationItem":
+                with pytest.raises(TypeError):
+                    hash(value)
+            else:
+                assert hash(value) == hash(dataclasses.replace(value))
+
+    @pytest.mark.parametrize("build, message", [
+        (lambda: ReferenceUnit("word_0", "a", 0),
+         "invalid reference unit id 'word_0'"),
+        (lambda: ReferenceUnit(id="word_1\n", form="a", index=0),
+         "invalid reference unit id 'word_1\\n'"),
+        (lambda: ReferenceUnit("word_1", " a", 0),
+         "unit word_1: form must be non-empty without surrounding "
+         "whitespace, got ' a'"),
+        (lambda: ReferenceUnit("word_1", "", 0),
+         "unit word_1: form must be non-empty without surrounding "
+         "whitespace, got ''"),
+        (lambda: SpanExpr((("word_1", "word_x"),)),
+         "invalid unit id 'word_x' in span"),
+        (lambda: SpanExpr(parts=()), "span expression has no parts"),
+        (lambda: dataclasses.replace(VALUES["ReferenceUnit"][0], id="w1"),
+         "invalid reference unit id 'w1'"),
+        (lambda: dataclasses.replace(VALUES["SpanExpr"][0],
+                                     parts=(("word_01", None),)),
+         "invalid unit id 'word_01' in span"),
+    ])
+    def test_a_direct_build_checks_its_ids(self, build, message):
+        with pytest.raises(SpanSyntaxError) as err:
+            build()
+        assert str(err.value) == f"span-syntax: {message}"
+        assert err.value.line is None
+
+    def test_defaults(self):
+        item = AnnotationItem()
+        assert item == AnnotationItem(None, None, None, None, {}, (), (), None)
+        assert isinstance(item.categories, MappingProxyType)
+        assert dict(item.categories) == {}
+        with pytest.raises(TypeError):
+            item.categories["lemma"] = "a"  # type: ignore[index]
+        assert Link("coref", ("m2",)).source is None
 
 
 class TestFormatRegistry:

@@ -25,6 +25,7 @@ from corpus_forge.standoff import (
     span_for_indices,
     tokenize_with_offsets,
 )
+from strategies import spans, unit_ids
 
 GORIOT_OPENING = (
     "Madame Vauquer, née De Conflans, est une vieille femme qui, "
@@ -162,6 +163,22 @@ class TestSpanExpr:
                     "token_3", "word_0"]:
             with pytest.raises(SpanSyntaxError):
                 SpanExpr.parse(bad)
+
+    @given(spans)
+    def test_any_span_reads_back_from_its_text(self, span):
+        assert SpanExpr.parse(str(span)) == span
+
+    @given(unit_ids | st.text(st.sampled_from("word_019.,x \n"), max_size=12))
+    def test_a_lone_id_reads_as_the_general_reading_does(self, text):
+        """A trailing comma sends ``text`` through the general reading,
+        which splits it into the same parts; a lone id takes the one
+        match."""
+        def read(text):
+            try:
+                return SpanExpr.parse(text)
+            except SpanSyntaxError as err:
+                return str(err)
+        assert read(text) == read(text + ",")
 
 
 class TestResolveSpan:
