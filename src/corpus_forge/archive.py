@@ -24,25 +24,27 @@ is loaded from its manifest.  The first read of a
 level's units or items parses that level's payloads, and those of the
 segmentations it anchors on, once for every snapshot that shares the
 entry.  The catalog reads no entry: each level's ``summary``, which
-every write records in the manifest from the entries it fills, gives
-its counts and granularity (a level loaded without one gets it from
-its entry).  A corpus's catalog record, stamp and summary block are
-rendered on their first read, and kept on its state.  So a published
-state changes only when its first reads fill entries and those
-renderings, and a read may load, parse or render, but it still never
-waits for the writers' lock.  Writers take that lock and build the next
-snapshot as a draft: it copies the state of each corpus it writes, and
-shares every other state, and every level entry it does not write, with
-the published snapshot.  An entry it replaces or
-drops is filled first, so a snapshot that shares it keeps its answers
-after a payload is deleted.  Writers write payload and manifest from the
-draft and publish it last with one assignment, so a write that fails
-changes nothing.  Entities are immutable, so reads and writers hand out
-the snapshot's own.
+the manifest records, gives its counts and granularity (a level loaded
+without one gets it from its entry).  A corpus's catalog record, stamp
+and summary block are rendered on their first read, and kept on its
+state.  So a published state changes only when its first reads fill
+entries and those renderings, and a read may load, parse or render,
+but it still never waits for the writers' lock.  Every writer changes
+the archive through one path, ``Archive._commit``: it takes that lock
+and builds the next snapshot as a draft, which copies the state of each
+corpus it writes and shares every other state, and every level entry
+it does not replace, with the published snapshot.  An entry it replaces
+or drops is filled first, so a snapshot that shares it keeps its
+answers after a payload is deleted.  When the block ends, each level
+whose entry was replaced records its summary, the manifests of the
+written corpora are written and the draft is published with one
+assignment, so a write that fails changes nothing.  Entities are
+immutable, so reads and writers hand out the snapshot's own.
 """
 
 from __future__ import annotations
 
+import contextlib
 # Unused here; ``perfbench/tracer.py`` still patches ``archive.copy``.
 import copy  # noqa: F401
 import dataclasses
@@ -133,6 +135,18 @@ def _digest_matches(resource: Resource, payload: bytes) -> bool:
     a resource recorded without one matches any payload."""
     return (not resource.sha256
             or resource.sha256 == hashlib.sha256(payload).hexdigest())
+
+
+def _cycle(levels: dict[str, Level]) -> str | None:
+    """A cycle among the dependencies of ``levels`` (by id) on each other,
+    as the ids along it joined by " -> "; None if there is none."""
+    try:
+        graphlib.TopologicalSorter({
+            level.id: {d for d, _ in level.depends_on if d in levels}
+            for level in _by_id(levels)}).prepare()
+    except graphlib.CycleError as err:
+        return " -> ".join(err.args[1]) if len(err.args) > 1 else ""
+    return None
 
 
 @dataclass(frozen=True)
@@ -292,17 +306,16 @@ class CorpusState:
                            dict(self.resources), self.versions,
                            dict(self._entries), self._lock, self._paths)
 
-    def drop(self, level_ids) -> list[str]:
+    def drop(self, level_ids) -> None:
         """Give ``level_ids``, and every level that depends on them, entries
-        that their next read fills again, as a reload would; return their
-        ids.  Each is filled first, so every snapshot that shared it keeps
-        its answers after a later write deletes a payload."""
+        that their next read fills again, as a reload would.  Each is
+        filled first, so every snapshot that shared it keeps its answers
+        after a later write deletes a payload."""
         dropped = [l.id for l in self.levels.values() if l.id in level_ids
                    or any(d.id in level_ids for d in self.closure(l))]
         for level_id in dropped:
             self.parsed(level_id)
         self._entries.update((level_id, Parsed()) for level_id in dropped)
-        return dropped
 
     def parse_summary(self, level_id: str) -> LevelSummary:
         """What the level's stored payloads parse into, as a summary;
@@ -314,13 +327,6 @@ class CorpusState:
         if entry.filled:  # not while a dependency cycle reads it half filled
             entry.summary = summary  # two readers make the same one
         return summary
-
-    def summarize(self, level_ids) -> None:
-        """Record each level's summary, from its entry, filled first if
-        it is not; in a draft's own state."""
-        for level_id in level_ids:
-            self.levels[level_id] = dataclasses.replace(
-                self.levels[level_id], summary=self.parse_summary(level_id))
 
     def summary(self, level_id: str) -> LevelSummary:
         """The level's summary as recorded at its last write; a level
@@ -681,23 +687,14 @@ class Snapshot:
                     f"names corpus {entity.corpus_id!r} but the manifest of "
                     f"{corpus.id!r} holds it"))
 
-        graph = {}
         for level in levels:
-            deps = set()
             for dep_id, _ in level.depends_on:
                 if dep_id not in state.levels:
                     out.append(Violation(
                         "dangling-dependency", level.id,
                         f"depends on unknown level {dep_id!r}"))
-                else:
-                    deps.add(dep_id)
-            graph[level.id] = deps
-        has_cycle = False
-        try:
-            graphlib.TopologicalSorter(graph).prepare()
-        except graphlib.CycleError as err:
-            has_cycle = True
-            cycle = " -> ".join(err.args[1]) if len(err.args) > 1 else ""
+        cycle = _cycle(state.levels)
+        if cycle is not None:
             out.append(Violation(
                 "dependency-cycle", corpus.id,
                 f"level dependencies form a cycle: {cycle}"))
@@ -715,7 +712,7 @@ class Snapshot:
                         "surface-in-pointer-level", level.id,
                         "declared coverage 'none' but the payload carries "
                         "its own text"))
-            if has_cycle:
+            if cycle is not None:
                 # Reconstruction through a cyclic graph has no meaning;
                 # the cycle violation already covers these levels.
                 continue
@@ -818,31 +815,44 @@ class Archive:
 
     # -- storage ----------------------------------------------------------
 
-    def _publish(self, draft: Snapshot, *corpus_ids: str) -> None:
-        """Write the manifests of ``corpus_ids``, then publish ``draft``."""
-        for corpus_id in corpus_ids:
-            state = draft._corpora[corpus_id]
-            text = manifest_mod.dumps_corpus(
-                state.corpus, _by_id(state.levels),
-                _deposited(state.resources), draft.versions(corpus_id))
-            directory = _corpus_dir(draft.root, corpus_id)
-            directory.mkdir(parents=True, exist_ok=True)
-            tmp = directory / "manifest.tmp"
-            tmp.write_text(text, encoding="utf-8")
-            tmp.replace(directory / "manifest")
-        draft._written.clear()
-        self._view = draft
+    @contextlib.contextmanager
+    def _commit(self):
+        """Take the writers' lock and yield a draft of the next snapshot.
+        When the block ends, each level whose entry is not the published
+        one records its summary, every written corpus's manifest is
+        written, and the draft is published: unless the block raised, or
+        wrote nothing."""
+        with self._lock:
+            draft = self._view._draft()
+            yield draft
+            for corpus_id in sorted(draft._written):
+                state = draft._corpora[corpus_id]
+                published = self._view._find(corpus_id)
+                for level_id, entry in state._entries.items():
+                    if (published is None
+                            or entry is not published._entries.get(level_id)):
+                        state.levels[level_id] = dataclasses.replace(
+                            state.levels[level_id],
+                            summary=state.parse_summary(level_id))
+                text = manifest_mod.dumps_corpus(
+                    state.corpus, _by_id(state.levels),
+                    _deposited(state.resources), draft.versions(corpus_id))
+                directory = _corpus_dir(draft.root, corpus_id)
+                directory.mkdir(parents=True, exist_ok=True)
+                tmp = directory / "manifest.tmp"
+                tmp.write_text(text, encoding="utf-8")
+                tmp.replace(directory / "manifest")
+            if draft._written:
+                draft._written.clear()
+                self._view = draft
 
     # -- registration ------------------------------------------------------
 
     def register_corpus(self, title: str, language: str = "",
                         meta: dict[str, str] | None = None,
                         corpus_id: str | None = None) -> Corpus:
-        with self._lock:
-            draft = self._view._draft()
-            corpus = self._add_corpus(draft, title, language, meta, corpus_id)
-            self._publish(draft, corpus.id)
-            return corpus
+        with self._commit() as draft:
+            return self._add_corpus(draft, title, language, meta, corpus_id)
 
     def _add_corpus(self, draft: Snapshot, title: str, language: str,
                     meta: dict[str, str] | None,
@@ -873,13 +883,11 @@ class Archive:
 
     def add_level(self, corpus_id: str, kind: str, coverage: str,
                   depends_on=(), meta: dict[str, str] | None = None) -> Level:
-        with self._lock:
-            draft = self._view._draft()
+        with self._commit() as draft:
             level = self._add_level(draft, corpus_id, LevelSpec(
                 kind=kind, coverage=coverage, depends_on=tuple(depends_on),
                 meta=tuple(sorted((meta or {}).items()))))
-            self._publish(draft, corpus_id)
-            return level
+        return draft.level(level.id)
 
     def _add_level(self, draft: Snapshot, corpus_id: str,
                    spec: LevelSpec) -> Level:
@@ -893,17 +901,8 @@ class Archive:
             raise StoreError(
                 f"coverage must be one of {', '.join(COVERAGE_VALUES)}, "
                 f"got {spec.coverage!r}")
-        deps = []
-        for entry in spec.depends_on:
-            dep_id, purpose = (entry if isinstance(entry, tuple)
-                               else (entry, "anchors-to"))
-            manifest_mod.storable_text({"dependency purpose": purpose})
-            if dep_id not in state.levels:
-                raise UnknownDependencyError(
-                    f"dependency {dep_id!r} belongs to another corpus"
-                    if draft._holder("levels", dep_id)
-                    else f"dependency {dep_id!r} does not exist")
-            deps.append((dep_id, purpose))
+        deps = [self._dependency(draft, state, entry)
+                for entry in spec.depends_on]
         # Level ids are unique across corpora: "a" + "b-x" is "a-b" + "x",
         # so every corpus that may hold the id is checked.
         number = 1
@@ -916,11 +915,25 @@ class Archive:
             coverage=spec.coverage,
             depends_on=tuple(deps),
             declared_meta=manifest_mod.storable_meta(spec.meta),
-            created_at=_iso(self._clock()),
-            summary=LevelSummary())
+            created_at=_iso(self._clock()))
         state.levels[level.id] = level
         state._entries[level.id] = Parsed(filled=True)
         return level
+
+    @staticmethod
+    def _dependency(draft: Snapshot, state: CorpusState,
+                    entry) -> tuple[str, str]:
+        """``entry``, a level id or an (id, purpose) pair, as the (id,
+        purpose) of a dependency on a level that ``state`` holds."""
+        dep_id, purpose = (entry if isinstance(entry, tuple)
+                           else (entry, "anchors-to"))
+        manifest_mod.storable_text({"dependency purpose": purpose})
+        if dep_id not in state.levels:
+            raise UnknownDependencyError(
+                f"dependency {dep_id!r} belongs to another corpus"
+                if draft._holder("levels", dep_id)
+                else f"dependency {dep_id!r} does not exist")
+        return dep_id, purpose
 
     def register_table(self, text: str, language: str = "") -> list[Corpus]:
         """Bulk-register corpora from a tab-separated table.
@@ -934,8 +947,7 @@ class Archive:
         some declared kind needs an anchor.  A malformed row registers
         nothing.
         """
-        with self._lock:
-            draft = self._view._draft()
+        with self._commit() as draft:
             out: list[Corpus] = []
             for lineno, raw in enumerate(text.splitlines(), 1):
                 if not raw.strip() or raw.lstrip().startswith("#"):
@@ -974,37 +986,25 @@ class Archive:
                                          (anchor.id,) if anchor else ())
                     created[kind] = self._add_level(draft, corpus.id, spec)
                 out.append(corpus)
-            self._publish(draft, *(corpus.id for corpus in out))
             return out
 
     def add_dependency(self, level_id: str, dep_id: str,
                        purpose: str = "anchors-to") -> Level:
-        """Wire an existing level onto another one, refusing cycles."""
-        with self._lock:
-            draft = self._view._draft()
+        """Wire an existing level onto another one of its corpus, refusing
+        cycles."""
+        with self._commit() as draft:
             state = draft._level_state(level_id)
-            draft.level(dep_id)
-            manifest_mod.storable_text({"dependency purpose": purpose})
-            if dep_id not in state.levels:
-                raise UnknownDependencyError(
-                    f"dependency {dep_id!r} belongs to another corpus")
-            state = draft._writable(state.corpus.id)
             level = state.levels[level_id]
-            graph = {l.id: {d for d, _ in l.depends_on}
-                     for l in state.levels.values()}
-            graph[level_id] = graph[level_id] | {dep_id}
-            try:
-                graphlib.TopologicalSorter(graph).prepare()
-            except graphlib.CycleError as err:
+            wired = dataclasses.replace(level, depends_on=level.depends_on + (
+                self._dependency(draft, state, (dep_id, purpose)),))
+            if _cycle({**state.levels, level_id: wired}) is not None:
                 raise DependencyCycleError(
                     f"adding {dep_id!r} under {level_id!r} closes a "
-                    f"dependency cycle") from err
-            dropped = state.drop([level_id])
-            state.levels[level_id] = dataclasses.replace(
-                level, depends_on=level.depends_on + ((dep_id, purpose),))
-            state.summarize(dropped)
-            self._publish(draft, state.corpus.id)
-            return state.levels[level_id]
+                    f"dependency cycle")
+            state = draft._writable(state.corpus.id)
+            state.drop([level_id])
+            state.levels[level_id] = wired
+        return draft.level(level_id)
 
     # -- deposit -----------------------------------------------------------
 
@@ -1012,8 +1012,7 @@ class Archive:
                 levels=(), new_levels=(), depositor: str = "",
                 validated: bool = False, validator: str | None = None,
                 meta: dict[str, str] | None = None) -> DepositResult:
-        with self._lock:
-            draft = self._view._draft()
+        with self._commit() as draft:
             state = draft._writable(corpus_id)
             if format not in FORMATS:
                 raise StoreError(f"unknown deposit format {format!r}")
@@ -1067,7 +1066,6 @@ class Archive:
                     earlier, summary=None)
                 fresh_by_kind.setdefault(level.kind, []).extend(
                     self._add_parsed(entry, level.id, resource, value))
-            state.summarize(level.id for level in targets)
 
             records = self._record_versions(
                 state, resource, targets, fresh_by_kind, now)
@@ -1078,7 +1076,6 @@ class Archive:
             path = state.payload_path(resource)
             path.parent.mkdir(parents=True, exist_ok=True)
             path.write_text(text, encoding="utf-8")
-            self._publish(draft, corpus_id)
             return DepositResult(
                 resource=resource,
                 levels=tuple(l.id for l in targets),
@@ -1146,7 +1143,7 @@ class Archive:
             prior = chain[-1] if chain else None
             kind_levels = [l for l in targets if l.kind == kind]
             granularity = frozenset().union(
-                *(state.summary(level.id).granularity
+                *(state.parse_summary(level.id).granularity
                   for level in kind_levels))
             classification = classify_submission(
                 granularity, prior.granularity if prior else None,
@@ -1203,21 +1200,18 @@ class Archive:
         """Delete a resource's payload, keeping its descriptive record,
         so the catalog keeps listing the resource with ``available:
         false``."""
-        with self._lock:
-            draft = self._view._draft()
+        with self._commit() as draft:
             state = draft._resource_state(resource_id)
             resource = state.resources[resource_id]
-            if resource.available:
-                corpus_id = state.corpus.id
-                state = draft._writable(corpus_id)
-                dropped = state.drop(resource.levels)
-                resource = state.resources[resource_id] = dataclasses.replace(
-                    resource, available=False)
-                state.summarize(dropped)
-                self._publish(draft, corpus_id)
-                # Last, so readers of earlier snapshots still find it.
-                state.payload_path(resource).unlink(missing_ok=True)
-            return resource
+            if not resource.available:
+                return resource
+            state = draft._writable(state.corpus.id)
+            state.drop(resource.levels)
+            resource = state.resources[resource_id] = dataclasses.replace(
+                resource, available=False)
+        # After the commit, so readers of earlier snapshots still find it.
+        state.payload_path(resource).unlink(missing_ok=True)
+        return resource
 
     @staticmethod
     def _materialize(state: CorpusState, resource: Resource, payload: bytes,

@@ -212,14 +212,13 @@ def _checked_span(parts: tuple[tuple[str, str | None], ...]) -> SpanExpr:
     return span
 
 
-def resolve_span(span, units: list[ReferenceUnit]) -> list[ReferenceUnit]:
-    """Dereference a span expression against one segmentation's units.
+def resolve_span(parts, units: list[ReferenceUnit]) -> list[ReferenceUnit]:
+    """Dereference the ``parts`` of checked span expressions against one
+    segmentation's units.
 
-    ``span`` is a :class:`SpanExpr` or the ``parts`` of checked spans.
     Returns the referenced units in document order, without duplicates.
     Ranges expand inclusively by document position.
     """
-    parts = span.parts if isinstance(span, SpanExpr) else span
     by_id = {u.id: u for u in units}
     picked: set[int] = set()
     for start, end in parts:

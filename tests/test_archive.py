@@ -339,6 +339,23 @@ class TestAddDependency:
         with pytest.raises(UnknownDependencyError):
             archive.add_dependency(a.id, b.id)
 
+    def test_unknown_dependency_is_refused_as_add_level_refuses_it(
+            self, archive):
+        archive.register_corpus("X", corpus_id="x")
+        morpho = archive.add_level("x", "morphosyntax", "none")
+        refused = []
+        for write in (
+                lambda: archive.add_level("x", "syntax", "none",
+                                          depends_on=["x-nope-1"]),
+                lambda: archive.add_dependency(morpho.id, "x-nope-1")):
+            with pytest.raises(UnknownDependencyError) as err:
+                write()
+            refused.append(err.value.message)
+        assert refused == ["dependency 'x-nope-1' does not exist"] * 2
+        # The level being wired is not a dependency.
+        with pytest.raises(UnknownEntityError):
+            archive.add_dependency("x-nope-1", morpho.id)
+
     def test_rewired_level_reads_as_a_reload_would(self, archive, tmp_path):
         archive.register_corpus("X", corpus_id="x")
         other, seg = (archive.add_level("x", "segmentation", "partial")
@@ -1774,6 +1791,53 @@ class TestRegisterTable:
     def test_malformed_row_rejected(self, archive):
         with pytest.raises(StoreError):
             archive.register_table("only two\tcolumns\n")
+
+
+class TestOneCommitPath:
+    """Every writer changes the archive through ``Archive._commit``."""
+
+    def test_writers_lock_is_taken_only_in_commit(self):
+        tree = ast.parse(pathlib.Path(archive_mod.__file__).read_text(
+            encoding="utf-8"))
+        (archive_class,) = [node for node in tree.body
+                            if isinstance(node, ast.ClassDef)
+                            and node.name == "Archive"]
+        takers = {method.name for method in archive_class.body
+                  if isinstance(method, ast.FunctionDef)
+                  for node in ast.walk(method)
+                  if isinstance(node, ast.Attribute)
+                  and node.attr == "_lock" and isinstance(node.ctx, ast.Load)}
+        assert takers == {"_commit"}
+
+    WRITES_THAT_FAIL = {
+        "deposit to a new level that does not parse": (ParseError, lambda a: (
+            a.deposit("x", "<word id='word_9'>unclosed", "segmentation",
+                      new_levels=[LevelSpec("segmentation", "partial")]))),
+        "dependency that closes a cycle": (DependencyCycleError, lambda a: (
+            a.add_dependency("x-segmentation-1", "x-morphosyntax-1"))),
+        "table with a malformed later row": (StoreError, lambda a: (
+            a.register_table("Fine\t-\t-\tmorphosyntax\nonly\ttwo\n"))),
+    }
+
+    @pytest.mark.parametrize("case", sorted(WRITES_THAT_FAIL))
+    def test_a_write_that_fails_changes_nothing(self, archive, tmp_path,
+                                                case):
+        archive.register_corpus("X", corpus_id="x")
+        seg = archive.add_level("x", "segmentation", "full")
+        archive.deposit("x", ONE_WORD, "segmentation", levels=[seg.id])
+        morpho_level(archive, "x", seg.id)
+
+        def tree():
+            return {p.relative_to(tmp_path): p.read_bytes()
+                    for p in sorted(tmp_path.rglob("*")) if p.is_file()}
+
+        before, export = tree(), export_catalog(archive)
+        error, write = self.WRITES_THAT_FAIL[case]
+        with pytest.raises(error):
+            write(archive)
+        assert tree() == before
+        assert export_catalog(archive) == export
+        assert export_catalog(Archive(tmp_path / "store")) == export
 
 
 class TestConcurrency:

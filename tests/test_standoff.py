@@ -185,35 +185,35 @@ class TestResolveSpan:
     units = segment_text("Madame Vauquer, née De Conflans,")
 
     def test_single(self):
-        got = resolve_span(SpanExpr.parse("word_2"), self.units)
+        got = resolve_span(SpanExpr.parse("word_2").parts, self.units)
         assert [u.form for u in got] == ["Vauquer"]
 
     def test_range_is_inclusive(self):
-        got = resolve_span(SpanExpr.parse("word_1..word_2"), self.units)
+        got = resolve_span(SpanExpr.parse("word_1..word_2").parts, self.units)
         assert [u.form for u in got] == ["Madame", "Vauquer"]
 
     def test_overlapping_parts_deduplicate(self):
-        got = resolve_span(SpanExpr.parse("word_2..word_4 word_3"), self.units)
+        got = resolve_span(SpanExpr.parse("word_2..word_4 word_3").parts, self.units)
         assert [u.id for u in got] == ["word_2", "word_3", "word_4"]
 
     def test_result_in_document_order(self):
-        got = resolve_span(SpanExpr.parse("word_5 word_1"), self.units)
+        got = resolve_span(SpanExpr.parse("word_5 word_1").parts, self.units)
         assert [u.id for u in got] == ["word_1", "word_5"]
 
     def test_reversed_range_raises(self):
         with pytest.raises(ReversedRangeError):
-            resolve_span(SpanExpr.parse("word_4..word_2"), self.units)
+            resolve_span(SpanExpr.parse("word_4..word_2").parts, self.units)
 
     def test_dangling_pointer_names_the_unit(self):
         with pytest.raises(DanglingPointerError) as err:
-            resolve_span(SpanExpr.parse("word_99"), self.units)
+            resolve_span(SpanExpr.parse("word_99").parts, self.units)
         assert err.value.unit_id == "word_99"
         assert "dangling-pointer" in str(err.value)
 
     @given(st.lists(st.integers(min_value=0, max_value=6), min_size=1, max_size=8))
     def test_span_for_indices_round_trips(self, indices):
         expr = span_for_indices(self.units, indices)
-        got = resolve_span(expr, self.units)
+        got = resolve_span(expr.parts, self.units)
         assert [u.index for u in got] == sorted(set(indices))
 
     def test_span_for_indices_prefers_ranges(self):
