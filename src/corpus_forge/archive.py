@@ -5,9 +5,11 @@ One :class:`Archive` owns a directory tree::
     <root>/corpora/<corpus-id>/manifest
     <root>/corpora/<corpus-id>/resources/<resource-id>.<format>
 
-Opening lists ``corpora/`` and loads no manifest: a corpus's manifest
-loads on the first read of that corpus, once, into a cache that every
-snapshot of the archive shares (:class:`_Listing`).  A level or resource
+``Archive(root)`` loads every manifest and parses every payload at
+open; ``Archive(root, defer_parse=True)`` lists ``corpora/`` and loads
+no manifest: each loads on the first read of its corpus.  Either
+way each manifest loads once, into a cache that every snapshot of the
+archive shares (:class:`_Listing`).  A level or resource
 id finds its corpus by one rule: the corpora that may hold it are those
 whose id is a prefix of it ending at a ``-``, and the longest of them
 that holds it owns it.  Only an id that none of them holds (unknown, or

@@ -54,8 +54,10 @@ class AnnotationItem:
     ``span`` anchors the item onto reference units of another level;
     ``surface`` instead carries the covered text directly.  ``group``
     marks membership in a variant group (mutually exclusive readings).
-    ``categories`` is read-only; it wraps the mapping it is given, which
-    its caller must not keep changing.
+    ``categories`` is read-only: a ``MappingProxyType`` it is given is
+    kept as is, any other mapping is wrapped, and its caller must not keep
+    changing either.  Items of one payload with equal categories share one
+    mapping, so compare categories with ``==``, never ``is``.
     """
 
     id: str | None
@@ -81,13 +83,36 @@ class AnnotationItem:
         set_span(self, span)
         set_surface(self, surface)
         set_element(self, element)
-        set_categories(self, MappingProxyType(categories))
+        set_categories(self, categories if type(categories) is MappingProxyType
+                       else MappingProxyType(categories))
         set_links(self, links)
         set_children(self, children)
         set_group(self, group)
 
 
 _ITEM_SLOTS = slot_setters(AnnotationItem)
+
+
+class Categories(dict):
+    """One payload's read-only category mappings, one per distinct set.
+
+    A key lists names and values in turn, ``(name, value, name, value,
+    ...)``, in the order the mapping keeps; looking up a key made before
+    returns the mapping made then, so a repeated set builds no dict and no
+    proxy.  The key is flat because a flat key is built and hashed in
+    less time than that dict and proxy take, and a tuple of pairs is not.
+    """
+
+    def __missing__(self, key: tuple) -> Mapping[str, str]:
+        mapping = self[key] = MappingProxyType(dict(zip(key[::2], key[1::2])))
+        return mapping
+
+    def of(self, pairs) -> Mapping[str, str]:
+        """The shared mapping of ``(name, value)`` pairs, in their order."""
+        key = ()
+        for pair in pairs:
+            key += pair
+        return self[key]
 
 
 def _stray_text(chunk: str, where: str, text: str, tag) -> ParseError:
@@ -158,6 +183,7 @@ TABULAR_COLUMNS = ("index", "form", "lemma", "tag_coarse", "tag_fine")
 
 def parse_tabular_morpho(text: str) -> list[AnnotationItem]:
     items = []
+    shared = Categories()
     for lineno, line in enumerate(text.splitlines(), 1):
         if not line.strip():
             continue
@@ -170,9 +196,9 @@ def parse_tabular_morpho(text: str) -> list[AnnotationItem]:
         if not values[0].isdigit():
             raise ParseError(f"row index {values[0]!r} is not a number",
                              line=lineno)
-        categories = {k: v for k, v in zip(TABULAR_COLUMNS, values) if v}
+        pairs = [(k, v) for k, v in zip(TABULAR_COLUMNS, values) if v]
         items.append(AnnotationItem(surface=values[1] or None,
-                                    categories=categories))
+                                    categories=shared.of(pairs)))
     return items
 
 
@@ -182,6 +208,7 @@ def parse_tabular_morpho(text: str) -> list[AnnotationItem]:
 
 def parse_standoff_morpho(text: str) -> list[AnnotationItem]:
     items = []
+    shared = Categories()
     at = 0  # offset of the tag an error is about
     try:
         for chunk, tag in _markup.iter_tags(text):
@@ -197,11 +224,13 @@ def parse_standoff_morpho(text: str) -> list[AnnotationItem]:
             span = SpanExpr.parse(attrs.pop("span"))
             if "lemma" not in attrs:
                 raise ParseError("<w/> lacks a lemma attribute")
-            categories = {"msd": attrs.pop("msd", " ").strip(),
-                          "lemma": attrs.pop("lemma")}
-            categories.update(sorted(attrs.items()))
+            key = ("msd", attrs.pop("msd", " ").strip(),
+                   "lemma", attrs.pop("lemma"))
+            if attrs:
+                for name in sorted(attrs):
+                    key += (name, attrs[name])
             items.append(AnnotationItem(span=span, element="w",
-                                        categories=categories))
+                                        categories=shared[key]))
     except CorpusForgeError as err:
         err.name_line(line_at(text, at))
         raise
@@ -249,6 +278,7 @@ def parse_inline_morpho(
     stripped, elements = _markup.strip_markup(text)
     cursor = 0
     items = []
+    shared = Categories()
     try:
         for el in elements:
             if el.name != "w":
@@ -263,9 +293,9 @@ def parse_inline_morpho(
             surface = stripped[el.start:el.end]
             if not surface.strip():
                 raise ParseError("<w> covers no text")
-            categories = dict(sorted(el.attrs.items()))
-            items.append(AnnotationItem(surface=surface, element="w",
-                                        categories=categories))
+            items.append(AnnotationItem(
+                surface=surface, element="w",
+                categories=shared.of(sorted(el.attrs.items()))))
     except CorpusForgeError as err:
         err.name_line(line_at(text, el.offset))
         raise
@@ -308,6 +338,7 @@ def parse_referential_standoff(text: str) -> list[AnnotationItem]:
     items: list[AnnotationItem] = []
     alts: list[tuple[int, int, str, int]] = []  # start, end, group, offset
     group_sizes: dict[str, int] = {}
+    shared = Categories()
     at = 0  # offset of the tag an error is about
     try:
         for el in elements:
@@ -321,7 +352,7 @@ def parse_referential_standoff(text: str) -> list[AnnotationItem]:
                     id=markable_id,
                     surface=stripped[el.start:el.end],
                     element=el.name,
-                    categories=attrs))
+                    categories=shared.of(attrs.items())))
             elif el.name == "alt":
                 group = f"alt_{len(alts) + 1}"
                 alts.append((el.start, el.end, group, at))
@@ -343,7 +374,8 @@ def parse_referential_standoff(text: str) -> list[AnnotationItem]:
                 if group is not None:
                     group_sizes[group] += 1
                 items.append(AnnotationItem(
-                    element=el.name, categories=attrs, links=(link,),
+                    element=el.name, categories=shared.of(attrs.items()),
+                    links=(link,),
                     group=group))
             else:
                 raise ParseError(f"unexpected element <{el.name}>")
@@ -386,6 +418,7 @@ def parse_structural_inline(text: str) -> list[AnnotationItem]:
     """
     stripped, elements = _markup.strip_markup(text)
     tracked = [el for el in elements if el.name in STRUCTURAL_ELEMENTS]
+    shared = Categories()
 
     def build(el, kids):
         attrs = el.attrs
@@ -393,7 +426,7 @@ def parse_structural_inline(text: str) -> list[AnnotationItem]:
             id=attrs.pop("id", None),
             surface=stripped[el.start:el.end],
             element=el.name,
-            categories=attrs,
+            categories=shared.of(attrs.items()),
             children=tuple(kids))
 
     roots: list[AnnotationItem] = []
@@ -435,6 +468,7 @@ def parse_syntax_constituency(text: str) -> list[AnnotationItem]:
     """
     entries: list[list] = []  # [data dict, child entries]
     stack: list[list] = []
+    shared = Categories()
     for lineno, raw in enumerate(text.splitlines(), 1):
         if not raw.strip():
             continue
@@ -457,13 +491,13 @@ def parse_syntax_constituency(text: str) -> list[AnnotationItem]:
                 category, flags = m.group(1).strip(), m.group(2)
             else:
                 category, flags = rest.strip(), None
-            categories = {"function": function.strip(), "category": category}
+            key = ("function", function.strip(), "category", category)
             if flags is not None:
-                categories["flags"] = flags
+                key += ("flags", flags)
         else:
-            categories = {}
+            key = ()
             surface = surface or body
-        entry = [dict(categories=categories, surface=surface or None), []]
+        entry = [dict(categories=shared[key], surface=surface or None), []]
         if stack:
             stack[-1][1].append(entry)
         else:
@@ -493,6 +527,7 @@ def syntax_terminals(items: list[AnnotationItem]) -> list[AnnotationItem]:
 
 def parse_standoff_items(text: str) -> list[AnnotationItem]:
     items = []
+    shared = Categories()
     at = 0  # offset of the tag an error is about
     try:
         for chunk, tag in _markup.iter_tags(text):
@@ -515,7 +550,7 @@ def parse_standoff_items(text: str) -> list[AnnotationItem]:
                 surface=attrs.pop("surface", None),
                 element=attrs.pop("element", None),
                 group=attrs.pop("group", None),
-                categories=dict(sorted(attrs.items())),
+                categories=shared.of(sorted(attrs.items())),
                 links=links))
     except CorpusForgeError as err:
         err.name_line(line_at(text, at))

@@ -13,6 +13,7 @@ import hashlib
 import re
 import unicodedata
 from dataclasses import dataclass, fields
+from sys import intern
 
 from .errors import (
     DanglingPointerError,
@@ -47,6 +48,8 @@ class ReferenceUnit:
     """Minimal segmentation token, the anchor target of stand-off pointers.
 
     ``index`` is its position in its segmentation's list: ``units[index]``.
+    ``id`` and ``form`` are interned, so a form that recurs, and a unit id
+    that a level's spans repeat, are kept once.
     """
 
     id: str
@@ -61,8 +64,8 @@ class ReferenceUnit:
                 f"unit {id}: form must be non-empty without "
                 f"surrounding whitespace, got {form!r}")
         set_id, set_form, set_index = _UNIT_SLOTS
-        set_id(self, id)
-        set_form(self, form)
+        set_id(self, intern(id))
+        set_form(self, intern(form))
         set_index(self, index)
 
 
@@ -181,9 +184,10 @@ class SpanExpr:
     def parse(cls, text: str) -> "SpanExpr":
         """Read parts separated by commas and whitespace; ``__init__``
         checks each id.  A lone id, the form every generated stand-off
-        span takes, is checked by its one match."""
+        span takes, is checked by its one match and kept as the interned
+        id of its unit."""
         if UNIT_ID_RE.fullmatch(text):
-            return _checked_span(((text, None),))
+            return _checked_span(((intern(text), None),))
         parts = []
         for chunk in text.replace(",", " ").split():
             if _RANGE_SEP in chunk:
@@ -281,7 +285,7 @@ def align_inline(inline_doc: str, units: list[ReferenceUnit]):
     strictly inside a unit raises :class:`MisalignmentError` naming the
     element and the offending offset in the stripped text.
     """
-    from .formats import AnnotationItem, Link  # local import, no cycle
+    from .formats import AnnotationItem, Categories, Link  # no import cycle
 
     stripped, elements = _markup.strip_markup(inline_doc)
     tokens = tokenize_with_offsets(stripped)
@@ -302,6 +306,7 @@ def align_inline(inline_doc: str, units: list[ReferenceUnit]):
 
 
     items = []
+    shared = Categories()
     for el in elements:
         label = el.attrs.get("id", el.name)
         s, e = el.start, el.end
@@ -326,7 +331,7 @@ def align_inline(inline_doc: str, units: list[ReferenceUnit]):
             id=item_id,
             span=span_for_indices(units, indices),
             element=el.name,
-            categories=attrs,
+            categories=shared.of(attrs.items()),
             links=tuple(links),
         ))
     return items

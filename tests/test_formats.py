@@ -1,6 +1,7 @@
 """Interchange codec behaviour, pinned against the fixture corpus."""
 
 import dataclasses
+import gc
 import pathlib
 import re
 import string
@@ -823,6 +824,63 @@ class TestValueTypes:
         with pytest.raises(TypeError):
             item.categories["lemma"] = "a"  # type: ignore[index]
         assert Link("coref", ("m2",)).source is None
+
+    def test_a_read_only_mapping_is_kept_not_wrapped_again(self):
+        item = AnnotationItem(surface="a", categories={"lemma": "a"})
+        copy = item
+        for _ in range(3):
+            copy = dataclasses.replace(copy, group="g")
+        (terminal,) = syntax_terminals([copy])
+        assert copy.categories is item.categories
+        assert terminal.categories is item.categories
+        assert [type(r) for r in gc.get_referents(terminal.categories)] \
+            == [dict]
+
+
+# Per codec: a payload whose first and third items carry one category
+# set, the second another, and the first item built field by field.
+SHARING = {
+    "standoff-morpho": (
+        parse_standoff_morpho,
+        '<w span="word_1" msd="DET" lemma="le"/>\n'
+        '<w span="word_2" msd="NC" lemma="chat"/>\n'
+        '<w span="word_3" msd="DET" lemma="le"/>\n',
+        AnnotationItem(span=SpanExpr((("word_1", None),)), element="w",
+                       categories={"msd": "DET", "lemma": "le"})),
+    "tabular-morpho": (
+        parse_tabular_morpho,
+        "1\tle\tle\tDET\t\n2\tchat\tchat\tNC\t\n1\tle\tle\tDET\t\n",
+        AnnotationItem(surface="le", categories={
+            "index": "1", "form": "le", "lemma": "le", "tag_coarse": "DET"})),
+    "standoff-items": (
+        parse_standoff_items,
+        '<item id="a" element="w" lemma="le" msd="DET"/>\n'
+        '<item id="b" element="w" lemma="chat" msd="NC"/>\n'
+        '<item id="c" element="w" msd="DET" lemma="le"/>\n',
+        AnnotationItem(id="a", element="w",
+                       categories={"lemma": "le", "msd": "DET"})),
+}
+
+
+@pytest.mark.parametrize("tag", sorted(SHARING))
+def test_equal_categories_share_one_read_only_mapping(tag):
+    parse, doc, first = SHARING[tag]
+    items = parse(doc)
+    assert items[0] == first
+    assert items[0].categories is items[2].categories
+    assert items[1].categories is not items[0].categories
+    assert items[1].categories != items[0].categories
+    with pytest.raises(TypeError):
+        items[0].categories["lemma"] = "x"  # type: ignore[index]
+    assert items[0].categories == first.categories
+
+
+def test_span_ids_are_the_segmentation_s_own_strings():
+    units = parse_segmentation('<word id="word_1">le</word>'
+                               '<word id="word_2">le</word>')
+    (item,) = parse_standoff_morpho('<w span="word_2" lemma="le"/>')
+    assert item.span.parts[0][0] is units[1].id
+    assert units[0].form is units[1].form
 
 
 class TestFormatRegistry:

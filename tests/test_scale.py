@@ -1,5 +1,6 @@
 """Scale gates: the engine's time grows linearly with a corpus's size,
-with the number of corpora, and with the length of a malformed document.
+with the number of corpora, and with the length of a malformed document;
+a parsed item keeps a bounded number of bytes.
 
 One round through ``Archive`` (a segmentation deposit, a stand-off
 morphology level over it, ``coverage`` and ``validate``) is timed at n
@@ -12,13 +13,18 @@ import gc
 import shutil
 import statistics
 import time
+import tracemalloc
 
 import pytest
 
 from corpus_forge.archive import Archive, LevelSpec
 from corpus_forge.catalog import catalog_summary, export_catalog
 from corpus_forge.errors import ParseError
-from corpus_forge.formats import AnnotationItem, parse_standoff_morpho
+from corpus_forge.formats import (
+    AnnotationItem,
+    parse_segmentation,
+    parse_standoff_morpho,
+)
 from corpus_forge.standoff import ReferenceUnit, SpanExpr
 from oracles import serialize_segmentation, serialize_standoff_morpho
 
@@ -62,6 +68,27 @@ def test_round_grows_linearly(tmp_path):
     assert ratio < 8, (
         f"{4 * N} tokens took {ratio:.1f}x as long as {N} "
         f"(median of {sorted(round(r, 1) for r in ratios)})")
+
+
+def test_a_parsed_item_keeps_few_bytes():
+    """A stand-off morphology item over a parsed segmentation keeps its
+    own item, span and span parts; its categories are the one mapping of
+    an equal set, and its span id is the segmentation's own string.
+    Copies of either cost about 330 bytes more an item."""
+    tokens = 10_000
+    segmentation, morphology = payloads(tokens)
+    units = parse_segmentation(segmentation)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        items = parse_standoff_morpho(morphology)
+        gc.collect()
+        per_item = (tracemalloc.get_traced_memory()[0] - before) / tokens
+    finally:
+        tracemalloc.stop()
+    assert len(items) == len(units) == tokens
+    assert per_item < 320, f"each parsed item keeps {per_item:.0f} bytes"
 
 
 def test_unclosed_tags_scan_linearly():
