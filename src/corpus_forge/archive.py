@@ -25,7 +25,10 @@ A state holds one :class:`Parsed` entry per level, empty when the state
 is loaded from its manifest.  The first read of a
 level's units or items parses that level's payloads, and those of the
 segmentations it anchors on, once for every snapshot that shares the
-entry.  The catalog reads no entry: each level's ``summary``, which
+entry.  An entry keeps columns (a segmentation's unit ids, forms and
+positions; one list per item field), which coverage, summaries and
+``validate`` read; ``level_units`` and ``level_items`` build their
+values on each call.  The catalog reads no entry: each level's ``summary``, which
 the manifest records, gives its counts and granularity (a level loaded
 without one gets it from its entry).  A corpus's catalog record, stamp
 and summary block are rendered on their first read, and kept on its
@@ -46,6 +49,7 @@ immutable, so reads and writers hand out the snapshot's own.
 
 from __future__ import annotations
 
+import collections
 import contextlib
 # Unused here; ``perfbench/tracer.py`` still patches ``archive.copy``.
 import copy  # noqa: F401
@@ -78,7 +82,7 @@ from .errors import (
 from .formats import (
     FORMATS,
     AnnotationItem,
-    iter_items,
+    Items,
     resolve_link_targets,
 )
 from .model import (
@@ -103,6 +107,7 @@ from .registry import (
 )
 from .standoff import (
     ReferenceUnit,
+    Segmentation,
     coverage_fingerprint,
     reconstruct_coverage,
 )
@@ -170,20 +175,25 @@ class DepositResult:
 
 @dataclass(slots=True)
 class Parsed:
-    """What the stored payloads that target one level parsed into.
+    """What the stored payloads that target one level parsed into, as
+    columns: its reference units (a segmentation's) and its items.
 
-    A level's entry is filled in place by its first read
+    Each payload's units and items are added once, after those of the
+    payloads before it, and a span keeps its unit ids, which resolve
+    against the anchor's positions when the level is read.
+    ``ReferenceUnit`` and ``AnnotationItem`` values are built only when a
+    caller reads them one by one (``level_units``, ``level_items``).  A
+    level's entry is filled in place by its first read
     (``CorpusState.parsed``) and only read from then on, but for its
     ``summary``, kept on first use (``CorpusState.parse_summary``).  A
     draft shares the entries of the levels it does not write; for a level
-    it writes it makes a new entry and replaces its fields, never
-    changing a list in them.
+    it writes it adds to a ``copy`` of the published entry.
     """
 
-    units: list[ReferenceUnit] = field(default_factory=list)
+    units: Segmentation = field(default_factory=Segmentation)
     # (segmentation payload, units held after it), in deposit order.
     ends: tuple[tuple[Resource, int], ...] = ()
-    items: list[AnnotationItem] = field(default_factory=list)
+    items: Items = field(default_factory=Items)
     # A stored payload that did not parse: no anchor, or one that no
     # longer aligns.  ``validate`` reports it.
     unparsed: Violation | None = None
@@ -193,6 +203,15 @@ class Parsed:
     filling: bool = False  # by the thread that holds the state's lock
     # What the filled entry holds, as a level summary; made on first use.
     summary: LevelSummary | None = None
+
+    def copy(self) -> Parsed:
+        """A filled copy of this filled entry, with no summary, that a
+        draft adds to."""
+        entry = Parsed(ends=self.ends, unparsed=self.unparsed,
+                       mismatched=self.mismatched, filled=True)
+        entry.units.extend(self.units)
+        entry.items.extend(self.items)
+        return entry
 
     def held(self, before: Resource | None = None) -> int:
         """How many units were deposited before ``before``; all for None.
@@ -212,13 +231,23 @@ _TURN_ELEMENTS = ("u", "turn")
 
 def _summary(level: Level, entry: Parsed) -> LevelSummary:
     """What ``entry``, one level's, holds, as its manifest records it."""
-    items = iter_items(entry.items)
+    items = entry.items.flat()
+    elements = items.column("element")
     if level.kind == KIND_SEGMENTATION and entry.units:
         granularity = SEGMENTATION_GRANULARITY
     else:
-        granularity = granularity_of(entry.items)
-    turns = [item for item in items if item.element in _TURN_ELEMENTS]
-    return LevelSummary(len(entry.units), len(items), len(turns), granularity)
+        # an item for each distinct (element, categories, links): equal
+        # categories of one payload are one mapping
+        kinds = zip(elements, items.column("categories"),
+                    items.column("links"))
+        granularity = granularity_of([
+            AnnotationItem(element=element, categories=categories,
+                           links=links)
+            for element, categories, links in {
+                (kind[0], id(kind[1]), kind[2]): kind
+                for kind in kinds}.values()])
+    return LevelSummary(len(entry.units), len(items),
+                        sum(map(elements.count, _TURN_ELEMENTS)), granularity)
 
 
 @dataclass(frozen=True)
@@ -624,9 +653,11 @@ class Snapshot:
                       key=lambda v: (v.level_kind, v.number))
 
     def level_units(self, level_id: str) -> list[ReferenceUnit]:
+        """The level's reference units, built on this read."""
         return list(self._level_state(level_id).parsed(level_id).units)
 
     def level_items(self, level_id: str) -> list[AnnotationItem]:
+        """The level's items, built on this read."""
         return list(self._level_state(level_id).parsed(level_id).items)
 
     def classify_level(self, level_id: str) -> str:
@@ -708,8 +739,8 @@ class Snapshot:
                     "pointer-level-without-dependency", level.id,
                     "contributes no coverage but depends on nothing"))
             if level.coverage == COVERAGE_NONE:
-                roots = entry.items
-                if roots and all(i.surface is not None for i in roots):
+                surfaces = entry.items.column("surface")
+                if surfaces and None not in surfaces:
                     out.append(Violation(
                         "surface-in-pointer-level", level.id,
                         "declared coverage 'none' but the payload carries "
@@ -1062,11 +1093,10 @@ class Archive:
                 sha256=hashlib.sha256(text.encode("utf-8")).hexdigest(),
                 size=len(text.encode("utf-8")),
                 declared_meta=manifest_mod.storable_meta(meta))
-            fresh_by_kind: dict[str, list[AnnotationItem]] = {}
+            fresh_by_kind: dict[str, list[Items]] = {}
             for level, earlier, value in parsed:
-                entry = state._entries[level.id] = dataclasses.replace(
-                    earlier, summary=None)
-                fresh_by_kind.setdefault(level.kind, []).extend(
+                entry = state._entries[level.id] = earlier.copy()
+                fresh_by_kind.setdefault(level.kind, []).append(
                     self._add_parsed(entry, level.id, resource, value))
 
             records = self._record_versions(
@@ -1097,7 +1127,10 @@ class Archive:
                   if codec.needs_units != "no" else None)
         if anchor is not None:
             entry = state.parsed(anchor)
-            value = codec.parse(text, entry.units[:entry.held(before)])
+            units, held = entry.units, entry.held(before)
+            if held < len(units):
+                units = Segmentation(units.ids[:held], units.forms[:held])
+            value = codec.parse(text, units)
         elif codec.needs_units == "required":
             raise NoPrimaryAnchorError(
                 f"format {format!r} aligns against reference units, but "
@@ -1110,32 +1143,28 @@ class Archive:
 
     @staticmethod
     def _add_parsed(entry: Parsed, level_id: str, resource: Resource,
-                    value: list) -> list:
-        """Add what ``resource``'s payload parsed into to one level's
-        entry; return the new items."""
+                    value: Items | Segmentation) -> Items:
+        """Add what ``resource``'s payload parsed into after what one
+        level's entry holds, in place, at the cost of what it adds;
+        return the new items.  A payload that fails adds nothing."""
         if not FORMATS[resource.format].yields_units:
-            entry.items = entry.items + value
+            entry.items.extend(value)
             return value
-        merged = entry.units
-        if merged:
-            existing_ids = {u.id for u in merged}
-            for unit in value:
-                if unit.id in existing_ids:
-                    raise StoreError(
-                        f"unit id {unit.id!r} already materialized on level "
-                        f"{level_id!r}")
-                existing_ids.add(unit.id)
-            value = [ReferenceUnit(id=u.id, form=u.form, index=len(merged) + i)
-                     for i, u in enumerate(value)]
-        # Else the codec numbered its units by position and refused a
-        # repeated id: they are stored as they are.
-        entry.units = merged + value
+        units = entry.units
+        if not units:
+            entry.units = value  # the codec refused a repeated id
+        elif not units.positions.keys().isdisjoint(value.ids):
+            repeated = next(i for i in value.ids if i in units.positions)
+            raise StoreError(f"unit id {repeated!r} already materialized on "
+                             f"level {level_id!r}")
+        else:
+            units.extend(value)
         entry.ends += ((resource, len(entry.units)),)
-        return []
+        return Items()
 
     def _record_versions(self, state: CorpusState, resource: Resource,
                          targets: list[Level],
-                         fresh_by_kind: dict[str, list[AnnotationItem]],
+                         fresh_by_kind: dict[str, list[Items]],
                          now: str) -> list[VersionRecord]:
         corpus = state.corpus
         records = []
@@ -1150,10 +1179,10 @@ class Archive:
             classification = classify_submission(
                 granularity, prior.granularity if prior else None,
                 validated=resource.validated)
-            groups: dict[str, int] = {}
-            for item in iter_items(fresh_by_kind.get(kind, [])):
-                if item.group is not None:
-                    groups[item.group] = groups.get(item.group, 0) + 1
+            groups = collections.Counter()
+            for items in fresh_by_kind.get(kind, []):
+                groups.update(items.flat().column("group"))
+            del groups[None]
             coverage = ""
             try:
                 coverage = coverage_fingerprint(

@@ -2,18 +2,21 @@
 
 The archive stores each payload as deposited and serves it back
 verbatim, so it reads these formats and never writes one.  Every
-deposit format parses into a common shape: a list of
-:class:`AnnotationItem` trees (or, for segmentations, a list of
-:class:`~corpus_forge.standoff.ReferenceUnit`).  Items carry at most one
+deposit format parses into one of two shapes of columns: :class:`Items`,
+a list per field of :class:`AnnotationItem` (a tree's nested items kept
+in its roots' ``children``), or for segmentations a
+:class:`~corpus_forge.standoff.Segmentation`.  Items carry at most one
 of two anchorings — a ``span`` pointing at reference units, or a
 ``surface`` duplicating the covered text — which is what downstream
-coverage reconstruction and version classification operate on.
+coverage reconstruction and version classification operate on.  Both
+shapes build their values only when they are read one by one.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
+from sys import intern
 from types import MappingProxyType
 from typing import Callable, Mapping
 
@@ -28,11 +31,13 @@ from .errors import (
 )
 from .model import KIND_MORPHOSYNTAX
 from .standoff import (
-    ReferenceUnit,
+    Columns,
+    Segmentation,
     SpanExpr,
     align_inline,
+    check_unit,
     iter_items,
-    slot_setters,
+    span_parts,
 )
 # Unused here; ``perfbench/tracer.py`` still patches it.
 from .standoff import span_for_indices  # noqa: F401
@@ -60,37 +65,79 @@ class AnnotationItem:
     mapping, so compare categories with ``==``, never ``is``.
     """
 
-    id: str | None
-    span: SpanExpr | None
-    surface: str | None
-    element: str | None
-    categories: Mapping[str, str]
-    links: tuple[Link, ...]
-    children: tuple["AnnotationItem", ...]
-    group: str | None
+    id: str | None = None
+    span: SpanExpr | None = None
+    surface: str | None = None
+    element: str | None = None
+    categories: Mapping[str, str] = field(default_factory=dict)
+    links: tuple[Link, ...] = ()
+    children: tuple["AnnotationItem", ...] = ()
+    group: str | None = None
 
     __hash__ = None  # a categories mapping keeps items unhashable by design
 
-    def __init__(self, id: str | None = None, span: SpanExpr | None = None,
-                 surface: str | None = None, element: str | None = None,
-                 categories: Mapping[str, str] = MappingProxyType({}),
-                 links: tuple[Link, ...] = (),
-                 children: tuple["AnnotationItem", ...] = (),
-                 group: str | None = None):
-        (set_id, set_span, set_surface, set_element, set_categories,
-         set_links, set_children, set_group) = _ITEM_SLOTS
-        set_id(self, id)
-        set_span(self, span)
-        set_surface(self, surface)
-        set_element(self, element)
-        set_categories(self, categories if type(categories) is MappingProxyType
-                       else MappingProxyType(categories))
-        set_links(self, links)
-        set_children(self, children)
-        set_group(self, group)
+    def __post_init__(self):
+        if type(self.categories) is not MappingProxyType:
+            object.__setattr__(self, "categories",
+                               MappingProxyType(self.categories))
 
 
-_ITEM_SLOTS = slot_setters(AnnotationItem)
+# Each field's value in an item that does not set it.
+_DEFAULTS = {f.name: getattr(AnnotationItem(), f.name)
+             for f in fields(AnnotationItem)}
+
+
+class Items(Columns):
+    """Annotation items as columns: ``columns`` maps a field of
+    :class:`AnnotationItem` to each item's value, and a field that no item
+    sets may have no column.  The ``span`` column holds each item's span
+    parts, whose interned ids resolve against the anchor when they are
+    read.  A nested item is kept in its parent's ``children``.  It keeps
+    the lists it is given."""
+
+    __slots__ = ("length", "columns")
+
+    def __init__(self, length: int = 0, **columns: list):
+        self.length = length
+        self.columns = columns
+
+    @classmethod
+    def of(cls, values) -> Items:
+        """The columns of ``values``, annotation items."""
+        values = list(values)
+        columns = {name: [getattr(item, name) for item in values]
+                   for name in _DEFAULTS}
+        columns["span"] = [span and span.parts for span in columns["span"]]
+        return cls(len(values), **columns)
+
+    def __len__(self) -> int:
+        return self.length
+
+    def _value(self, index: int) -> AnnotationItem:
+        values = {name: column[index]
+                  for name, column in self.columns.items()}
+        if values.get("span") is not None:
+            values["span"] = SpanExpr(values["span"])
+        return AnnotationItem(**values)
+
+    def column(self, name: str) -> list:
+        """Each item's value of the field ``name``; not to be changed."""
+        column = self.columns.get(name)
+        return [_DEFAULTS[name]] * self.length if column is None else column
+
+    def extend(self, other: Items) -> None:
+        """Add ``other``'s items after these."""
+        for name in self.columns.keys() | other.columns.keys():
+            self.columns.setdefault(name, self.column(name)).extend(
+                other.column(name))
+        self.length += other.length
+
+    def flat(self) -> Items:
+        """These items and every nested one, depth first; these items if
+        none nests."""
+        if not any(self.columns.get("children", ())):
+            return self
+        return Items.of(iter_items(self))
 
 
 class Categories(dict):
@@ -130,9 +177,9 @@ def _stray_text(chunk: str, where: str, text: str, tag) -> ParseError:
 # segmentation:  <word id="word_27">Madame</word>
 # --------------------------------------------------------------------------
 
-def parse_segmentation(text: str) -> list[ReferenceUnit]:
-    units: list[ReferenceUnit] = []
-    seen: set[str] = set()
+def parse_segmentation(text: str) -> Segmentation:
+    forms: list[str] = []
+    positions: dict[str, int] = {}  # its keys in order are the ids
     open_tag = None
     at = 0  # offset of the tag an error is about
     try:
@@ -159,11 +206,12 @@ def parse_segmentation(text: str) -> list[ReferenceUnit]:
                 unit_id = attrs.get("id")
                 if not unit_id:
                     raise ParseError("word element lacks id attribute")
-                if unit_id in seen:
+                if unit_id in positions:
                     raise ParseError(f"duplicate unit id {unit_id!r}")
-                seen.add(unit_id)
-                units.append(ReferenceUnit(unit_id, _markup.unescape(chunk),
-                                           len(units)))
+                form = _markup.unescape(chunk)
+                check_unit(unit_id, form)
+                positions[intern(unit_id)] = len(forms)
+                forms.append(intern(form))
                 open_tag = None
         if open_tag is not None:
             at = open_tag[3]
@@ -171,7 +219,7 @@ def parse_segmentation(text: str) -> list[ReferenceUnit]:
     except CorpusForgeError as err:
         err.name_line(line_at(text, at))
         raise
-    return units
+    return Segmentation(list(positions), forms, positions)
 
 
 # --------------------------------------------------------------------------
@@ -181,7 +229,7 @@ def parse_segmentation(text: str) -> list[ReferenceUnit]:
 TABULAR_COLUMNS = ("index", "form", "lemma", "tag_coarse", "tag_fine")
 
 
-def parse_tabular_morpho(text: str) -> list[AnnotationItem]:
+def parse_tabular_morpho(text: str) -> Items:
     items = []
     shared = Categories()
     for lineno, line in enumerate(text.splitlines(), 1):
@@ -199,15 +247,15 @@ def parse_tabular_morpho(text: str) -> list[AnnotationItem]:
         pairs = [(k, v) for k, v in zip(TABULAR_COLUMNS, values) if v]
         items.append(AnnotationItem(surface=values[1] or None,
                                     categories=shared.of(pairs)))
-    return items
+    return Items.of(items)
 
 
 # --------------------------------------------------------------------------
 # standoff-morpho:  <w span="word_27"  msd="SBC:_:s"  lemma="madame"/>
 # --------------------------------------------------------------------------
 
-def parse_standoff_morpho(text: str) -> list[AnnotationItem]:
-    items = []
+def parse_standoff_morpho(text: str) -> Items:
+    spans, categories = [], []
     shared = Categories()
     at = 0  # offset of the tag an error is about
     try:
@@ -221,7 +269,7 @@ def parse_standoff_morpho(text: str) -> list[AnnotationItem]:
                 raise ParseError(f"expected self-closing <w/>, got <{name}>")
             if "span" not in attrs:
                 raise MissingSpanError("<w/> lacks a span attribute")
-            span = SpanExpr.parse(attrs.pop("span"))
+            spans.append(span_parts(attrs.pop("span")))
             if "lemma" not in attrs:
                 raise ParseError("<w/> lacks a lemma attribute")
             key = ("msd", attrs.pop("msd", " ").strip(),
@@ -229,27 +277,26 @@ def parse_standoff_morpho(text: str) -> list[AnnotationItem]:
             if attrs:
                 for name in sorted(attrs):
                     key += (name, attrs[name])
-            items.append(AnnotationItem(span=span, element="w",
-                                        categories=shared[key]))
+            categories.append(shared[key])
     except CorpusForgeError as err:
         err.name_line(line_at(text, at))
         raise
-    return items
+    return Items(len(spans), span=spans, element=["w"] * len(spans),
+                 categories=categories)
 
 
 # --------------------------------------------------------------------------
 # inline-coref:  running text with <coref id=".." type=".." ref="..">…</coref>
 # --------------------------------------------------------------------------
 
-def parse_inline_coref(text: str,
-                       units: list[ReferenceUnit]) -> list[AnnotationItem]:
+def parse_inline_coref(text: str, units: Segmentation) -> Items:
     items = align_inline(text, units)
     ids: set[str] = set()
-    for item in items:
-        if item.id is not None:
-            if item.id in ids:
-                raise ParseError(f"duplicate markable id {item.id!r}")
-            ids.add(item.id)
+    for item_id in items.column("id"):
+        if item_id is not None:
+            if item_id in ids:
+                raise ParseError(f"duplicate markable id {item_id!r}")
+            ids.add(item_id)
     resolve_link_targets(items)
     return items
 
@@ -258,10 +305,7 @@ def parse_inline_coref(text: str,
 # inline-morpho:  <w lemma="être:3g">est</w>, one element per token run
 # --------------------------------------------------------------------------
 
-def parse_inline_morpho(
-    text: str,
-    units: list[ReferenceUnit] | None = None,
-) -> list[AnnotationItem]:
+def parse_inline_morpho(text: str, units: Segmentation | None = None) -> Items:
     """Word-wrapping inline morphology.
 
     With ``units`` the document is aligned and items carry spans; without,
@@ -269,10 +313,11 @@ def parse_inline_morpho(
     """
     if units is not None:
         items = align_inline(text, units)
-        for item in items:
-            if item.element != "w":
-                raise ParseError(f"unexpected element <{item.element}>")
-            if "lemma" not in item.categories:
+        for element, categories in zip(items.column("element"),
+                                       items.column("categories")):
+            if element != "w":
+                raise ParseError(f"unexpected element <{element}>")
+            if "lemma" not in categories:
                 raise ParseError("<w> lacks a lemma attribute")
         return items
     stripped, elements = _markup.strip_markup(text)
@@ -302,7 +347,7 @@ def parse_inline_morpho(
     if stripped[cursor:].strip():
         raise ParseError(
             f"stray text {stripped[cursor:].strip()!r} after last <w>")
-    return items
+    return Items.of(items)
 
 
 # --------------------------------------------------------------------------
@@ -325,7 +370,7 @@ def _parse_id_refs(value: str) -> tuple[str, ...]:
     return tuple(refs)
 
 
-def parse_referential_standoff(text: str) -> list[AnnotationItem]:
+def parse_referential_standoff(text: str) -> Items:
     """Referential annotation: markables in text, links by id, alternatives.
 
     Markables may be closed by ``</struct>`` (legacy closer) or by their
@@ -385,15 +430,15 @@ def parse_referential_standoff(text: str) -> list[AnnotationItem]:
     except CorpusForgeError as err:
         err.name_line(line_at(doc, at))
         raise
-    return items
+    return Items.of(items)
 
 
-def resolve_link_targets(items: list[AnnotationItem]) -> None:
+def resolve_link_targets(items: Items) -> None:
     """Check that every link target and source names a declared item id."""
-    flat = iter_items(items)
-    ids = {item.id for item in flat if item.id is not None}
-    for item in flat:
-        for link in item.links:
+    flat = items.flat()
+    ids = set(flat.column("id"))
+    for links in flat.column("links"):
+        for link in links:
             for target in link.targets:
                 if target not in ids:
                     raise UnknownTargetError(target)
@@ -409,7 +454,7 @@ STRUCTURAL_ELEMENTS = frozenset(
     {"div", "head", "p", "seg", "u", "turn", "rs", "name"})
 
 
-def parse_structural_inline(text: str) -> list[AnnotationItem]:
+def parse_structural_inline(text: str) -> Items:
     """Document structure as nested carrier items.
 
     Tracked elements become items whose surface is the covered text;
@@ -448,7 +493,7 @@ def parse_structural_inline(text: str) -> list[AnnotationItem]:
         stack.append((el, []))
     while stack:
         close_top()
-    return roots
+    return Items.of(roots)
 
 
 # --------------------------------------------------------------------------
@@ -458,7 +503,7 @@ def parse_structural_inline(text: str) -> list[AnnotationItem]:
 _CONSTITUENT_RE = re.compile(r"([^()]*)\((.*)\)\s*$")
 
 
-def parse_syntax_constituency(text: str) -> list[AnnotationItem]:
+def parse_syntax_constituency(text: str) -> Items:
     """Constituency trees in line format.
 
     Depth is the count of leading ``=``; a line's first tab column holds
@@ -511,22 +556,23 @@ def parse_syntax_constituency(text: str) -> list[AnnotationItem]:
             categories=data["categories"],
             children=tuple(freeze(k) for k in kids))
 
-    return [freeze(e) for e in entries]
+    return Items.of(freeze(e) for e in entries)
 
 
-def syntax_terminals(items: list[AnnotationItem]) -> list[AnnotationItem]:
+def syntax_terminals(items) -> Items:
     """Surface-carrying leaves of constituency trees, document order."""
-    return [AnnotationItem(surface=item.surface, categories=item.categories)
-            for item in iter_items(items)
-            if item.surface is not None]
+    return Items.of(
+        AnnotationItem(surface=item.surface, categories=item.categories)
+        for item in iter_items(items) if item.surface is not None)
 
 
 # --------------------------------------------------------------------------
 # standoff-items:  generic flat item dump, one self-closing tag per line
 # --------------------------------------------------------------------------
 
-def parse_standoff_items(text: str) -> list[AnnotationItem]:
-    items = []
+def parse_standoff_items(text: str) -> Items:
+    ids, spans, surfaces, elements, groups, categories, links = (
+        [] for _ in range(7))
     shared = Categories()
     at = 0  # offset of the tag an error is about
     try:
@@ -540,22 +586,22 @@ def parse_standoff_items(text: str) -> list[AnnotationItem]:
                 raise ParseError(
                     f"expected self-closing <item/>, got <{name}>")
             span = attrs.pop("span", None)
-            links = tuple(
+            spans.append(None if span is None else span_parts(span))
+            links.append(tuple(
                 Link(type=key[len("link-"):],
                      targets=tuple(attrs.pop(key).split()))
-                for key in [k for k in attrs if k.startswith("link-")])
-            items.append(AnnotationItem(
-                id=attrs.pop("id", None),
-                span=SpanExpr.parse(span) if span is not None else None,
-                surface=attrs.pop("surface", None),
-                element=attrs.pop("element", None),
-                group=attrs.pop("group", None),
-                categories=shared.of(sorted(attrs.items())),
-                links=links))
+                for key in [k for k in attrs if k.startswith("link-")]))
+            ids.append(attrs.pop("id", None))
+            surfaces.append(attrs.pop("surface", None))
+            elements.append(attrs.pop("element", None))
+            groups.append(attrs.pop("group", None))
+            categories.append(shared.of(sorted(attrs.items())))
     except CorpusForgeError as err:
         err.name_line(line_at(text, at))
         raise
-    return items
+    return Items(len(spans), id=ids, span=spans, surface=surfaces,
+                 element=elements, group=groups, categories=categories,
+                 links=links)
 
 
 # --------------------------------------------------------------------------
@@ -568,8 +614,8 @@ class Codec:
 
     ``needs_units`` says whether ``parse`` must be given the reference
     units of the anchoring segmentation.  ``yields_units`` marks a codec
-    that produces reference units instead of items; only segmentation
-    levels take those.  ``project`` maps a level kind to the projection
+    that yields a :class:`~corpus_forge.standoff.Segmentation`, which only
+    segmentation levels take; every other codec yields :class:`Items`.  ``project`` maps a level kind to the projection
     of the parsed items that a level of that kind keeps.
     """
 

@@ -34,7 +34,8 @@ def handle_request(archive, method: str, path: str,
                    ) -> tuple[int, list[tuple[str, str]], bytes]:
     """Map one request onto reads of one archive snapshot.
 
-    Returns (status, headers, body).  GET only:
+    Returns (status, headers, body).  GET only; any other method
+    gets 405 with ``Allow: GET``:
 
     - ``/corpora``                catalog summary (``?offset=N`` skips)
     - ``/corpora/{id}``           full record with all headers
@@ -44,7 +45,9 @@ def handle_request(archive, method: str, path: str,
     archive = archive.snapshot()
     query = query or {}
     if method.upper() != "GET":
-        return _text(405, "method not allowed: read-only service\n")
+        status, headers, body = _text(
+            405, "method not allowed: read-only service\n")
+        return status, headers + [("Allow", "GET")], body
     parts = [p for p in path.split("/") if p]
     try:
         if parts == ["corpora"]:
@@ -85,6 +88,16 @@ def make_server(archive, host: str = "127.0.0.1",
         raise ValueError(f"the server is IPv4-only: cannot bind {host!r}")
 
     class Handler(BaseHTTPRequestHandler):
+        """Answers every method through ``handle_request``; a HEAD answer
+        carries its headers and no content."""
+
+        def __getattr__(self, name: str):
+            # ``do_<METHOD>`` for any method, where the base class would
+            # answer one it has no ``do_`` for with 501
+            if name.startswith("do_"):
+                return self._respond
+            raise AttributeError(name)
+
         def _respond(self) -> None:
             split = urlsplit(self.path)
             query = {key: values[-1]
@@ -96,9 +109,10 @@ def make_server(archive, host: str = "127.0.0.1",
                 self.send_header(key, value)
             self.send_header("Content-Length", str(len(body)))
             self.end_headers()
-            self.wfile.write(body)
+            if self.command != "HEAD":
+                self.wfile.write(body)
 
-        do_GET = do_POST = do_PUT = do_DELETE = do_HEAD = _respond
+        do_GET = _respond
 
         def log_message(self, *args) -> None:
             pass

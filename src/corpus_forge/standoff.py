@@ -3,8 +3,9 @@
 A corpus is identified by its linguistic coverage: the flat sequence of
 minimal reference units.  Pointer-only annotation levels reconstruct that
 coverage by dereferencing span expressions against the reference units
-of their anchoring segmentation.  Everything in this module is a pure
-function over immutable inputs.
+of their anchoring segmentation, which a :class:`Segmentation` keeps as
+columns.  Every function in this module is pure: it changes none of its
+inputs.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from __future__ import annotations
 import hashlib
 import re
 import unicodedata
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from sys import intern
 
 from .errors import (
@@ -35,41 +36,79 @@ DETACH_CHARS = ".,;:!?()\"'«»"
 APOSTROPHES = "'’"
 
 
-def slot_setters(cls) -> tuple:
-    """The ``__set__`` of each field's slot of a frozen slotted dataclass,
-    in field order: a value type's own ``__init__`` stores its fields
-    through these at a fraction of the cost of the generated one's
-    ``object.__setattr__`` calls."""
-    return tuple(getattr(cls, f.name).__set__ for f in fields(cls))
+def check_unit(unit_id: str, form: str) -> None:
+    """Refuse an id or a form that a reference unit cannot hold."""
+    if not UNIT_ID_RE.fullmatch(unit_id):
+        raise SpanSyntaxError(f"invalid reference unit id {unit_id!r}")
+    if not form or form != form.strip():
+        raise SpanSyntaxError(
+            f"unit {unit_id}: form must be non-empty without "
+            f"surrounding whitespace, got {form!r}")
 
 
 @dataclass(frozen=True, slots=True)
 class ReferenceUnit:
     """Minimal segmentation token, the anchor target of stand-off pointers.
 
-    ``index`` is its position in its segmentation's list: ``units[index]``.
-    ``id`` and ``form`` are interned, so a form that recurs, and a unit id
-    that a level's spans repeat, are kept once.
+    ``index`` is its position in its segmentation: ``units[index]``.
     """
 
     id: str
     form: str
     index: int
 
-    def __init__(self, id: str, form: str, index: int):
-        if not UNIT_ID_RE.fullmatch(id):
-            raise SpanSyntaxError(f"invalid reference unit id {id!r}")
-        if not form or form != form.strip():
-            raise SpanSyntaxError(
-                f"unit {id}: form must be non-empty without "
-                f"surrounding whitespace, got {form!r}")
-        set_id, set_form, set_index = _UNIT_SLOTS
-        set_id(self, intern(id))
-        set_form(self, intern(form))
-        set_index(self, index)
+    def __post_init__(self):
+        check_unit(self.id, self.form)
 
 
-_UNIT_SLOTS = slot_setters(ReferenceUnit)
+class Columns:
+    """A parse result kept as columns, one list per field of the values
+    it holds.  Indexing or iterating builds the values on demand, and a
+    slice is a list of them; it equals a list of equal values."""
+
+    __slots__ = ()
+
+    def __iter__(self):
+        return map(self._value, range(len(self)))
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [self._value(i) for i in range(len(self))[index]]
+        return self._value(range(len(self))[index])
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, (list, Columns)):
+            return list(self) == list(other)
+        return NotImplemented
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({list(self)!r})"
+
+
+class Segmentation(Columns):
+    """Reference units as columns: ``ids`` and ``forms`` by position, and
+    ``positions``, each id's position.  It keeps the lists it is given."""
+
+    __slots__ = ("ids", "forms", "positions")
+
+    def __init__(self, ids: list[str] | None = None,
+                 forms: list[str] | None = None,
+                 positions: dict[str, int] | None = None):
+        self.ids, self.forms = ids or [], forms or []
+        self.positions = positions or dict(zip(self.ids, range(len(self))))
+
+    def __len__(self) -> int:
+        return len(self.ids)
+
+    def _value(self, index: int) -> ReferenceUnit:
+        return ReferenceUnit(self.ids[index], self.forms[index], index)
+
+    def extend(self, other: Segmentation) -> None:
+        """Add ``other``'s units after these; their ids must be new."""
+        self.positions.update(zip(other.ids, range(len(self), len(self)
+                                                   + len(other))))
+        self.ids += other.ids
+        self.forms += other.forms
 
 
 # Lowercase contracted forms and their expansions.  "des" is deliberately
@@ -143,20 +182,46 @@ def tokenize_with_offsets(text: str) -> list[tuple[str, int, int]]:
     return tokens
 
 
-def segment_text(text: str) -> list[ReferenceUnit]:
+def segment_text(text: str) -> Segmentation:
     """Segment raw text into reference units with ids ``word_1..word_k``.
 
     Splits on whitespace, detaches punctuation, then expands contracted
     determiners through ``_CONTRACTIONS``.  Total: any input yields a
-    (possibly empty) unit list.
+    (possibly empty) segmentation.
     """
-    return [
-        ReferenceUnit(id=f"word_{i + 1}", form=form, index=i)
-        for i, (form, _, _) in enumerate(tokenize_with_offsets(text))
-    ]
+    forms = [form for form, _, _ in tokenize_with_offsets(text)]
+    return Segmentation([f"word_{i}" for i in range(1, len(forms) + 1)],
+                        forms)
 
 
 _RANGE_SEP = ".."
+
+
+def _check_parts(parts) -> None:
+    if not parts:
+        raise SpanSyntaxError("span expression has no parts")
+    for start, end in parts:
+        for unit_id in (start,) if end is None else (start, end):
+            if not UNIT_ID_RE.fullmatch(unit_id):
+                raise SpanSyntaxError(f"invalid unit id {unit_id!r} in span")
+
+
+def span_parts(text: str) -> tuple[tuple[str, str | None], ...]:
+    """The checked parts of a span expression's text, their ids interned.
+
+    Parts are separated by commas and whitespace.  A lone id, the form
+    every generated stand-off span takes, is checked by its one match.
+    """
+    if UNIT_ID_RE.fullmatch(text):
+        return ((intern(text), None),)
+    parts = []
+    for chunk in text.replace(",", " ").split():
+        start, sep, end = chunk.partition(_RANGE_SEP)
+        if _RANGE_SEP in end:
+            raise SpanSyntaxError(f"malformed range {chunk!r}")
+        parts.append((intern(start), intern(end) if sep else None))
+    _check_parts(parts)
+    return tuple(parts)
 
 
 @dataclass(frozen=True, slots=True)
@@ -170,34 +235,13 @@ class SpanExpr:
 
     parts: tuple[tuple[str, str | None], ...]
 
-    def __init__(self, parts: tuple[tuple[str, str | None], ...]):
-        if not parts:
-            raise SpanSyntaxError("span expression has no parts")
-        for start, end in parts:
-            for unit_id in (start,) if end is None else (start, end):
-                if not UNIT_ID_RE.fullmatch(unit_id):
-                    raise SpanSyntaxError(f"invalid unit id {unit_id!r} in span")
-        (set_parts,) = _SPAN_SLOTS
-        set_parts(self, parts)
+    def __post_init__(self):
+        _check_parts(self.parts)
 
     @classmethod
-    def parse(cls, text: str) -> "SpanExpr":
-        """Read parts separated by commas and whitespace; ``__init__``
-        checks each id.  A lone id, the form every generated stand-off
-        span takes, is checked by its one match and kept as the interned
-        id of its unit."""
-        if UNIT_ID_RE.fullmatch(text):
-            return _checked_span(((intern(text), None),))
-        parts = []
-        for chunk in text.replace(",", " ").split():
-            if _RANGE_SEP in chunk:
-                start, _, end = chunk.partition(_RANGE_SEP)
-                if _RANGE_SEP in end:
-                    raise SpanSyntaxError(f"malformed range {chunk!r}")
-                parts.append((start, end))
-            else:
-                parts.append((chunk, None))
-        return cls(tuple(parts))
+    def parse(cls, text: str) -> SpanExpr:
+        """The span a text reads as, by :func:`span_parts`."""
+        return cls(span_parts(text))
 
     def __str__(self) -> str:
         return " ".join(
@@ -205,41 +249,30 @@ class SpanExpr:
             for start, end in self.parts)
 
 
-_SPAN_SLOTS = slot_setters(SpanExpr)
-
-
-def _checked_span(parts: tuple[tuple[str, str | None], ...]) -> SpanExpr:
-    """A span over non-empty parts whose every id is already checked."""
-    (set_parts,) = _SPAN_SLOTS
-    span = object.__new__(SpanExpr)
-    set_parts(span, parts)
-    return span
-
-
-def resolve_span(parts, units: list[ReferenceUnit]) -> list[ReferenceUnit]:
+def resolve_span(parts, units: Segmentation) -> list[int]:
     """Dereference the ``parts`` of checked span expressions against one
     segmentation's units.
 
-    Returns the referenced units in document order, without duplicates.
-    Ranges expand inclusively by document position.
+    Returns the positions of the referenced units in document order,
+    without duplicates.  Ranges expand inclusively by document position.
     """
-    by_id = {u.id: u for u in units}
+    positions = units.positions
     picked: set[int] = set()
     for start, end in parts:
-        if start not in by_id:
+        first = positions.get(start)
+        if first is None:
             raise DanglingPointerError(start)
-        first = by_id[start]
         if end is None:
-            picked.add(first.index)
+            picked.add(first)
             continue
-        if end not in by_id:
+        last = positions.get(end)
+        if last is None:
             raise DanglingPointerError(end)
-        last = by_id[end]
-        if first.index > last.index:
+        if first > last:
             raise ReversedRangeError(
                 f"range {start}..{end} runs against document order")
-        picked.update(range(first.index, last.index + 1))
-    return [units[i] for i in sorted(picked)]
+        picked.update(range(first, last + 1))
+    return sorted(picked)
 
 
 def coverage_fingerprint(tokens: list[str]) -> str:
@@ -252,7 +285,7 @@ def coverage_fingerprint(tokens: list[str]) -> str:
     return hashlib.sha256(joined.encode("utf-8")).hexdigest()
 
 
-def span_for_indices(units: list[ReferenceUnit], indices: list[int]) -> SpanExpr:
+def span_for_indices(units: Segmentation, indices: list[int]) -> SpanExpr:
     """Build the most compact span expression covering the given unit indices."""
     if not indices:
         raise SpanSyntaxError("cannot build a span over zero units")
@@ -266,16 +299,12 @@ def span_for_indices(units: list[ReferenceUnit], indices: list[int]) -> SpanExpr
         runs.append((run_start, prev))
         run_start = prev = i
     runs.append((run_start, prev))
-    parts = []
-    for a, b in runs:
-        if a == b:
-            parts.append((units[a].id, None))
-        else:
-            parts.append((units[a].id, units[b].id))
-    return _checked_span(tuple(parts))
+    ids = units.ids
+    return SpanExpr(tuple((ids[a], None if a == b else ids[b])
+                          for a, b in runs))
 
 
-def align_inline(inline_doc: str, units: list[ReferenceUnit]):
+def align_inline(inline_doc: str, units: Segmentation):
     """Re-synchronize inline markup with the reference units.
 
     The markup-stripped character stream of ``inline_doc`` must equal the
@@ -285,15 +314,15 @@ def align_inline(inline_doc: str, units: list[ReferenceUnit]):
     strictly inside a unit raises :class:`MisalignmentError` naming the
     element and the offending offset in the stripped text.
     """
-    from .formats import AnnotationItem, Categories, Link  # no import cycle
+    # imported here, as formats imports this module
+    from .formats import AnnotationItem, Categories, Items, Link
 
     stripped, elements = _markup.strip_markup(inline_doc)
     tokens = tokenize_with_offsets(stripped)
-    if len(tokens) != len(units) or any(
-            t[0] != u.form for t, u in zip(tokens, units)):
-        position = next(
-            (i for i, (t, u) in enumerate(zip(tokens, units)) if t[0] != u.form),
-            min(len(tokens), len(units)))
+    forms = [t[0] for t in tokens]
+    if forms != units.forms:
+        position = next((i for i, (a, b) in enumerate(zip(forms, units.forms))
+                         if a != b), min(len(forms), len(units)))
         raise TextMismatchError(
             f"document text diverges from segmentation at token {position}",
             position=position)
@@ -334,7 +363,7 @@ def align_inline(inline_doc: str, units: list[ReferenceUnit]):
             categories=shared.of(attrs.items()),
             links=tuple(links),
         ))
-    return items
+    return Items.of(items)
 
 
 def iter_items(items) -> list:
@@ -353,58 +382,65 @@ def iter_items(items) -> list:
     return out
 
 
-def _accounted_for(item) -> bool:
-    """Does the item's subtree carry all the content it claims?
+def _accounted_for(surface, span, children) -> bool:
+    """Does an item's subtree carry all the content it claims?
 
     A surfaced node accounts for its whole subtree; a bare internal node
     delegates to its children; a leaf with neither surface nor span is
     purely relational and covers nothing by design.
     """
-    if item.surface is not None:
+    if surface is not None:
         return True
-    if item.children:
-        return all(_accounted_for(child) for child in item.children)
-    return item.span is None
+    if children:
+        return all(_accounted_for(c.surface, c.span, c.children)
+                   for c in children)
+    return span is None
 
 
-def _carried_surfaces(items) -> list[str]:
-    """Surfaces of the shallowest surfaced nodes, in document order."""
+def _carried_surfaces(nodes) -> list[str]:
+    """Surfaces of the shallowest surfaced nodes, in document order, of
+    ``nodes``, each item's (surface, children)."""
     out: list[str] = []
-    for item in items:
-        if item.surface is not None:
-            out.append(item.surface)
-        elif item.children:
-            out.extend(_carried_surfaces(item.children))
+    for surface, children in nodes:
+        if surface is not None:
+            out.append(surface)
+        elif children:
+            out.extend(_carried_surfaces(
+                (c.surface, c.children) for c in children))
     return out
 
 
-def reconstruct_coverage(kind: str, units: list[ReferenceUnit], items,
-                         anchor_units: list[ReferenceUnit] | None) -> list[str]:
+def reconstruct_coverage(kind: str, units: Segmentation, items,
+                         anchor_units: Segmentation | None) -> list[str]:
     """Rebuild the surface token stream a description level accounts for.
 
-    ``units`` and ``items`` are the level's own; ``anchor_units`` are the
-    reference units of its anchoring segmentation, or None when it has
-    none.  A segmentation returns its own unit forms.  A form-carrying
-    level returns its own tokens: the content of its shallowest surfaced
-    nodes, whether those sit at the top (paragraph trees) or at the
-    leaves (constituency terminals).  A pointer level covers exactly the
-    anchor units its spans reference, in document order.
+    ``units`` and ``items`` (a :class:`~corpus_forge.formats.Items`) are
+    the level's own; ``anchor_units`` are the reference units of its
+    anchoring segmentation, or None when it has none.  A segmentation
+    returns its own unit forms.  A form-carrying level returns its own
+    tokens: the content of its shallowest surfaced nodes, whether those
+    sit at the top (paragraph trees) or at the leaves (constituency
+    terminals).  A pointer level covers exactly the anchor units its spans
+    reference, in document order.  It reads the items' columns and builds
+    no item.
     """
     if kind == "segmentation":
-        return [u.form for u in units]
+        return list(units.forms)
     if not items:
         return []
-    if all(_accounted_for(item) for item in items):
-        carried = _carried_surfaces(items)
+    surfaces, children = items.column("surface"), items.column("children")
+    if all(map(_accounted_for, surfaces, items.column("span"), children)):
+        carried = _carried_surfaces(zip(surfaces, children))
         if not carried:
             return []  # purely relational level
         # carrier level: re-segmenting its own surfaces is a fixed point
-        return [u.form for u in segment_text(" ".join(carried))]
+        return segment_text(" ".join(carried)).forms
     if anchor_units is None:
         raise NoPrimaryAnchorError()
 
     # one resolution over every item's parts: document order, no repeats;
-    # each span checked its ids when it was built
-    parts = [part for item in iter_items(items) if item.span is not None
-             for part in item.span.parts]
-    return [u.form for u in resolve_span(parts, anchor_units)]
+    # each span checked its ids when it was parsed
+    parts = [part for span in items.flat().column("span")
+             if span is not None for part in span]
+    forms = anchor_units.forms
+    return [forms[i] for i in resolve_span(parts, anchor_units)]

@@ -640,6 +640,30 @@ class TestSplitSegmentation:
         assert archive.coverage(morpho.id) == [
             "Nouveau", ",", "dit", "modern"]
 
+    def test_a_span_resolves_on_the_anchor_as_it_stands_when_read(
+            self, archive):
+        """A span names unit ids, which resolve when the level is read:
+        one that dangles at its deposit resolves once a later deposit
+        into its anchor adds the unit, in process and after a reload."""
+        archive.register_corpus("T", corpus_id="t")
+        seg = archive.add_level("t", "segmentation", "full")
+        archive.deposit("t", ONE_WORD, "segmentation", levels=[seg.id])
+        result = archive.deposit(
+            "t", '<w span="word_1..word_2" lemma="madame"/>',
+            "standoff-morpho",
+            new_levels=[LevelSpec("morphosyntax", "none", (seg.id,))])
+        (morpho,) = result.levels
+        assert result.records[0].coverage == ""
+        assert [(v.code, v.subject) for v in archive.validate("t")] == [
+            ("dangling-pointer", morpho)]
+        archive.deposit("t", '<word id="word_2">Vauquer</word>',
+                        "segmentation", levels=[seg.id])
+        for store in (archive, Archive(archive.root),
+                      Archive(archive.root, defer_parse=True)):
+            assert store.coverage(morpho) == ["Madame", "Vauquer"]
+            assert "dangling-pointer" not in {
+                v.code for v in store.validate("t")}
+
     def test_fingerprint_set_only_once(self, archive):
         seg = self.setup_split(archive)
         corpus = archive.corpus("artnouveau")

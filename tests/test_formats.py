@@ -23,6 +23,7 @@ from corpus_forge.errors import (
 from corpus_forge.formats import (
     FORMATS,
     AnnotationItem,
+    Items,
     Link,
     iter_items,
     parse_inline_coref,
@@ -450,11 +451,12 @@ class TestReferentialStandoffCodec:
             resolve_link_targets(items)
 
     def test_split_level_resolves_across_parts(self):
-        markables = parse_referential_standoff(
-            '<referentialMarkable id="m_9">elle</struct> dort.')
-        links = parse_referential_standoff(
-            '<referentialLink referentialTarget="id(m_9)"/>')
-        resolve_link_targets(markables + links)
+        level = Items()
+        level.extend(parse_referential_standoff(
+            '<referentialMarkable id="m_9">elle</struct> dort.'))
+        level.extend(parse_referential_standoff(
+            '<referentialLink referentialTarget="id(m_9)"/>'))
+        resolve_link_targets(level)
 
     def test_malformed_id_reference_rejected(self):
         with pytest.raises(ParseError):

@@ -91,6 +91,47 @@ def test_a_parsed_item_keeps_few_bytes():
     assert per_item < 320, f"each parsed item keeps {per_item:.0f} bytes"
 
 
+# A level filled from many payloads holds each unit once, so its fill
+# takes about as long as from a few payloads of the same total size: it
+# reads and parses each payload once, where a fill that merged each
+# payload into a copy of the units before it took 1.8x as long from 100
+# payloads as from 4.  Each payload adds a file read, a digest and a
+# parse call; the bound of 1.2 leaves room for those and for noise.
+
+FILL_UNITS = 20_000
+
+
+def filled_level(root, payloads: int) -> str:
+    """A segmentation level of FILL_UNITS units from ``payloads``
+    deposits; returns its id."""
+    archive = Archive(root)
+    archive.register_corpus("Fill", corpus_id="fill")
+    seg = archive.add_level("fill", "segmentation", "full")
+    size = FILL_UNITS // payloads
+    for first in range(1, FILL_UNITS + 1, size):
+        archive.deposit("fill", "\n".join(
+            f'<word id="word_{i}">{WORDS[i % len(WORDS)]}</word>'
+            for i in range(first, first + size)), "segmentation",
+            levels=[seg.id])
+    return seg.id
+
+
+def test_a_fill_costs_what_it_adds(tmp_path):
+    levels = {n: filled_level(tmp_path / str(n), n) for n in (4, 100)}
+
+    def seconds(n, round_):
+        archive = Archive(tmp_path / str(n), defer_parse=True)
+        archive.level(levels[n])  # loads the manifest, untimed
+        start = time.perf_counter()
+        assert len(archive.coverage(levels[n])) == FILL_UNITS
+        return time.perf_counter() - start
+    ratios = median_ratio(seconds, 4, 100, rounds=7)
+    ratio = statistics.median(ratios)
+    assert ratio <= 1.2, (
+        f"a fill from 100 payloads took {ratio:.2f}x as long as from 4 "
+        f"(median of {sorted(round(r, 2) for r in ratios)})")
+
+
 def test_unclosed_tags_scan_linearly():
     """A document of many tags that never close is refused in time linear
     in its length, not scanned to its end from each ``<``."""

@@ -4,6 +4,7 @@ import dataclasses
 import hashlib
 import pathlib
 import re
+import socket
 import threading
 import urllib.error
 import urllib.request
@@ -113,9 +114,10 @@ class TestHandler:
 
     def test_writes_are_405(self, archive):
         for method in ("POST", "PUT", "DELETE", "PATCH"):
-            status, _, body = handle_request(archive, method,
-                                             "/corpora")
+            status, headers, body = handle_request(archive, method,
+                                                   "/corpora")
             assert status == 405
+            assert ("Allow", "GET") in headers
             assert "read-only" in body.decode("utf-8")
 
     def test_handler_never_mutates(self, archive):
@@ -264,3 +266,25 @@ class TestLiveServer:
             urllib.request.urlopen(request)
         exc.value.close()
         assert exc.value.code == 405
+
+    @pytest.mark.parametrize("method", [
+        "POST", "PUT", "DELETE", "PATCH", "OPTIONS", "TRACE", "HEAD"])
+    def test_every_method_but_get_is_405_over_the_wire(self, base_url,
+                                                        method):
+        """Raw bytes, so a HEAD answer that carried content would show."""
+        host, port = base_url.removeprefix("http://").split(":")
+        with socket.create_connection((host, int(port)), timeout=5) as sock:
+            sock.sendall(f"{method} /corpora HTTP/1.1\r\nHost: {host}\r\n"
+                         "Connection: close\r\n\r\n".encode("ascii"))
+            reply = b""
+            while chunk := sock.recv(65536):
+                reply += chunk
+        head, _, content = reply.partition(b"\r\n\r\n")
+        status_line, *header_lines = head.decode("latin-1").split("\r\n")
+        headers = dict(line.split(": ", 1) for line in header_lines)
+        assert status_line.split(" ")[1] == "405"
+        assert headers["Allow"] == "GET"
+        assert headers["Content-Type"] == "text/plain; charset=utf-8"
+        body = b"method not allowed: read-only service\n"
+        assert headers["Content-Length"] == str(len(body))
+        assert content == (b"" if method == "HEAD" else body)

@@ -14,6 +14,7 @@ from corpus_forge.errors import (
     SpanSyntaxError,
     TextMismatchError,
 )
+from corpus_forge.formats import AnnotationItem, Items
 from corpus_forge.standoff import (
     ReferenceUnit,
     SpanExpr,
@@ -184,20 +185,26 @@ class TestSpanExpr:
 class TestResolveSpan:
     units = segment_text("Madame Vauquer, née De Conflans,")
 
+    def resolve(self, text):
+        """The units a span's parts resolve to, by the positions
+        ``resolve_span`` returns."""
+        return [self.units[i] for i in resolve_span(
+            SpanExpr.parse(text).parts, self.units)]
+
     def test_single(self):
-        got = resolve_span(SpanExpr.parse("word_2").parts, self.units)
+        got = self.resolve("word_2")
         assert [u.form for u in got] == ["Vauquer"]
 
     def test_range_is_inclusive(self):
-        got = resolve_span(SpanExpr.parse("word_1..word_2").parts, self.units)
+        got = self.resolve("word_1..word_2")
         assert [u.form for u in got] == ["Madame", "Vauquer"]
 
     def test_overlapping_parts_deduplicate(self):
-        got = resolve_span(SpanExpr.parse("word_2..word_4 word_3").parts, self.units)
+        got = self.resolve("word_2..word_4 word_3")
         assert [u.id for u in got] == ["word_2", "word_3", "word_4"]
 
     def test_result_in_document_order(self):
-        got = resolve_span(SpanExpr.parse("word_5 word_1").parts, self.units)
+        got = self.resolve("word_5 word_1")
         assert [u.id for u in got] == ["word_1", "word_5"]
 
     def test_reversed_range_raises(self):
@@ -214,7 +221,7 @@ class TestResolveSpan:
     def test_span_for_indices_round_trips(self, indices):
         expr = span_for_indices(self.units, indices)
         got = resolve_span(expr.parts, self.units)
-        assert [u.index for u in got] == sorted(set(indices))
+        assert got == sorted(set(indices))
 
     def test_span_for_indices_prefers_ranges(self):
         assert str(span_for_indices(self.units, [0, 1, 2, 5])) == \
@@ -307,11 +314,8 @@ class TestAlignInline:
         assert spans == ["word_1..word_7", "word_1..word_2", "word_5..word_6"]
 
 
-class _FakeItem:
-    def __init__(self, span=None, surface=None, children=()):
-        self.span = span
-        self.surface = surface
-        self.children = tuple(children)
+def _items(*values):
+    return Items.of(values)
 
 
 SEG_UNITS = segment_text("Madame Vauquer, née De Conflans,")
@@ -323,26 +327,27 @@ class TestReconstructCoverage:
             "Madame", "Vauquer", ",", "née", "De", "Conflans", ","]
 
     def test_pointer_level_dereferences_to_anchor(self):
-        items = [_FakeItem(span=SpanExpr.parse("word_2")),
-                 _FakeItem(span=SpanExpr.parse("word_4..word_5"))]
+        items = _items(AnnotationItem(span=SpanExpr.parse("word_2")),
+                       AnnotationItem(span=SpanExpr.parse("word_4..word_5")))
         assert reconstruct_coverage(
             "morphosyntax", [], items, SEG_UNITS) == ["Vauquer", "née", "De"]
 
     def test_duplicated_references_count_once(self):
-        items = [_FakeItem(span=SpanExpr.parse("word_1..word_2")),
-                 _FakeItem(span=SpanExpr.parse("word_2"))]
+        items = _items(AnnotationItem(span=SpanExpr.parse("word_1..word_2")),
+                       AnnotationItem(span=SpanExpr.parse("word_2")))
         assert reconstruct_coverage(
             "reference", [], items, SEG_UNITS) == ["Madame", "Vauquer"]
 
     def test_transitive_chain_through_pointer_level(self):
         # a syntax level over morphology resolves nested spans against
         # the segmentation both depend on
-        items = [_FakeItem(children=[_FakeItem(span=SpanExpr.parse("word_3"))])]
+        items = _items(AnnotationItem(children=(
+            AnnotationItem(span=SpanExpr.parse("word_3")),)))
         assert reconstruct_coverage("syntax", [], items, SEG_UNITS) == [","]
 
     def test_carrier_level_resegments_own_surfaces(self):
-        items = [_FakeItem(surface="Madame Vauquer,"),
-                 _FakeItem(surface="née De Conflans,")]
+        items = _items(AnnotationItem(surface="Madame Vauquer,"),
+                       AnnotationItem(surface="née De Conflans,"))
         assert reconstruct_coverage("structure", [], items, None) == [
             "Madame", "Vauquer", ",", "née", "De", "Conflans", ","]
 
@@ -350,11 +355,11 @@ class TestReconstructCoverage:
         assert reconstruct_coverage("reference", [], [], SEG_UNITS) == []
 
     def test_dangling_pointer_is_reported(self):
-        items = [_FakeItem(span=SpanExpr.parse("word_99"))]
+        items = _items(AnnotationItem(span=SpanExpr.parse("word_99")))
         with pytest.raises(DanglingPointerError):
             reconstruct_coverage("morphosyntax", [], items, SEG_UNITS)
 
     def test_chain_without_form_carrier_is_rejected(self):
-        items = [_FakeItem(span=SpanExpr.parse("word_1"))]
+        items = _items(AnnotationItem(span=SpanExpr.parse("word_1")))
         with pytest.raises(NoPrimaryAnchorError):
             reconstruct_coverage("reference", [], items, None)
