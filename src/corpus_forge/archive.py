@@ -491,12 +491,6 @@ class Snapshot:
         # Whether ``_corpora`` holds every corpus: every listed name has
         # been looked up.
         self._complete = False
-        # "levels" or "resources" -> entity id -> the id of the corpus that
-        # holds it, as ``_holder`` found it, so that a repeated read by id
-        # takes two lookups.  Each snapshot has its own, and an entry names
-        # a corpus, so it finds this snapshot's state of that corpus.
-        self._owners: dict[str, dict[str, str]] = {
-            "levels": {}, "resources": {}}
         # Corpora whose state this draft has copied, and may still change;
         # emptied when the draft is published.
         self._written: set[str] = set()
@@ -583,18 +577,10 @@ class Snapshot:
         """The state that holds a level or resource, or None: its
         ``_candidate``; else, loading every manifest, the first corpus by
         id that holds it.  Two corpora that hold one id are reported by
-        ``validate``.  The owner found is kept in ``_owners``."""
-        owners = self._owners[kind]
-        if entity_id in owners:
-            return self._corpora[owners[entity_id]]
-        state = self._candidate(kind, entity_id)
-        if state is None:
-            state = next((state for state in map(self._corpora.get,
-                                                 self._ids())
-                          if entity_id in getattr(state, kind)), None)
-        if state is not None:
-            owners[entity_id] = state.corpus.id
-        return state
+        ``validate``."""
+        return self._candidate(kind, entity_id) or next(
+            (state for state in map(self._corpora.get, self._ids())
+             if entity_id in getattr(state, kind)), None)
 
     def _level_state(self, level_id: str) -> CorpusState:
         state = self._holder("levels", level_id)
@@ -908,7 +894,8 @@ class Archive:
                 corpus_id = f"{base}-{n}"
         corpus = Corpus(
             id=corpus_id, title=title, language=language,
-            declared_meta=manifest_mod.storable_meta(meta),
+            declared_meta=manifest_mod.storable_meta(
+                meta, reserved=("title", "language")),
             created_at=_iso(self._clock()))
         draft._corpora[corpus_id] = CorpusState(corpus, draft.root)
         draft._written.add(corpus_id)
@@ -1052,6 +1039,7 @@ class Archive:
             text = _utf8(payload) if isinstance(payload, bytes) else payload
             manifest_mod.storable_text({"payload": text, "depositor": depositor,
                                         "validator": validator})
+            meta = manifest_mod.storable_meta(meta, reserved=("depositor",))
 
             targets: list[Level] = []
             for level_id in levels:
@@ -1092,7 +1080,7 @@ class Archive:
                 validator=validator,
                 sha256=hashlib.sha256(text.encode("utf-8")).hexdigest(),
                 size=len(text.encode("utf-8")),
-                declared_meta=manifest_mod.storable_meta(meta))
+                declared_meta=meta)
             fresh_by_kind: dict[str, list[Items]] = {}
             for level, earlier, value in parsed:
                 entry = state._entries[level.id] = earlier.copy()

@@ -10,6 +10,7 @@ usage errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -216,10 +217,12 @@ def _cmd_catalog(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """Built once per process, so ``main`` reads $CORPUS_FORGE_ROOT."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument(
-        "--root", default=os.environ.get("CORPUS_FORGE_ROOT"),
+        "--root",
         help="archive root directory (default: $CORPUS_FORGE_ROOT)")
     common.add_argument(
         "--machine", action="store_true",
@@ -297,6 +300,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.root is None:
+        args.root = os.environ.get("CORPUS_FORGE_ROOT")
     if not args.root:
         parser.error("no archive root: pass --root or set CORPUS_FORGE_ROOT")
     try:

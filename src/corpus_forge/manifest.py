@@ -57,13 +57,19 @@ def storable_text(fields: dict[str, str | None]) -> None:
                              f"{err.start}, which UTF-8 cannot encode") from None
 
 
-def storable_meta(meta) -> Mapping[str, str]:
+def storable_meta(meta, reserved=()) -> Mapping[str, str]:
     """``meta`` as a new read-only mapping, refusing a key no ``meta-``
-    line can hold."""
+    line can hold and a key a header would not show: one of ``reserved``,
+    which the entity's own field fills, or a key beside its ``x-`` form,
+    as a header shows a key outside its tier's schema under that form."""
     meta = dict(meta or {})
     for key, value in meta.items():
         if "\n" in key or "\r" in key or ": " in key:
             raise StoreError(f"meta key {key!r} holds a line break or ': '")
+        if key in reserved:
+            raise StoreError(f"meta key {key!r} is the entity's own field")
+        if not key.startswith("x-") and f"x-{key}" in meta:
+            raise StoreError(f"meta key {key!r} is given with 'x-{key}'")
         storable_text({"meta key": key, f"meta {key!r}": value})
     return MappingProxyType(meta)
 

@@ -48,6 +48,8 @@ class Registry:
                         f"alias {alias!r} claimed by both "
                         f"{self._aliases[alias]!r} and {cat.id!r}")
                 self._aliases[alias] = cat.id
+        # Each category's broader chain, walked once.
+        self._ancestors: dict[str, frozenset[str]] = {}
         for cat in categories:
             seen = {cat.id}
             cursor = cat.broader
@@ -57,6 +59,7 @@ class Registry:
                         f"broader chain of {cat.id!r} forms a cycle")
                 seen.add(cursor)
                 cursor = self._categories[cursor].broader
+            self._ancestors[cat.id] = frozenset(seen - {cat.id})
 
     @classmethod
     def from_text(cls, text: str) -> "Registry":
@@ -102,12 +105,8 @@ class Registry:
         return self._aliases.get(term)
 
     def ancestors(self, category_id: str) -> frozenset[str]:
-        out = set()
-        cursor = self.category(category_id).broader
-        while cursor is not None:
-            out.add(cursor)
-            cursor = self._categories[cursor].broader
-        return frozenset(out)
+        self.category(category_id)  # raises for an unknown id
+        return self._ancestors[category_id]
 
     def closure(self, categories: frozenset[str]) -> frozenset[str]:
         """Upward closure: the categories plus all their broader ancestors.

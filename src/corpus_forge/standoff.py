@@ -285,8 +285,10 @@ def coverage_fingerprint(tokens: list[str]) -> str:
     return hashlib.sha256(joined.encode("utf-8")).hexdigest()
 
 
-def span_for_indices(units: Segmentation, indices: list[int]) -> SpanExpr:
-    """Build the most compact span expression covering the given unit indices."""
+def span_for_indices(units: Segmentation, indices: list[int]):
+    """The parts of the most compact span expression covering the given
+    unit indices.  Its ids are the segmentation's own, checked when it
+    was built."""
     if not indices:
         raise SpanSyntaxError("cannot build a span over zero units")
     runs: list[tuple[int, int]] = []
@@ -300,8 +302,7 @@ def span_for_indices(units: Segmentation, indices: list[int]) -> SpanExpr:
         run_start = prev = i
     runs.append((run_start, prev))
     ids = units.ids
-    return SpanExpr(tuple((ids[a], None if a == b else ids[b])
-                          for a, b in runs))
+    return tuple((ids[a], None if a == b else ids[b]) for a, b in runs)
 
 
 def align_inline(inline_doc: str, units: Segmentation):
@@ -312,10 +313,11 @@ def align_inline(inline_doc: str, units: Segmentation):
     element whose boundaries coincide with unit boundaries becomes a
     stand-off item carrying a span expression; an element boundary falling
     strictly inside a unit raises :class:`MisalignmentError` naming the
-    element and the offending offset in the stripped text.
+    element and the offending offset in the stripped text.  The items are
+    returned as :class:`~corpus_forge.formats.Items`.
     """
     # imported here, as formats imports this module
-    from .formats import AnnotationItem, Categories, Items, Link
+    from .formats import Categories, Items, Link
 
     stripped, elements = _markup.strip_markup(inline_doc)
     tokens = tokenize_with_offsets(stripped)
@@ -333,8 +335,7 @@ def align_inline(inline_doc: str, units: Segmentation):
         starts.setdefault(s, i)  # expansion products share one extent:
         ends[e] = i              # keep first for starts, last for ends
 
-
-    items = []
+    ids, spans, names, categories, links = [], [], [], [], []
     shared = Categories()
     for el in elements:
         label = el.attrs.get("id", el.name)
@@ -349,21 +350,17 @@ def align_inline(inline_doc: str, units: Segmentation):
             raise MisalignmentError(label, s)
         if e not in ends:
             raise MisalignmentError(label, e)
-        indices = list(range(starts[s], ends[e] + 1))
         attrs = el.attrs
-        item_id = attrs.pop("id", None)
-        links = []
+        ids.append(attrs.pop("id", None))
+        spans.append(span_for_indices(units,
+                                      list(range(starts[s], ends[e] + 1))))
+        names.append(el.name)
         ref = attrs.pop("ref", None)
-        if ref is not None:
-            links.append(Link(attrs.pop("type", "coref"), (ref,)))
-        items.append(AnnotationItem(
-            id=item_id,
-            span=span_for_indices(units, indices),
-            element=el.name,
-            categories=shared.of(attrs.items()),
-            links=tuple(links),
-        ))
-    return Items.of(items)
+        links.append(() if ref is None
+                     else (Link(attrs.pop("type", "coref"), (ref,)),))
+        categories.append(shared.of(attrs.items()))
+    return Items(len(ids), id=ids, span=spans, element=names,
+                 categories=categories, links=links)
 
 
 def iter_items(items) -> list:

@@ -24,17 +24,20 @@ texts = st.just("-") | st.text(
     st.characters(codec="utf-8") | st.sampled_from(AWKWARD), max_size=10)
 
 
-def _storable(key: str) -> bool:
+def _storable(meta: dict) -> bool:
     try:
-        storable_meta({key: ""})
+        # Archive.register_corpus has it refuse "title" and "language", and
+        # Archive.deposit "depositor".
+        storable_meta(meta, reserved=("title", "language", "depositor"))
     except StoreError:
         return False
     return True
 
 
-# manifest.storable_meta refuses a key with a line break or ": ".
-meta_keys = texts.filter(_storable)
-metas = st.dictionaries(meta_keys, texts, max_size=3)
+# manifest.storable_meta refuses a key with a line break or ": ", a
+# reserved key, and a key beside its "x-" form.
+meta_keys = texts.filter(lambda key: _storable({key: ""}))
+metas = st.dictionaries(meta_keys, texts, max_size=3).filter(_storable)
 # Archive.register_corpus refuses a blank title (EmptyTitleError).
 titles = texts.filter(str.strip)
 # Archive.add_level refuses a kind with whitespace, ',' or '|'.

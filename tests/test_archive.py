@@ -20,6 +20,7 @@ from corpus_forge.archive import Archive, LevelSpec, Snapshot
 from corpus_forge.catalog import (
     build_resource_header,
     catalog_summary,
+    corpus_header,
     corpus_record,
     export_catalog,
     level_header,
@@ -203,6 +204,84 @@ class TestRefusedAtTheBoundary:
                 write()
         reloaded = Archive(tmp_path / "store")
         assert export_catalog(reloaded) == export_catalog(archive)
+
+    # A header would not show these: the entity's own field fills the
+    # first key, or it shows both keys as one x- field.
+    HIDDEN_META = {
+        "corpus key beside its x- form": ("foo", lambda a, seg: (
+            a.register_corpus("T", meta={"foo": "1", "x-foo": "2"}))),
+        "corpus title": ("title", lambda a, seg: a.register_corpus(
+            "T", language="fr", meta={"title": "Other"})),
+        "corpus language": ("language", lambda a, seg: a.register_corpus(
+            "T", meta={"language": "de"})),
+        "level key beside its x- form": ("foo", lambda a, seg: (
+            a.add_level("x", "structure", "full",
+                        meta={"x-foo": "2", "foo": "1"}))),
+        "new level key beside its x- form": ("foo", lambda a, seg: (
+            a.deposit("x", ONE_WORD, "segmentation", new_levels=[LevelSpec(
+                "segmentation", "full", meta=(("foo", "1"), ("x-foo", "2")))]
+            ))),
+        "resource key beside its x- form": ("foo", lambda a, seg: (
+            a.deposit("x", ONE_WORD, "segmentation", levels=[seg],
+                      meta={"foo": "1", "x-foo": "2"}))),
+        "resource depositor": ("depositor", lambda a, seg: (
+            a.deposit("x", ONE_WORD, "segmentation", levels=[seg],
+                      depositor="me", meta={"depositor": "other"}))),
+    }
+
+    @pytest.mark.parametrize("case", sorted(HIDDEN_META))
+    def test_meta_a_header_would_not_show_is_refused(self, archive, tmp_path,
+                                                     case):
+        archive.register_corpus("X", corpus_id="x")
+        seg = archive.add_level("x", "segmentation", "full").id
+
+        def tree():
+            return {p.relative_to(tmp_path): p.read_bytes()
+                    for p in sorted(tmp_path.rglob("*")) if p.is_file()}
+
+        before, export = tree(), export_catalog(archive)
+        key, write = self.HIDDEN_META[case]
+        with pytest.raises(StoreError, match=re.escape(repr(key))):
+            write(archive, seg)
+        assert tree() == before
+        assert export_catalog(archive) == export
+
+    def test_stored_meta_a_header_hides_renders_as_before(self, archive,
+                                                          tmp_path):
+        archive.register_corpus("T", language="fr", meta={"genre": "g"},
+                                corpus_id="t")
+        path = tmp_path / "store" / "corpora" / "t" / "manifest"
+        path.write_text(path.read_text(encoding="utf-8").replace(
+            "meta-genre: g\n", "meta-foo: 1\nmeta-genre: g\n"
+            "meta-language: de\nmeta-title: Other\nmeta-x-foo: 2\n"),
+            encoding="utf-8")
+        assert corpus_header(Archive(tmp_path / "store"), "t").declared == (
+            ("genre", "g"), ("language", "fr"), ("title", "T"),
+            ("x-foo", "1"), ("x-foo", "2"))
+
+    @settings(max_examples=20, deadline=None)
+    @given(meta=metas, level_meta=metas, resource_meta=metas)
+    def test_every_declared_field_shows_in_its_header(self, meta, level_meta,
+                                                      resource_meta):
+        with tempfile.TemporaryDirectory() as root:
+            archive = Archive(root)
+            corpus = archive.register_corpus("T", "fr", meta)
+            seg = archive.add_level(corpus.id, "segmentation", "full",
+                                    meta=level_meta)
+            resource = archive.deposit(
+                corpus.id, ONE_WORD, "segmentation", levels=[seg.id],
+                depositor="me", meta=resource_meta).resource
+            # Each header also shows its entity's own declared fields:
+            # title and language, none, depositor.
+            for header, declared, own in [
+                    (corpus_header(archive, corpus.id), meta, 2),
+                    (level_header(archive, seg.id), level_meta, 0),
+                    (build_resource_header(resource), resource_meta, 1)]:
+                keys = {key for key, _ in header.declared}
+                assert len(keys) == len(declared) + own
+                for key, value in declared.items():
+                    assert ((key, value) in header.declared
+                            or (f"x-{key}", value) in header.declared)
 
     @pytest.mark.parametrize("kind", ["a,b", "a|b"])
     def test_kind_with_a_list_separator_refused(self, archive, kind):

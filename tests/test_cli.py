@@ -609,6 +609,18 @@ class TestUsageAndEnvironment:
         assert code == 0
         assert out.count("corpus: ") == 12
 
+    def test_root_from_environment_set_after_a_command(self, root, tmp_path,
+                                                       capsys, monkeypatch):
+        # The parser is built once per process; the variable is read on
+        # every call.
+        seeded(root, capsys)
+        monkeypatch.setenv("CORPUS_FORGE_ROOT", str(tmp_path / "elsewhere"))
+        assert run(capsys, "list")[0] == 1
+        monkeypatch.setenv("CORPUS_FORGE_ROOT", root)
+        code, out, _ = run(capsys, "list")
+        assert code == 0
+        assert out.count("corpus: ") == 12
+
     def test_uninitialized_root_is_domain_error(self, root, capsys):
         code, out, err = run(capsys, "list", "--root", root)
         assert code == 1

@@ -219,12 +219,12 @@ class TestResolveSpan:
 
     @given(st.lists(st.integers(min_value=0, max_value=6), min_size=1, max_size=8))
     def test_span_for_indices_round_trips(self, indices):
-        expr = span_for_indices(self.units, indices)
-        got = resolve_span(expr.parts, self.units)
+        parts = span_for_indices(self.units, indices)
+        got = resolve_span(parts, self.units)
         assert got == sorted(set(indices))
 
     def test_span_for_indices_prefers_ranges(self):
-        assert str(span_for_indices(self.units, [0, 1, 2, 5])) == \
+        assert str(SpanExpr(span_for_indices(self.units, [0, 1, 2, 5]))) == \
             "word_1..word_3 word_6"
 
     def test_span_for_indices_rejects_empty(self):
