@@ -125,6 +125,12 @@ def _utf8(payload: bytes) -> str:
         raise ParseError(f"payload is not valid UTF-8: {err}") from None
 
 
+# The meta keys an entity's own fields fill, which its header shows
+# instead; the writers refuse them, and ``validate`` reports them.
+_OWN_FIELDS = {Corpus: ("title", "language"), Level: (),
+               Resource: ("depositor",)}
+
+
 def _by_id(entities: dict) -> list:
     return [entities[key] for key in sorted(entities)]
 
@@ -706,6 +712,13 @@ class Snapshot:
                     f"names corpus {entity.corpus_id!r} but the manifest of "
                     f"{corpus.id!r} holds it"))
 
+        for entity in (corpus, *levels, *resources):
+            try:
+                manifest_mod.storable_meta(entity.declared_meta,
+                                           _OWN_FIELDS[type(entity)])
+            except StoreError as err:
+                out.append(Violation("hidden-meta", entity.id, err.message))
+
         for level in levels:
             for dep_id, _ in level.depends_on:
                 if dep_id not in state.levels:
@@ -895,7 +908,7 @@ class Archive:
         corpus = Corpus(
             id=corpus_id, title=title, language=language,
             declared_meta=manifest_mod.storable_meta(
-                meta, reserved=("title", "language")),
+                meta, reserved=_OWN_FIELDS[Corpus]),
             created_at=_iso(self._clock()))
         draft._corpora[corpus_id] = CorpusState(corpus, draft.root)
         draft._written.add(corpus_id)
@@ -1039,7 +1052,8 @@ class Archive:
             text = _utf8(payload) if isinstance(payload, bytes) else payload
             manifest_mod.storable_text({"payload": text, "depositor": depositor,
                                         "validator": validator})
-            meta = manifest_mod.storable_meta(meta, reserved=("depositor",))
+            meta = manifest_mod.storable_meta(
+                meta, reserved=_OWN_FIELDS[Resource])
 
             targets: list[Level] = []
             for level_id in levels:

@@ -35,8 +35,10 @@ from .standoff import (
     Segmentation,
     SpanExpr,
     align_inline,
+    cell_parts,
     check_unit,
     iter_items,
+    span_cell,
     span_parts,
 )
 # Unused here; ``perfbench/tracer.py`` still patches it.
@@ -91,9 +93,11 @@ class Items(Columns):
     """Annotation items as columns: ``columns`` maps a field of
     :class:`AnnotationItem` to each item's value, and a field that no item
     sets may have no column.  The ``span`` column holds each item's span
-    parts, whose interned ids resolve against the anchor when they are
-    read.  A nested item is kept in its parent's ``children``.  It keeps
-    the lists it is given."""
+    cell (:func:`~corpus_forge.standoff.span_cell`): the interned unit id
+    of a span that names one unit, the parts tuple of a range or a list,
+    or None; its ids resolve against the anchor when they are read.  A
+    nested item is kept in its parent's ``children``.  It keeps the lists
+    it is given."""
 
     __slots__ = ("length", "columns")
 
@@ -107,7 +111,8 @@ class Items(Columns):
         values = list(values)
         columns = {name: [getattr(item, name) for item in values]
                    for name in _DEFAULTS}
-        columns["span"] = [span and span.parts for span in columns["span"]]
+        columns["span"] = [span and span_cell(span.parts)
+                           for span in columns["span"]]
         return cls(len(values), **columns)
 
     def __len__(self) -> int:
@@ -117,7 +122,7 @@ class Items(Columns):
         values = {name: column[index]
                   for name, column in self.columns.items()}
         if values.get("span") is not None:
-            values["span"] = SpanExpr(values["span"])
+            values["span"] = SpanExpr(cell_parts(values["span"]))
         return AnnotationItem(**values)
 
     def column(self, name: str) -> list:
@@ -269,7 +274,7 @@ def parse_standoff_morpho(text: str) -> Items:
                 raise ParseError(f"expected self-closing <w/>, got <{name}>")
             if "span" not in attrs:
                 raise MissingSpanError("<w/> lacks a span attribute")
-            spans.append(span_parts(attrs.pop("span")))
+            spans.append(span_cell(span_parts(attrs.pop("span"))))
             if "lemma" not in attrs:
                 raise ParseError("<w/> lacks a lemma attribute")
             key = ("msd", attrs.pop("msd", " ").strip(),
@@ -586,7 +591,8 @@ def parse_standoff_items(text: str) -> Items:
                 raise ParseError(
                     f"expected self-closing <item/>, got <{name}>")
             span = attrs.pop("span", None)
-            spans.append(None if span is None else span_parts(span))
+            spans.append(None if span is None
+                         else span_cell(span_parts(span)))
             links.append(tuple(
                 Link(type=key[len("link-"):],
                      targets=tuple(attrs.pop(key).split()))

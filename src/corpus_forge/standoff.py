@@ -173,7 +173,11 @@ def tokenize_with_offsets(text: str) -> list[tuple[str, int, int]]:
     tokens: list[tuple[str, int, int]] = []
     for match in re.finditer(r"\S+", text):
         raw = match.group(0)
-        for piece, s, e in _token_offsets(_split_token(raw), match.start(), text):
+        if raw.isalpha():  # no punctuation, no apostrophe: one piece
+            pieces = ((raw, *match.span()),)
+        else:
+            pieces = _token_offsets(_split_token(raw), match.start(), text)
+        for piece, s, e in pieces:
             repl = _CONTRACTIONS.get(piece.lower())
             if repl is not None:
                 tokens.extend((form, s, e) for form in repl)
@@ -211,6 +215,7 @@ def span_parts(text: str) -> tuple[tuple[str, str | None], ...]:
 
     Parts are separated by commas and whitespace.  A lone id, the form
     every generated stand-off span takes, is checked by its one match.
+    A span column keeps these parts as one cell, :func:`span_cell`.
     """
     if UNIT_ID_RE.fullmatch(text):
         return ((intern(text), None),)
@@ -222,6 +227,21 @@ def span_parts(text: str) -> tuple[tuple[str, str | None], ...]:
         parts.append((intern(start), intern(end) if sep else None))
     _check_parts(parts)
     return tuple(parts)
+
+
+def span_cell(parts):
+    """The cell a span column keeps for a span of checked ``parts``: the
+    unit's id when the span names one unit, else the parts themselves.
+    A lone id keeps no tuple, and it is its own key into the anchor's
+    positions."""
+    if len(parts) == 1 and parts[0][1] is None:
+        return parts[0][0]
+    return parts
+
+
+def cell_parts(cell):
+    """The parts of a span column's cell, :func:`span_cell`'s inverse."""
+    return ((cell, None),) if isinstance(cell, str) else cell
 
 
 @dataclass(frozen=True, slots=True)
@@ -249,29 +269,39 @@ class SpanExpr:
             for start, end in self.parts)
 
 
-def resolve_span(parts, units: Segmentation) -> list[int]:
-    """Dereference the ``parts`` of checked span expressions against one
-    segmentation's units.
+def resolve_span(cells, units: Segmentation) -> list[int]:
+    """Dereference span cells against one segmentation's units.
 
-    Returns the positions of the referenced units in document order,
-    without duplicates.  Ranges expand inclusively by document position.
+    Each cell is a span column's (:func:`span_cell`): a unit id, the
+    checked parts of a range or a list, or None for an item without a
+    span.  Returns the positions of the referenced units in document
+    order, without duplicates.  Ranges expand inclusively by document
+    position.  Lone ids resolve in one lookup pass; any other cell sends
+    every cell through the part-by-part walk, which raises on the first
+    dangling id or reversed range in cell order.
     """
     positions = units.positions
-    picked: set[int] = set()
-    for start, end in parts:
-        first = positions.get(start)
-        if first is None:
-            raise DanglingPointerError(start)
-        if end is None:
-            picked.add(first)
+    picked = set(map(positions.get, cells))
+    if None not in picked:
+        return sorted(picked)
+    picked = set()
+    for cell in cells:
+        if cell is None:
             continue
-        last = positions.get(end)
-        if last is None:
-            raise DanglingPointerError(end)
-        if first > last:
-            raise ReversedRangeError(
-                f"range {start}..{end} runs against document order")
-        picked.update(range(first, last + 1))
+        for start, end in cell_parts(cell):
+            first = positions.get(start)
+            if first is None:
+                raise DanglingPointerError(start)
+            if end is None:
+                picked.add(first)
+                continue
+            last = positions.get(end)
+            if last is None:
+                raise DanglingPointerError(end)
+            if first > last:
+                raise ReversedRangeError(
+                    f"range {start}..{end} runs against document order")
+            picked.update(range(first, last + 1))
     return sorted(picked)
 
 
@@ -286,9 +316,9 @@ def coverage_fingerprint(tokens: list[str]) -> str:
 
 
 def span_for_indices(units: Segmentation, indices: list[int]):
-    """The parts of the most compact span expression covering the given
-    unit indices.  Its ids are the segmentation's own, checked when it
-    was built."""
+    """The span cell (:func:`span_cell`) of the most compact span
+    expression covering the given unit indices.  Its ids are the
+    segmentation's own, checked when it was built."""
     if not indices:
         raise SpanSyntaxError("cannot build a span over zero units")
     runs: list[tuple[int, int]] = []
@@ -302,7 +332,8 @@ def span_for_indices(units: Segmentation, indices: list[int]):
         run_start = prev = i
     runs.append((run_start, prev))
     ids = units.ids
-    return tuple((ids[a], None if a == b else ids[b]) for a, b in runs)
+    return span_cell(tuple((ids[a], None if a == b else ids[b])
+                           for a, b in runs))
 
 
 def align_inline(inline_doc: str, units: Segmentation):
@@ -431,13 +462,13 @@ def reconstruct_coverage(kind: str, units: Segmentation, items,
         if not carried:
             return []  # purely relational level
         # carrier level: re-segmenting its own surfaces is a fixed point
-        return segment_text(" ".join(carried)).forms
+        return [form for form, _, _
+                in tokenize_with_offsets(" ".join(carried))]
     if anchor_units is None:
         raise NoPrimaryAnchorError()
 
-    # one resolution over every item's parts: document order, no repeats;
-    # each span checked its ids when it was parsed
-    parts = [part for span in items.flat().column("span")
-             if span is not None for part in span]
+    # one resolution over every item's span cell: document order, no
+    # repeats; each span checked its ids when it was parsed
     forms = anchor_units.forms
-    return [forms[i] for i in resolve_span(parts, anchor_units)]
+    return [forms[i] for i in resolve_span(items.flat().column("span"),
+                                           anchor_units)]

@@ -1,18 +1,35 @@
-"""Writers of the codec formats and a reader of rendered headers.
+"""Writers of the codec formats, a reader of rendered headers, and
+plain references for the tokenizer and span resolution.
 
 The engine stores each payload as deposited and never writes a codec
 format, nor reads a rendered header back.  These are the oracles the
 round-trip properties check its parsers and its header rendering by,
-and the tests' way to build payloads from items.
+and the tests' way to build payloads from items.  The references do the
+same work as the engine's shortcuts without them, so that a property can
+check that the shortcuts change no result.
 """
 
 from __future__ import annotations
 
+import re
+
 from corpus_forge.catalog import MetadataHeader
-from corpus_forge.errors import MissingSpanError, ParseError
+from corpus_forge.errors import (
+    DanglingPointerError,
+    MissingSpanError,
+    ParseError,
+    ReversedRangeError,
+)
 from corpus_forge.formats import TABULAR_COLUMNS, AnnotationItem
 from corpus_forge.manifest import unescape_value
-from corpus_forge.standoff import ReferenceUnit
+from corpus_forge.standoff import (
+    _CONTRACTIONS,
+    ReferenceUnit,
+    Segmentation,
+    _split_token,
+    _token_offsets,
+    iter_items,
+)
 
 
 def escape(text: str) -> str:
@@ -156,3 +173,43 @@ def parse_header(text: str) -> MetadataHeader:
         tier=tier, subject_id=subject,
         declared=tuple(declared), computed=tuple(computed),
         generated_at=generated, warnings=tuple(warnings))
+
+
+def tokenize_each_token_split(text: str) -> list[tuple[str, int, int]]:
+    """``standoff.tokenize_with_offsets`` without its shortcut for
+    letters-only tokens: every whitespace token goes through the
+    splitter and is located piece by piece."""
+    tokens: list[tuple[str, int, int]] = []
+    for match in re.finditer(r"\S+", text):
+        raw = match.group(0)
+        for piece, s, e in _token_offsets(_split_token(raw), match.start(),
+                                          text):
+            repl = _CONTRACTIONS.get(piece.lower())
+            if repl is not None:
+                tokens.extend((form, s, e) for form in repl)
+            else:
+                tokens.append((piece, s, e))
+    return tokens
+
+
+def pointer_coverage(items, anchor: Segmentation) -> list[str]:
+    """The anchor forms a pointer level's items cover, each span read as
+    its parts tuple and resolved part by part in item order, nested items
+    included: the first dangling id or reversed range raises."""
+    positions = anchor.positions
+    picked: set[int] = set()
+    for item in iter_items(items):
+        if item.span is None:
+            continue
+        for start, end in item.span.parts:
+            first = positions.get(start)
+            if first is None:
+                raise DanglingPointerError(start)
+            last = first if end is None else positions.get(end)
+            if last is None:
+                raise DanglingPointerError(end)
+            if first > last:
+                raise ReversedRangeError(
+                    f"range {start}..{end} runs against document order")
+            picked.update(range(first, last + 1))
+    return [anchor.forms[i] for i in sorted(picked)]

@@ -259,6 +259,38 @@ class TestRefusedAtTheBoundary:
             ("genre", "g"), ("language", "fr"), ("title", "T"),
             ("x-foo", "1"), ("x-foo", "2"))
 
+    # Lines a hand-edited manifest adds after an entity's meta line, and
+    # the entity and key ``validate`` names.
+    STORED_HIDDEN_META = {
+        "corpus key beside its x- form": (
+            "meta-genre: g\n", "meta-foo: 1\nmeta-x-foo: 2\n", "t", "foo"),
+        "corpus title": ("meta-genre: g\n", "meta-title: Other\n", "t",
+                         "title"),
+        "corpus language": ("meta-genre: g\n", "meta-language: de\n", "t",
+                            "language"),
+        "level key beside its x- form": (
+            "meta-k: v\n", "meta-x-k: w\n", "t-segmentation-1", "k"),
+        "resource depositor": ("meta-r: 1\n", "meta-depositor: other\n",
+                               "t-r001", "depositor"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(STORED_HIDDEN_META))
+    def test_validate_reports_stored_meta_a_header_hides(self, archive,
+                                                         tmp_path, case):
+        archive.register_corpus("T", language="fr", meta={"genre": "g"},
+                                corpus_id="t")
+        seg = archive.add_level("t", "segmentation", "full", meta={"k": "v"})
+        archive.deposit("t", ONE_WORD, "segmentation", levels=[seg.id],
+                        meta={"r": "1"})
+        assert archive.validate() == []
+        line, added, subject, key = self.STORED_HIDDEN_META[case]
+        path = tmp_path / "store" / "corpora" / "t" / "manifest"
+        path.write_text(path.read_text(encoding="utf-8").replace(
+            line, line + added), encoding="utf-8")
+        (violation,) = Archive(tmp_path / "store").validate()
+        assert (violation.code, violation.subject) == ("hidden-meta", subject)
+        assert repr(key) in violation.message
+
     @settings(max_examples=20, deadline=None)
     @given(meta=metas, level_meta=metas, resource_meta=metas)
     def test_every_declared_field_shows_in_its_header(self, meta, level_meta,

@@ -71,10 +71,12 @@ def test_round_grows_linearly(tmp_path):
 
 
 def test_a_parsed_item_keeps_few_bytes():
-    """A stand-off morphology item over a parsed segmentation keeps its
-    own item, span and span parts; its categories are the one mapping of
-    an equal set, and its span id is the segmentation's own string.
-    Copies of either cost about 330 bytes more an item."""
+    """A stand-off morphology item over a parsed segmentation keeps one
+    slot in each of its level's columns, about 26 bytes: its span is the
+    segmentation's own id string, and its categories are the one mapping
+    of an equal set.  A parts tuple per lone-unit span costs about 104
+    bytes more an item, and copies of the id or the categories about
+    330."""
     tokens = 10_000
     segmentation, morphology = payloads(tokens)
     units = parse_segmentation(segmentation)
@@ -88,7 +90,7 @@ def test_a_parsed_item_keeps_few_bytes():
     finally:
         tracemalloc.stop()
     assert len(items) == len(units) == tokens
-    assert per_item < 320, f"each parsed item keeps {per_item:.0f} bytes"
+    assert per_item < 64, f"each parsed item keeps {per_item:.0f} bytes"
 
 
 # A level filled from many payloads holds each unit once, so its fill

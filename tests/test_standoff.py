@@ -14,8 +14,9 @@ from corpus_forge.errors import (
     SpanSyntaxError,
     TextMismatchError,
 )
-from corpus_forge.formats import AnnotationItem, Items
+from corpus_forge.formats import AnnotationItem, Items, parse_standoff_items
 from corpus_forge.standoff import (
+    DETACH_CHARS,
     ReferenceUnit,
     SpanExpr,
     align_inline,
@@ -23,8 +24,14 @@ from corpus_forge.standoff import (
     reconstruct_coverage,
     resolve_span,
     segment_text,
+    span_cell,
     span_for_indices,
     tokenize_with_offsets,
+)
+from oracles import (
+    pointer_coverage,
+    serialize_standoff_items,
+    tokenize_each_token_split,
 )
 from strategies import spans, unit_ids
 
@@ -47,6 +54,13 @@ GORIOT_TOKENS = (
     "vieillards , sans que jamais la médisance ait attaqué les mœurs de ce "
     "respectable établissement ."
 ).split(" ")
+
+
+# Apostrophes, detached characters, contractions in any case, digits and
+# non-Latin letters, to be joined with whitespace into tokens.
+TOKEN_ATOMS = (" ", "  ", "\n", "'", "’", *DETACH_CHARS, "au", "AUX", "dU",
+               "Du", "des", "l'", "C’", "qu'", "7", "42", "été", "Москва",
+               "日本", "Vauquer")
 
 
 class TestSegmentation:
@@ -113,6 +127,14 @@ class TestSegmentation:
     def test_resegmenting_joined_forms_is_fixed_point(self, text):
         forms = [u.form for u in segment_text(text)]
         assert [u.form for u in segment_text(" ".join(forms))] == forms
+
+    @given(st.lists(st.sampled_from(TOKEN_ATOMS) | st.text(max_size=3),
+                    max_size=30).map("".join))
+    @example("C'est l’auteur «du» PAIN, AU 42 Москва’s aux'")
+    def test_a_letters_only_token_splits_as_any_token(self, text):
+        """A token of letters alone is taken whole, without the splitter:
+        every token's forms and extents are what splitting it gives."""
+        assert tokenize_with_offsets(text) == tokenize_each_token_split(text)
 
 
 class TestSplitTable:
@@ -186,10 +208,10 @@ class TestResolveSpan:
     units = segment_text("Madame Vauquer, née De Conflans,")
 
     def resolve(self, text):
-        """The units a span's parts resolve to, by the positions
+        """The units a span's cell resolves to, by the positions
         ``resolve_span`` returns."""
         return [self.units[i] for i in resolve_span(
-            SpanExpr.parse(text).parts, self.units)]
+            [span_cell(SpanExpr.parse(text).parts)], self.units)]
 
     def test_single(self):
         got = self.resolve("word_2")
@@ -209,18 +231,20 @@ class TestResolveSpan:
 
     def test_reversed_range_raises(self):
         with pytest.raises(ReversedRangeError):
-            resolve_span(SpanExpr.parse("word_4..word_2").parts, self.units)
+            resolve_span([span_cell(SpanExpr.parse("word_4..word_2").parts)],
+                         self.units)
 
     def test_dangling_pointer_names_the_unit(self):
         with pytest.raises(DanglingPointerError) as err:
-            resolve_span(SpanExpr.parse("word_99").parts, self.units)
+            resolve_span([span_cell(SpanExpr.parse("word_99").parts)],
+                         self.units)
         assert err.value.unit_id == "word_99"
         assert "dangling-pointer" in str(err.value)
 
     @given(st.lists(st.integers(min_value=0, max_value=6), min_size=1, max_size=8))
     def test_span_for_indices_round_trips(self, indices):
-        parts = span_for_indices(self.units, indices)
-        got = resolve_span(parts, self.units)
+        cell = span_for_indices(self.units, indices)
+        got = resolve_span([cell], self.units)
         assert got == sorted(set(indices))
 
     def test_span_for_indices_prefers_ranges(self):
@@ -363,3 +387,41 @@ class TestReconstructCoverage:
         items = _items(AnnotationItem(span=SpanExpr.parse("word_1")))
         with pytest.raises(NoPrimaryAnchorError):
             reconstruct_coverage("reference", [], items, None)
+
+
+# Ten units; ids past word_10 dangle.
+ANCHOR = segment_text("Madame Vauquer , née De Conflans , est une vieille")
+anchor_ids = st.integers(1, 12).map(lambda n: f"word_{n}")
+cells_of_level = st.lists(
+    st.none()
+    | anchor_ids.map(lambda unit_id: SpanExpr(((unit_id, None),)))
+    | st.lists(st.tuples(anchor_ids, st.none() | anchor_ids), min_size=1,
+               max_size=3).map(lambda parts: SpanExpr(tuple(parts))),
+    min_size=1, max_size=12)
+
+
+def _outcome(compute):
+    """What ``compute`` returns, or the type and message it raises."""
+    try:
+        return compute()
+    except (DanglingPointerError, ReversedRangeError) as err:
+        return type(err), str(err)
+
+
+@given(cells_of_level)
+@example([SpanExpr.parse("word_2"), SpanExpr.parse("word_5..word_3"),
+          SpanExpr.parse("word_12")])
+@example([SpanExpr.parse("word_12"), None, SpanExpr.parse("word_5..word_3")])
+@example([SpanExpr.parse("word_3 word_1..word_2"), None,
+          SpanExpr.parse("word_3")])
+def test_span_cells_cover_what_their_parts_cover(spans_):
+    """A level's span cells, lone ids among ranges and lists, cover the
+    tokens that resolving each item's parts in turn gives, or raise its
+    first error: built from items, parsed, and nested under one item."""
+    items = [AnnotationItem(span=span, element="w") for span in spans_]
+    expected = _outcome(lambda: pointer_coverage(items, ANCHOR))
+    for level in (Items.of(items),
+                  parse_standoff_items(serialize_standoff_items(items)),
+                  Items.of([AnnotationItem(children=tuple(items))])):
+        assert _outcome(lambda: reconstruct_coverage(
+            "morphosyntax", [], level, ANCHOR)) == expected
