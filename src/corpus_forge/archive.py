@@ -239,19 +239,9 @@ def _summary(level: Level, entry: Parsed) -> LevelSummary:
     """What ``entry``, one level's, holds, as its manifest records it."""
     items = entry.items.flat()
     elements = items.column("element")
-    if level.kind == KIND_SEGMENTATION and entry.units:
-        granularity = SEGMENTATION_GRANULARITY
-    else:
-        # an item for each distinct (element, categories, links): equal
-        # categories of one payload are one mapping
-        kinds = zip(elements, items.column("categories"),
-                    items.column("links"))
-        granularity = granularity_of([
-            AnnotationItem(element=element, categories=categories,
-                           links=links)
-            for element, categories, links in {
-                (kind[0], id(kind[1]), kind[2]): kind
-                for kind in kinds}.values()])
+    granularity = (SEGMENTATION_GRANULARITY
+                   if level.kind == KIND_SEGMENTATION and entry.units
+                   else granularity_of(items))
     return LevelSummary(len(entry.units), len(items),
                         sum(map(elements.count, _TURN_ELEMENTS)), granularity)
 
@@ -267,9 +257,8 @@ class CorpusState:
     Its fields are frozen: a draft replaces them through
     ``Snapshot._writable``, which also gives it its own copy of the dicts;
     it fills only that copy, and replaces an entity, a list or a level
-    entry there instead of changing it.  A draft state changes in place,
-    so it never gets a memo, and a ``copy`` or ``replace`` starts with an
-    empty one.
+    entry there instead of changing it.  A ``copy`` or ``replace`` starts
+    with an empty memo.
     """
 
     corpus: Corpus
@@ -560,8 +549,6 @@ class Snapshot:
         one corpus.  It is kept on the corpus's state, so it is rendered
         once for every published snapshot that shares that state."""
         state = self._state(corpus_id)
-        if corpus_id in self._written:
-            return render(self, corpus_id)  # a draft's state still changes
         text = state._catalog.get(name)
         if text is None:
             # Two readers may both render it: they render the same text.
@@ -588,16 +575,12 @@ class Snapshot:
             (state for state in map(self._corpora.get, self._ids())
              if entity_id in getattr(state, kind)), None)
 
-    def _level_state(self, level_id: str) -> CorpusState:
-        state = self._holder("levels", level_id)
+    def _owner(self, kind: str, entity_id: str) -> CorpusState:
+        """The state that holds a level or resource, by ``_holder``;
+        ``UnknownEntityError`` if none does."""
+        state = self._holder(kind, entity_id)
         if state is None:
-            raise UnknownEntityError(f"unknown level {level_id!r}")
-        return state
-
-    def _resource_state(self, resource_id: str) -> CorpusState:
-        state = self._holder("resources", resource_id)
-        if state is None:
-            raise UnknownEntityError(f"unknown resource {resource_id!r}")
+            raise UnknownEntityError(f"unknown {kind[:-1]} {entity_id!r}")
         return state
 
     def corpus(self, corpus_id: str) -> Corpus:
@@ -607,26 +590,26 @@ class Snapshot:
         return [self._corpora[cid].corpus for cid in self._ids()]
 
     def level(self, level_id: str) -> Level:
-        return self._level_state(level_id).levels[level_id]
+        return self._owner("levels", level_id).levels[level_id]
 
     def levels(self, corpus_id: str) -> list[Level]:
         return _by_id(self._state(corpus_id).levels)
 
     def resource(self, resource_id: str) -> Resource:
-        return self._resource_state(resource_id).resources[resource_id]
+        return self._owner("resources", resource_id).resources[resource_id]
 
     def resources(self, corpus_id: str) -> list[Resource]:
         return _deposited(self._state(corpus_id).resources)
 
     def resource_payload(self, resource_id: str) -> str:
-        state = self._resource_state(resource_id)
+        state = self._owner("resources", resource_id)
         resource = state.resources[resource_id]
         payload = None
         try:
             if resource.available:
                 # read_text would turn CRLF into LF: serve it verbatim
                 payload = state.payload_path(resource).read_bytes()
-        except FileNotFoundError:
+        except (FileNotFoundError, IsADirectoryError, NotADirectoryError):
             pass  # lost, or withdrawn after this snapshot was published
         if payload is None:
             raise StoreError(f"resource {resource_id!r} has no stored payload")
@@ -646,11 +629,11 @@ class Snapshot:
 
     def level_units(self, level_id: str) -> list[ReferenceUnit]:
         """The level's reference units, built on this read."""
-        return list(self._level_state(level_id).parsed(level_id).units)
+        return list(self._owner("levels", level_id).parsed(level_id).units)
 
     def level_items(self, level_id: str) -> list[AnnotationItem]:
         """The level's items, built on this read."""
-        return list(self._level_state(level_id).parsed(level_id).items)
+        return list(self._owner("levels", level_id).parsed(level_id).items)
 
     def classify_level(self, level_id: str) -> str:
         return self.level(level_id).classify()
@@ -659,10 +642,10 @@ class Snapshot:
         """Id of the segmentation the level's spans resolve against: the
         nearest one in its dependency closure that holds reference units,
         or None while there is none."""
-        return self._level_state(level_id).anchor(level_id)
+        return self._owner("levels", level_id).anchor(level_id)
 
     def coverage(self, level_id: str) -> list[str]:
-        return self._level_state(level_id).coverage(level_id)
+        return self._owner("levels", level_id).coverage(level_id)
 
     # -- validation ----------------------------------------------------------
 
@@ -1026,7 +1009,7 @@ class Archive:
         """Wire an existing level onto another one of its corpus, refusing
         cycles."""
         with self._commit() as draft:
-            state = draft._level_state(level_id)
+            state = draft._owner("levels", level_id)
             level = state.levels[level_id]
             wired = dataclasses.replace(level, depends_on=level.depends_on + (
                 self._dependency(draft, state, (dep_id, purpose)),))
@@ -1079,8 +1062,14 @@ class Archive:
                        self._parse_for(state, format, text, level))
                       for level in targets]
 
-            number = 1 + len(state.resources)
-            resource_id = f"{corpus_id}-r{number:03d}"
+            # One past the highest number held, so a gap in the numbering
+            # reuses no recorded id and deposit order stays id order.
+            prefix = f"{corpus_id}-r"
+            number = 1 + max(
+                (int(rid[len(prefix):]) for rid in state.resources
+                 if rid.startswith(prefix) and rid[len(prefix):].isdecimal()),
+                default=0)
+            resource_id = f"{prefix}{number:03d}"
             now = _iso(self._clock())
             resource = state.resources[resource_id] = Resource(
                 id=resource_id,
@@ -1174,6 +1163,7 @@ class Archive:
             chain = sorted((v for v in state.versions if v.level_kind == kind),
                            key=lambda v: v.number)
             prior = chain[-1] if chain else None
+            number = prior.number + 1 if prior else 1
             kind_levels = [l for l in targets if l.kind == kind]
             granularity = frozenset().union(
                 *(state.parse_summary(level.id).granularity
@@ -1192,12 +1182,12 @@ class Archive:
             except (DanglingPointerError, NoPrimaryAnchorError):
                 pass
             record = VersionRecord(
-                id=f"{corpus.id}-{kind}-v{len(chain) + 1}",
+                id=f"{corpus.id}-{kind}-v{number}",
                 corpus_id=corpus.id,
                 level_kind=kind,
                 level_id=kind_levels[0].id,
                 resource_id=resource.id,
-                number=len(chain) + 1,
+                number=number,
                 classification=classification,
                 granularity=granularity,
                 validated=resource.validated,
@@ -1234,7 +1224,7 @@ class Archive:
         so the catalog keeps listing the resource with ``available:
         false``."""
         with self._commit() as draft:
-            state = draft._resource_state(resource_id)
+            state = draft._owner("resources", resource_id)
             resource = state.resources[resource_id]
             if not resource.available:
                 return resource

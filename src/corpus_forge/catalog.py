@@ -161,7 +161,7 @@ def corpus_header(archive, corpus_id: str) -> MetadataHeader:
 
 
 def level_header(archive, level_id: str) -> MetadataHeader:
-    state = archive.snapshot()._level_state(level_id)
+    state = archive.snapshot()._owner("levels", level_id)
     level, summary = state.levels[level_id], state.summary(level_id)
     materialized = bool(summary.units or summary.items)
     computed: dict[str, str] = {

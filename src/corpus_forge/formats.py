@@ -138,11 +138,13 @@ class Items(Columns):
         self.length += other.length
 
     def flat(self) -> Items:
-        """These items and every nested one, depth first; these items if
-        none nests."""
+        """These items and every nested one, depth first, without their
+        ``children``, so each is listed once; these items if none nests."""
         if not any(self.columns.get("children", ())):
             return self
-        return Items.of(iter_items(self))
+        flat = Items.of(iter_items(self))
+        del flat.columns["children"]
+        return flat
 
 
 class Categories(dict):
@@ -370,8 +372,6 @@ def _parse_id_refs(value: str) -> tuple[str, ...]:
         if not m:
             raise ParseError(f"malformed id reference {part!r}")
         refs.append(m.group(1))
-    if not refs:
-        raise ParseError("empty id reference list")
     return tuple(refs)
 
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from importlib import resources
 
 from .errors import RegistryError
-from .formats import AnnotationItem, iter_items
+from .formats import Items
 
 
 @dataclass(frozen=True)
@@ -127,8 +127,8 @@ _DEFAULT: Registry | None = None
 SEGMENTATION_GRANULARITY = frozenset({"reference-unit"})
 
 
-def granularity_of(items: list[AnnotationItem]) -> frozenset[str]:
-    """Extract the data-category set a list of annotation items instantiates.
+def granularity_of(items: Items) -> frozenset[str]:
+    """Extract the data-category set that annotation items instantiate.
 
     Category keys and link types resolve through the registry; unknown
     ones become provisional ``x-`` categories, so that otherwise
@@ -136,21 +136,23 @@ def granularity_of(items: list[AnnotationItem]) -> frozenset[str]:
     too but stay silent when unknown — tag vocabulary is format
     carpentry, not annotation content.  Sub-values of colon-joined
     attribute values probe compound aliases (``msd:s``) and only count
-    when registered.
+    when registered.  It reads the columns of ``items.flat()``.
     """
     # The distinct terms first, then each resolved once: a level's items
-    # repeat a handful of keys and values.
-    flat = iter_items(items)
-    pairs = {pair for item in flat for pair in item.categories.items()
+    # repeat a handful of keys and values, and equal categories of one
+    # payload are one mapping.
+    flat = items.flat()
+    mappings = {id(c): c for c in flat.column("categories")}.values()
+    pairs = {pair for categories in mappings for pair in categories.items()
              if pair[1]}
     compounds = {f"{key}:{sub}" for key, value in pairs if ":" in value
                  for sub in value.split(":")[1:]}
     registry = Registry.default()
     categories = {registry.lookup(term) for term
-                  in {item.element for item in flat} | compounds}
+                  in {*flat.column("element"), *compounds}}
     categories.discard(None)
     categories.update(
         registry.lookup(term) or f"x-{term}" for term
         in {key for key, _ in pairs}
-        | {link.type for item in flat for link in item.links})
+        | {link.type for links in set(flat.column("links")) for link in links})
     return frozenset(categories)

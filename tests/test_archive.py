@@ -775,6 +775,24 @@ class TestSplitSegmentation:
             assert "dangling-pointer" not in {
                 v.code for v in store.validate("t")}
 
+    def test_fingerprint_skips_a_target_whose_coverage_raises(self,
+                                                              archive):
+        archive.register_corpus("T", corpus_id="t")
+        seg = archive.add_level("t", "segmentation", "partial")
+        archive.deposit("t", self.PART_A, "segmentation", levels=[seg.id])
+        assert archive.corpus("t").coverage_fingerprint is None
+        # The first target anchors on nothing: its coverage raises
+        # NoPrimaryAnchorError, and the second one's gives the fingerprint.
+        unanchored = archive.add_level("t", "reference", "full")
+        anchored = archive.add_level("t", "reference", "full",
+                                     depends_on=[seg.id])
+        archive.deposit("t", '<item span="word_2..word_3"/>',
+                        "standoff-items", levels=[unanchored.id, anchored.id])
+        with pytest.raises(NoPrimaryAnchorError):
+            archive.coverage(unanchored.id)
+        assert archive.corpus("t").coverage_fingerprint \
+            == coverage_fingerprint(["Nouveau", ","])
+
     def test_fingerprint_set_only_once(self, archive):
         seg = self.setup_split(archive)
         corpus = archive.corpus("artnouveau")
@@ -977,6 +995,9 @@ class TestClosureAndAccessors:
             archive.levels("nope")
         with pytest.raises(UnknownEntityError):
             archive.versions("nope")
+        with pytest.raises(UnknownEntityError) as err:
+            archive.validate("no-such")
+        assert str(err.value) == "unknown-entity: unknown corpus 'no-such'"
 
     def test_returned_entities_are_snapshots(self, archive):
         corpus_id, seg_id = goriot(archive)
@@ -1189,6 +1210,18 @@ class TestWithdraw:
                    / resource.filename)
         assert not payload.exists()
         assert archive.resource(resource.id).available is False
+
+    def test_snapshot_held_across_a_withdraw_finds_no_payload(self,
+                                                              archive):
+        corpus_id, morpho, resource = self.seed(archive)
+        held = archive.snapshot()
+        archive.withdraw(resource.id)
+        assert held.resource(resource.id).available
+        with pytest.raises(StoreError) as err:
+            held.resource_payload(resource.id)
+        assert type(err.value) is StoreError
+        assert err.value.message \
+            == f"resource {resource.id!r} has no stored payload"
 
     def test_withdraw_dematerializes_level(self, archive):
         corpus_id, morpho, resource = self.seed(archive)
@@ -1463,6 +1496,32 @@ class TestValidateLoadedManifests:
                         Archive(tmp_path / "store", defer_parse=True)):
             assert [v.code for v in archive.validate("x")] \
                 == ["dangling-level", "payload-digest-mismatch"]
+
+    def test_directory_without_a_manifest_is_no_corpus(self, tmp_path):
+        self.write_manifest(tmp_path, Corpus(id="x", title="X"))
+        (tmp_path / "store" / "corpora" / "empty").mkdir()
+        for archive in (Archive(tmp_path / "store"),
+                        Archive(tmp_path / "store", defer_parse=True)):
+            assert [c.id for c in archive.corpora()] == ["x"]
+            assert archive.validate() == []
+            with pytest.raises(UnknownEntityError) as err:
+                archive.corpus("empty")
+            assert err.value.message == "unknown corpus 'empty'"
+
+    def test_payload_without_a_digest_that_is_not_utf8_is_refused(
+            self, tmp_path):
+        resource = Resource(id="x-r001", corpus_id="x", format="segmentation",
+                            filename="x-r001.segmentation")
+        self.write_manifest(tmp_path, Corpus(id="x", title="X"), [],
+                            [resource])
+        path = tmp_path / "store" / "corpora" / "x" / "resources"
+        path.mkdir()
+        (path / resource.filename).write_bytes(b"\xff")
+        with pytest.raises(StoreError) as err:
+            Archive(tmp_path / "store").resource_payload("x-r001")
+        assert type(err.value) is StoreError
+        assert err.value.message == ("resource 'x-r001' has a stored payload "
+                                     "that is not valid UTF-8")
 
     def test_dangling_dependency_reported(self, tmp_path):
         corpus = Corpus(id="x", title="X")
@@ -1896,6 +1955,46 @@ class TestPersistence:
         assert result.records[0].number == 2
         assert result.records[0].classification is Classification.PARALLEL
 
+    @staticmethod
+    def reloaded_with_a_gap(tmp_path):
+        """Three one-word segmentation deposits to corpus "t", reloaded
+        from a manifest without the second deposit's resource and version
+        blocks, as a lost write or a hand edit leaves it."""
+        archive = Archive(tmp_path / "store", clock=lambda: FIXED_MOMENT)
+        archive.register_corpus("T", corpus_id="t")
+        seg = archive.add_level("t", "segmentation", "partial")
+        for n in (1, 2, 3):
+            archive.deposit("t", f'<word id="word_{n}">w{n}</word>',
+                            "segmentation", levels=[seg.id])
+        (tmp_path / "store" / "corpora" / "t" / "manifest").write_text(
+            dumps_corpus(
+                archive.corpus("t"), archive.levels("t"),
+                [r for r in archive.resources("t") if r.id != "t-r002"],
+                [v for v in archive.versions("t")
+                 if v.id != "t-segmentation-v2"]),
+            encoding="utf-8")
+        return Archive(tmp_path / "store", clock=lambda: FIXED_MOMENT), seg
+
+    def test_a_gap_in_resource_ids_reuses_no_recorded_id(self, tmp_path):
+        reloaded, seg = self.reloaded_with_a_gap(tmp_path)
+        result = reloaded.deposit("t", '<word id="word_4">w4</word>',
+                                  "segmentation", levels=[seg.id])
+        assert result.resource.id == "t-r004"
+        assert [r.id for r in reloaded.resources("t")] \
+            == ["t-r001", "t-r003", "t-r004"]
+        assert reloaded.resource_payload("t-r003") \
+            == '<word id="word_3">w3</word>'
+        assert reloaded.coverage(seg.id) == ["w1", "w3", "w4"]
+
+    def test_a_gap_in_a_version_chain_reuses_no_number(self, tmp_path):
+        reloaded, seg = self.reloaded_with_a_gap(tmp_path)
+        result = reloaded.deposit("t", '<word id="word_4">w4</word>',
+                                  "segmentation", levels=[seg.id])
+        assert [(r.id, r.number) for r in result.records] \
+            == [("t-segmentation-v4", 4)]
+        assert [v.id for v in reloaded.versions("t")] == [
+            "t-segmentation-v1", "t-segmentation-v3", "t-segmentation-v4"]
+
 
 class TestRegisterTable:
     def test_twelve_corpora(self, archive):
@@ -1926,6 +2025,13 @@ class TestRegisterTable:
     def test_malformed_row_rejected(self, archive):
         with pytest.raises(StoreError):
             archive.register_table("only two\tcolumns\n")
+
+    def test_blank_and_comment_lines_skipped(self, archive):
+        corpora = archive.register_table(
+            "# title\twords\tgenre\tkinds\n\n   \n"
+            "  # indented comment\nOnly\t-\t-\tsegmentation\n")
+        assert [c.id for c in corpora] == ["only"]
+        assert [c.id for c in archive.corpora()] == ["only"]
 
 
 class TestOneCommitPath:

@@ -14,6 +14,7 @@ from corpus_forge import _markup, standoff
 from corpus_forge.archive import Archive, LevelSpec
 from corpus_forge.errors import (
     CorpusForgeError,
+    MisalignmentError,
     MissingSpanError,
     NestingError,
     ParseError,
@@ -368,6 +369,14 @@ class TestInlineCorefCodec:
         with pytest.raises(ParseError):
             parse_inline_coref(doc, full_units)
 
+    def test_markable_over_only_whitespace_rejected(self):
+        with pytest.raises(MisalignmentError) as err:
+            parse_inline_coref('un<coref id="1"> </coref>mot',
+                               segment_text("un mot"))
+        assert (err.value.element, err.value.offset) == ("1", 2)
+        assert err.value.message == ("element '1' boundary at offset 2 falls "
+                                     "inside a reference unit")
+
     def test_unknown_link_target_rejected(self, full_units):
         doc = fixture("fig08_inline_coref.xml").replace('ref="1"', 'ref="9"')
         with pytest.raises(UnknownTargetError) as err:
@@ -402,17 +411,34 @@ class TestInlineMorphoCodec:
         # the final element wraps the token and its sentence period
         assert str(items[-1].span) == "word_10..word_11"
 
-    def test_foreign_element_rejected(self):
-        with pytest.raises(ParseError):
-            parse_inline_morpho('<x lemma="a">b</x>')
+    # Standalone, a document's errors name their line; aligned, not.
+    MODES = pytest.mark.parametrize("units, where", [
+        (None, "line 1: "), (segment_text("b"), "")],
+        ids=["standalone", "aligned"])
 
-    def test_missing_lemma_rejected(self):
-        with pytest.raises(ParseError):
-            parse_inline_morpho("<w>b</w>")
+    @MODES
+    def test_foreign_element_rejected(self, units, where):
+        with pytest.raises(ParseError) as err:
+            parse_inline_morpho('<x lemma="a">b</x>', units)
+        assert err.value.message == f"{where}unexpected element <x>"
 
-    def test_stray_text_rejected(self):
-        with pytest.raises(ParseError):
-            parse_inline_morpho('<w lemma="a">b</w> loose')
+    @MODES
+    def test_missing_lemma_rejected(self, units, where):
+        with pytest.raises(ParseError) as err:
+            parse_inline_morpho("<w>b</w>", units)
+        assert err.value.message == f"{where}<w> lacks a lemma attribute"
+
+    @pytest.mark.parametrize("doc, message", [
+        ('<w lemma="a">b</w> loose', "stray text 'loose' after last <w>"),
+        ('loose\n<w lemma="a">b</w>',
+         "line 2: stray text 'loose' outside <w> elements"),
+        ('<w lemma="a">b</w>\n<w lemma="c"> </w>',
+         "line 2: <w> covers no text"),
+    ], ids=["after-last", "outside", "covers-no-text"])
+    def test_text_outside_or_missing_from_w_rejected(self, doc, message):
+        with pytest.raises(ParseError) as err:
+            parse_inline_morpho(doc)
+        assert err.value.message == message
 
 
 class TestReferentialStandoffCodec:
@@ -449,6 +475,16 @@ class TestReferentialStandoffCodec:
         assert items[0].links[0].targets == ("m_9",)
         with pytest.raises(UnknownTargetError):
             resolve_link_targets(items)
+
+    def test_undeclared_link_source_rejected(self):
+        items = parse_referential_standoff(
+            '<referentialMarkable id="m_1">x</struct>'
+            '<referentialLink referentialSource="id(m_9)" '
+            'referentialTarget="id(m_1)"/>')
+        with pytest.raises(UnknownTargetError) as err:
+            resolve_link_targets(items)
+        assert err.value.target == "m_9"
+        assert err.value.message == "link target 'm_9' is not declared"
 
     def test_split_level_resolves_across_parts(self):
         level = Items()
@@ -517,9 +553,23 @@ class TestStructuralInlineCodec:
         assert roots[0].surface == "Un mot fort"
         assert roots[0].children == ()
 
-    def test_unbalanced_markup_rejected(self):
-        with pytest.raises(ParseError):
-            parse_structural_inline("<p><seg>texte</p></seg>")
+    @pytest.mark.parametrize("doc, message", [
+        ("<p><seg>texte</p></seg>", "line 1: unexpected closing tag </p>"),
+        ("<p>un\n<seg>mot</seg>", "line 1: unclosed element <p>"),
+    ], ids=["crossed", "unclosed"])
+    def test_unbalanced_markup_rejected(self, doc, message):
+        with pytest.raises(ParseError) as err:
+            parse_structural_inline(doc)
+        assert err.value.message == message
+
+    def test_flat_view_lists_each_item_once(self):
+        roots = parse_structural_inline(fixture("fig02_structure.xml"))
+        flat = roots.flat()
+        assert len(roots) == 1
+        assert len(flat) == len(iter_items(flat)) == 18
+        assert flat.flat() is flat
+        assert list(flat) == [dataclasses.replace(item, children=())
+                              for item in iter_items(roots)]
 
 
 class TestSyntaxConstituencyCodec:

@@ -8,6 +8,7 @@ from hypothesis import given, strategies as st
 from corpus_forge.errors import RegistryError
 from corpus_forge.formats import (
     AnnotationItem,
+    Items,
     Link,
     iter_items,
     parse_inline_coref,
@@ -104,6 +105,14 @@ class TestRegistryLoading:
             Registry.from_text("a\tA\t-\n")
         assert "line 1" in str(err.value)
 
+    @pytest.mark.parametrize("line", ["\tA\t-\t-", " \tA\t-\t-",
+                                      "a\t\t-\t-"],
+                             ids=["empty-id", "blank-id", "empty-name"])
+    def test_empty_id_or_name_rejected(self, line):
+        with pytest.raises(RegistryError) as err:
+            Registry.from_text(f"a0\tA0\t-\t-\n{line}\n")
+        assert err.value.message == "line 2: empty id or name"
+
     def test_comments_and_blanks_skipped(self):
         reg = Registry.from_text("# comment\n\na\tA\t-\t-\n")
         assert reg.category("a").name == "A"
@@ -165,36 +174,39 @@ class TestGranularityExtraction:
         assert SEGMENTATION_GRANULARITY == {"reference-unit"}
 
     def test_unknown_keys_become_provisional(self):
-        items = [AnnotationItem(categories={"speaker": "A", "lemma": "x"})]
+        items = Items.of([
+            AnnotationItem(categories={"speaker": "A", "lemma": "x"})])
         got = granularity_of(items)
         assert got == {"x-speaker", "lemma"}
         assert {c for c in got if c.startswith("x-")} \
             == {"x-speaker"}
 
     def test_unknown_link_types_become_provisional(self):
-        items = [AnnotationItem(links=(Link("bridging", ("m_1",)),))]
+        items = Items.of([AnnotationItem(links=(Link("bridging", ("m_1",)),))])
         got = granularity_of(items)
         assert got == {"x-bridging"}
         assert {c for c in got if c.startswith("x-")} \
             == {"x-bridging"}
 
     def test_unknown_elements_stay_silent(self):
-        items = [AnnotationItem(element="w", categories={"lemma": "x"})]
+        items = Items.of([AnnotationItem(element="w",
+                                         categories={"lemma": "x"})])
         assert granularity_of(items) == {"lemma"}
 
     def test_empty_values_do_not_contribute(self):
-        items = [AnnotationItem(categories={"msd": "", "lemma": "x"})]
+        items = Items.of([AnnotationItem(categories={"msd": "",
+                                                     "lemma": "x"})])
         assert granularity_of(items) == {"lemma"}
 
     def test_nested_items_contribute(self):
-        tree = [AnnotationItem(
+        tree = Items.of([AnnotationItem(
             categories={"function": "S"},
-            children=(AnnotationItem(categories={"lemma": "x"}),))]
+            children=(AnnotationItem(categories={"lemma": "x"}),))])
         assert granularity_of(tree) == {
             "syntactic-function", "lemma"}
 
     def test_footprint_of_nothing_is_empty(self):
-        assert granularity_of([]) == frozenset()
+        assert granularity_of(Items()) == frozenset()
 
 
 def granularity_item_by_item(items):
@@ -239,5 +251,5 @@ ITEMS = st.recursive(
 
 @given(st.lists(ITEMS, max_size=4))
 def test_granularity_resolves_as_item_by_item(items):
-    assert granularity_of(items) == granularity_item_by_item(items)
+    assert granularity_of(Items.of(items)) == granularity_item_by_item(items)
 

@@ -101,6 +101,29 @@ class TestHandler:
         assert status == 200
         assert "computed available: false" in body.decode("utf-8")
 
+    @pytest.mark.parametrize("damage", ["payload", "resources"])
+    def test_payload_path_that_is_not_a_file_is_404(self, archive, tmp_path,
+                                                    damage):
+        # A directory where the payload was, or a file where its
+        # directory was.
+        resources = tmp_path / "store" / "corpora" / "pere-goriot" / "resources"
+        path = resources / "pere-goriot-r002.standoff-morpho"
+        if damage == "payload":
+            path.unlink()
+            path.mkdir()
+        else:
+            for child in resources.iterdir():
+                child.unlink()
+            resources.rmdir()
+            resources.write_text("", encoding="utf-8")
+        response = get(archive, "/resources/pere-goriot-r002")
+        assert response[0] == 404
+        assert body_text(response) == ("store-error: resource "
+                                       "'pere-goriot-r002' has no stored "
+                                       "payload\n")
+        assert ("missing-payload", "pere-goriot-r002") in [
+            (v.code, v.subject) for v in archive.validate("pere-goriot")]
+
     def test_edited_payload_is_refused(self, archive, tmp_path):
         path = (tmp_path / "store" / "corpora" / "pere-goriot" / "resources"
                 / "pere-goriot-r001.segmentation")
