@@ -237,12 +237,12 @@ _TURN_ELEMENTS = ("u", "turn")
 
 def _summary(level: Level, entry: Parsed) -> LevelSummary:
     """What ``entry``, one level's, holds, as its manifest records it."""
-    items = entry.items.flat()
+    items = entry.items
     elements = items.column("element")
     granularity = (SEGMENTATION_GRANULARITY
                    if level.kind == KIND_SEGMENTATION and entry.units
                    else granularity_of(items))
-    return LevelSummary(len(entry.units), len(items),
+    return LevelSummary(len(entry.units), items.rows,
                         sum(map(elements.count, _TURN_ELEMENTS)), granularity)
 
 
@@ -451,10 +451,14 @@ class _Listing:
                                      f"file {resource.filename!r}")
             levels_by_id = {l.id: l for l in levels}
             resources_by_id = {r.id: r for r in resources}
-            # The next write would keep one block of a repeated id.
+            # The next write would keep one block of a repeated level or
+            # resource id, and the version chain of a repeated record id
+            # lists it twice.
             if (len(levels_by_id) < len(levels)
-                    or len(resources_by_id) < len(resources)):
-                raise StoreError("it repeats a level or resource id")
+                    or len(resources_by_id) < len(resources)
+                    or len({v.id for v in versions}) < len(versions)):
+                raise StoreError(
+                    "it repeats a level, resource or version record id")
         except (FileNotFoundError, IsADirectoryError, NotADirectoryError):
             return None  # not a corpus
         except (StoreError, UnicodeDecodeError) as err:
@@ -721,8 +725,11 @@ class Snapshot:
                     "pointer-level-without-dependency", level.id,
                     "contributes no coverage but depends on nothing"))
             if level.coverage == COVERAGE_NONE:
-                surfaces = entry.items.column("surface")
-                if surfaces and None not in surfaces:
+                items = entry.items
+                tops = (surface for surface, depth in zip(
+                    items.column("surface"), items.column("depth"))
+                    if not depth)  # the top-level items' surfaces
+                if items and None not in tops:
                     out.append(Violation(
                         "surface-in-pointer-level", level.id,
                         "declared coverage 'none' but the payload carries "
@@ -1173,7 +1180,7 @@ class Archive:
                 validated=resource.validated)
             groups = collections.Counter()
             for items in fresh_by_kind.get(kind, []):
-                groups.update(items.flat().column("group"))
+                groups.update(items.column("group"))
             del groups[None]
             coverage = ""
             try:

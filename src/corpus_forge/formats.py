@@ -3,8 +3,8 @@
 The archive stores each payload as deposited and serves it back
 verbatim, so it reads these formats and never writes one.  Every
 deposit format parses into one of two shapes of columns: :class:`Items`,
-a list per field of :class:`AnnotationItem` (a tree's nested items kept
-in its roots' ``children``), or for segmentations a
+one row per :class:`AnnotationItem` in document order (a tree's nested
+items are rows too, each with its depth), or for segmentations a
 :class:`~corpus_forge.standoff.Segmentation`.  Items carry at most one
 of two anchorings — a ``span`` pointing at reference units, or a
 ``surface`` duplicating the covered text — which is what downstream
@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field, fields
+from itertools import compress
 from sys import intern
 from types import MappingProxyType
 from typing import Callable, Mapping
@@ -37,7 +38,6 @@ from .standoff import (
     align_inline,
     cell_parts,
     check_unit,
-    iter_items,
     span_cell,
     span_parts,
 )
@@ -84,67 +84,104 @@ class AnnotationItem:
                                MappingProxyType(self.categories))
 
 
-# Each field's value in an item that does not set it.
-_DEFAULTS = {f.name: getattr(AnnotationItem(), f.name)
-             for f in fields(AnnotationItem)}
+# Each column's value in a row that does not set it.
+_DEFAULTS = {**{f.name: getattr(AnnotationItem(), f.name)
+                for f in fields(AnnotationItem) if f.name != "children"},
+             "depth": 0}
+
+
+def _walk(trees):
+    """Each item of the item trees ``trees`` with its depth, 0 at the top,
+    depth first in document order.  Iterative, so a tree of any depth the
+    parsers accept is walked."""
+    stack = [iter(trees)]
+    while stack:
+        for item in stack[-1]:
+            yield len(stack) - 1, item
+            if item.children:
+                stack.append(iter(item.children))
+                break
+        else:
+            stack.pop()
+
+
+def iter_items(trees) -> list:
+    """Every item of the item trees ``trees``, depth first in document
+    order; of :class:`Items`, one item per row."""
+    return [item for _, item in _walk(trees)]
 
 
 class Items(Columns):
-    """Annotation items as columns: ``columns`` maps a field of
-    :class:`AnnotationItem` to each item's value, and a field that no item
-    sets may have no column.  The ``span`` column holds each item's span
-    cell (:func:`~corpus_forge.standoff.span_cell`): the interned unit id
-    of a span that names one unit, the parts tuple of a range or a list,
-    or None; its ids resolve against the anchor when they are read.  A
-    nested item is kept in its parent's ``children``.  It keeps the lists
+    """Annotation items as columns, one row per item in document order,
+    depth first: ``columns`` maps ``depth`` (0 at the top level) and each
+    field of :class:`AnnotationItem` but ``children`` to each row's value,
+    and a column that no row sets may be absent.  A row's children are the
+    rows one deeper that follow it before the next row no deeper.  The
+    ``span`` column holds each item's span cell
+    (:func:`~corpus_forge.standoff.span_cell`); its ids resolve against
+    the anchor when they are read.  ``len()``, indexing and iteration give
+    the top-level items, each built with its children.  It keeps the lists
     it is given."""
 
-    __slots__ = ("length", "columns")
+    __slots__ = ("rows", "columns")
 
-    def __init__(self, length: int = 0, **columns: list):
-        self.length = length
+    def __init__(self, rows: int = 0, **columns: list):
+        self.rows = rows
         self.columns = columns
 
     @classmethod
-    def of(cls, values) -> Items:
-        """The columns of ``values``, annotation items."""
-        values = list(values)
-        columns = {name: [getattr(item, name) for item in values]
-                   for name in _DEFAULTS}
+    def of(cls, trees) -> Items:
+        """The rows of ``trees``, annotation items and the items below."""
+        rows = list(_walk(trees))
+        columns = {name: [getattr(item, name) for _, item in rows]
+                   for name in _DEFAULTS if name != "depth"}
         columns["span"] = [span and span_cell(span.parts)
                            for span in columns["span"]]
-        return cls(len(values), **columns)
+        if any(depth for depth, _ in rows):
+            columns["depth"] = [depth for depth, _ in rows]
+        return cls(len(rows), **columns)
 
     def __len__(self) -> int:
-        return self.length
+        depths = self.columns.get("depth")
+        return self.rows if depths is None else depths.count(0)
+
+    def __iter__(self):
+        return iter(self._trees())
 
     def _value(self, index: int) -> AnnotationItem:
-        values = {name: column[index]
-                  for name, column in self.columns.items()}
+        if "depth" in self.columns:
+            return self._trees()[index]
+        return self._item(index)
+
+    def _item(self, row: int, children=()) -> AnnotationItem:
+        values = {name: column[row] for name, column in self.columns.items()}
+        values.pop("depth", None)
         if values.get("span") is not None:
             values["span"] = SpanExpr(cell_parts(values["span"]))
-        return AnnotationItem(**values)
+        return AnnotationItem(**values, children=children)
+
+    def _trees(self) -> list[AnnotationItem]:
+        """The top-level items, built in one pass from the last row to the
+        first, so that each row's children are built before it."""
+        depths = self.column("depth")
+        built: dict[int, list] = {}  # by depth, the items not yet placed
+        for row in range(self.rows - 1, -1, -1):
+            children = built.pop(depths[row] + 1, [])
+            built.setdefault(depths[row], []).append(
+                self._item(row, tuple(reversed(children))))
+        return built.get(0, [])[::-1]
 
     def column(self, name: str) -> list:
-        """Each item's value of the field ``name``; not to be changed."""
+        """Each row's value of the field ``name``; not to be changed."""
         column = self.columns.get(name)
-        return [_DEFAULTS[name]] * self.length if column is None else column
+        return [_DEFAULTS[name]] * self.rows if column is None else column
 
     def extend(self, other: Items) -> None:
-        """Add ``other``'s items after these."""
+        """Add ``other``'s rows after these."""
         for name in self.columns.keys() | other.columns.keys():
             self.columns.setdefault(name, self.column(name)).extend(
                 other.column(name))
-        self.length += other.length
-
-    def flat(self) -> Items:
-        """These items and every nested one, depth first, without their
-        ``children``, so each is listed once; these items if none nests."""
-        if not any(self.columns.get("children", ())):
-            return self
-        flat = Items.of(iter_items(self))
-        del flat.columns["children"]
-        return flat
+        self.rows += other.rows
 
 
 class Categories(dict):
@@ -440,9 +477,8 @@ def parse_referential_standoff(text: str) -> Items:
 
 def resolve_link_targets(items: Items) -> None:
     """Check that every link target and source names a declared item id."""
-    flat = items.flat()
-    ids = set(flat.column("id"))
-    for links in flat.column("links"):
+    ids = set(items.column("id"))
+    for links in items.column("links"):
         for link in links:
             for target in link.targets:
                 if target not in ids:
@@ -463,42 +499,29 @@ def parse_structural_inline(text: str) -> Items:
     """Document structure as nested carrier items.
 
     Tracked elements become items whose surface is the covered text;
-    unknown wrapper elements stay transparent.  The returned roots
+    unknown wrapper elements stay transparent.  The top-level items
     jointly carry the document's full character stream.
     """
     stripped, elements = _markup.strip_markup(text)
-    tracked = [el for el in elements if el.name in STRUCTURAL_ELEMENTS]
+    ids, surfaces, names, categories, depths = ([] for _ in range(5))
     shared = Categories()
-
-    def build(el, kids):
+    stack: list = []  # the tracked elements that enclose the next one
+    for el in elements:
+        if el.name not in STRUCTURAL_ELEMENTS:
+            continue
+        while stack and not (el.start >= stack[-1].start
+                             and el.end <= stack[-1].end
+                             and el.depth > stack[-1].depth):
+            stack.pop()
         attrs = el.attrs
-        return AnnotationItem(
-            id=attrs.pop("id", None),
-            surface=stripped[el.start:el.end],
-            element=el.name,
-            categories=shared.of(attrs.items()),
-            children=tuple(kids))
-
-    roots: list[AnnotationItem] = []
-    stack: list[tuple] = []  # (element, collected child items)
-
-    def close_top():
-        el, kids = stack.pop()
-        item = build(el, kids)
-        if stack:
-            stack[-1][1].append(item)
-        else:
-            roots.append(item)
-
-    for el in tracked:
-        while stack and not (el.start >= stack[-1][0].start
-                             and el.end <= stack[-1][0].end
-                             and el.depth > stack[-1][0].depth):
-            close_top()
-        stack.append((el, []))
-    while stack:
-        close_top()
-    return Items.of(roots)
+        ids.append(attrs.pop("id", None))
+        surfaces.append(stripped[el.start:el.end])
+        names.append(el.name)
+        categories.append(shared.of(attrs.items()))
+        depths.append(len(stack))
+        stack.append(el)
+    return Items(len(ids), id=ids, surface=surfaces, element=names,
+                 categories=categories, depth=depths)
 
 
 # --------------------------------------------------------------------------
@@ -516,8 +539,7 @@ def parse_syntax_constituency(text: str) -> Items:
     Lines without a colon are bare punctuation terminals.  Depth may
     only grow one step at a time.
     """
-    entries: list[list] = []  # [data dict, child entries]
-    stack: list[list] = []
+    surfaces, categories, depths = [], [], []
     shared = Categories()
     for lineno, raw in enumerate(text.splitlines(), 1):
         if not raw.strip():
@@ -529,11 +551,11 @@ def parse_syntax_constituency(text: str) -> Items:
         body = head[depth:].strip()
         if not body:
             raise ParseError("constituent line carries no label", line=lineno)
-        if depth > len(stack):
+        deepest = depths[-1] + 1 if depths else 0  # the deepest it may be
+        if depth > deepest:
             raise NestingError(
-                f"constituent depth jumps from {len(stack)} to {depth}",
+                f"constituent depth jumps from {deepest} to {depth}",
                 line=lineno)
-        del stack[depth:]
         if ":" in body:
             function, _, rest = body.partition(":")
             m = _CONSTITUENT_RE.fullmatch(rest)
@@ -547,28 +569,20 @@ def parse_syntax_constituency(text: str) -> Items:
         else:
             key = ()
             surface = surface or body
-        entry = [dict(categories=shared[key], surface=surface or None), []]
-        if stack:
-            stack[-1][1].append(entry)
-        else:
-            entries.append(entry)
-        stack.append(entry)
-
-    def freeze(entry) -> AnnotationItem:
-        data, kids = entry
-        return AnnotationItem(
-            surface=data["surface"],
-            categories=data["categories"],
-            children=tuple(freeze(k) for k in kids))
-
-    return Items.of(freeze(e) for e in entries)
+        surfaces.append(surface or None)
+        categories.append(shared[key])
+        depths.append(depth)
+    return Items(len(depths), surface=surfaces, categories=categories,
+                 depth=depths)
 
 
-def syntax_terminals(items) -> Items:
-    """Surface-carrying leaves of constituency trees, document order."""
-    return Items.of(
-        AnnotationItem(surface=item.surface, categories=item.categories)
-        for item in iter_items(items) if item.surface is not None)
+def syntax_terminals(items: Items) -> Items:
+    """Surface-carrying constituents of constituency trees, document
+    order, each without its children."""
+    keep = [surface is not None for surface in items.column("surface")]
+    surfaces, categories = (list(compress(items.column(name), keep))
+                            for name in ("surface", "categories"))
+    return Items(len(surfaces), surface=surfaces, categories=categories)
 
 
 # --------------------------------------------------------------------------

@@ -136,23 +136,23 @@ def granularity_of(items: Items) -> frozenset[str]:
     too but stay silent when unknown — tag vocabulary is format
     carpentry, not annotation content.  Sub-values of colon-joined
     attribute values probe compound aliases (``msd:s``) and only count
-    when registered.  It reads the columns of ``items.flat()``.
+    when registered.  It reads the columns of every row of ``items``.
     """
     # The distinct terms first, then each resolved once: a level's items
     # repeat a handful of keys and values, and equal categories of one
     # payload are one mapping.
-    flat = items.flat()
-    mappings = {id(c): c for c in flat.column("categories")}.values()
+    mappings = {id(c): c for c in items.column("categories")}.values()
     pairs = {pair for categories in mappings for pair in categories.items()
              if pair[1]}
     compounds = {f"{key}:{sub}" for key, value in pairs if ":" in value
                  for sub in value.split(":")[1:]}
     registry = Registry.default()
     categories = {registry.lookup(term) for term
-                  in {*flat.column("element"), *compounds}}
+                  in {*items.column("element"), *compounds}}
     categories.discard(None)
     categories.update(
         registry.lookup(term) or f"x-{term}" for term
         in {key for key, _ in pairs}
-        | {link.type for links in set(flat.column("links")) for link in links})
+        | {link.type for links in set(items.column("links"))
+           for link in links})
     return frozenset(categories)

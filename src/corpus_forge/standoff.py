@@ -394,48 +394,25 @@ def align_inline(inline_doc: str, units: Segmentation):
                  categories=categories, links=links)
 
 
-def iter_items(items) -> list:
-    """Flatten item trees depth-first, document order.  Iterative, so a
-    tree of any depth the parsers accept flattens."""
-    out = []
-    stack = [iter(items)]
-    while stack:
-        for item in stack[-1]:
-            out.append(item)
-            if item.children:
-                stack.append(iter(item.children))
-                break
-        else:
-            stack.pop()
-    return out
-
-
-def _accounted_for(surface, span, children) -> bool:
-    """Does an item's subtree carry all the content it claims?
-
-    A surfaced node accounts for its whole subtree; a bare internal node
-    delegates to its children; a leaf with neither surface nor span is
-    purely relational and covers nothing by design.
-    """
-    if surface is not None:
-        return True
-    if children:
-        return all(_accounted_for(c.surface, c.span, c.children)
-                   for c in children)
-    return span is None
-
-
-def _carried_surfaces(nodes) -> list[str]:
-    """Surfaces of the shallowest surfaced nodes, in document order, of
-    ``nodes``, each item's (surface, children)."""
-    out: list[str] = []
-    for surface, children in nodes:
-        if surface is not None:
-            out.append(surface)
-        elif children:
-            out.extend(_carried_surfaces(
-                (c.surface, c.children) for c in children))
-    return out
+def _own_text(items) -> list[str] | None:
+    """The surfaces of a level's shallowest surfaced items, in document
+    order, read in one pass over its rows; None if an item under none of
+    them has a span and no items below it, content the level does not
+    carry.  An item with neither is purely relational."""
+    surfaces, spans = items.column("surface"), items.column("span")
+    depths = items.column("depth")
+    carried, inside = [], items.rows  # rows deeper than ``inside`` are covered
+    for row in range(items.rows):
+        if depths[row] > inside:
+            continue
+        inside = items.rows
+        if surfaces[row] is not None:
+            carried.append(surfaces[row])
+            inside = depths[row]
+        elif spans[row] is not None and (row + 1 == items.rows
+                                         or depths[row + 1] <= depths[row]):
+            return None
+    return carried
 
 
 def reconstruct_coverage(kind: str, units: Segmentation, items,
@@ -456,9 +433,8 @@ def reconstruct_coverage(kind: str, units: Segmentation, items,
         return list(units.forms)
     if not items:
         return []
-    surfaces, children = items.column("surface"), items.column("children")
-    if all(map(_accounted_for, surfaces, items.column("span"), children)):
-        carried = _carried_surfaces(zip(surfaces, children))
+    carried = _own_text(items)
+    if carried is not None:
         if not carried:
             return []  # purely relational level
         # carrier level: re-segmenting its own surfaces is a fixed point
@@ -470,5 +446,5 @@ def reconstruct_coverage(kind: str, units: Segmentation, items,
     # one resolution over every item's span cell: document order, no
     # repeats; each span checked its ids when it was parsed
     forms = anchor_units.forms
-    return [forms[i] for i in resolve_span(items.flat().column("span"),
+    return [forms[i] for i in resolve_span(items.column("span"),
                                            anchor_units)]

@@ -20,7 +20,7 @@ from corpus_forge.errors import (
     ParseError,
     ReversedRangeError,
 )
-from corpus_forge.formats import TABULAR_COLUMNS, AnnotationItem
+from corpus_forge.formats import TABULAR_COLUMNS, AnnotationItem, iter_items
 from corpus_forge.manifest import unescape_value
 from corpus_forge.standoff import (
     _CONTRACTIONS,
@@ -28,7 +28,6 @@ from corpus_forge.standoff import (
     Segmentation,
     _split_token,
     _token_offsets,
-    iter_items,
 )
 
 

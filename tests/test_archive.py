@@ -830,6 +830,26 @@ class TestCompositeDeposit:
             "morphosyntax", "segmentation", "syntax"]
 
 
+    def test_a_deep_tree_deposits_and_reads(self, archive):
+        # Deeper than Python's recursion limit.  A deep tree is compared
+        # node by node: == and repr recurse.
+        depth = 1_200
+        corpus_id, seg_id = goriot(archive)
+        syntax = archive.add_level(corpus_id, "syntax", "none",
+                                   depends_on=[seg_id])
+        archive.deposit(corpus_id, "".join(
+            f"{'=' * d}C:np\n" for d in range(depth))
+            + f"{'=' * depth}N:n\tMadame\n",
+            "syntax-constituency", levels=[syntax.id])
+        for read in (archive, Archive(archive.root)):
+            assert read.coverage(syntax.id) == ["Madame"]
+            assert read.validate(corpus_id) == []
+            (node,) = read.level_items(syntax.id)
+            for _ in range(depth):
+                (node,) = node.children
+            assert (node.surface, node.children) == ("Madame", ())
+
+
 class TestVersionChains:
     def seed_morpho(self, archive):
         corpus_id, seg_id = goriot(archive)
@@ -1377,6 +1397,20 @@ class TestValidate:
         codes = [v.code for v in archive.validate(corpus_id)]
         assert "surface-in-pointer-level" in codes
 
+    def test_surface_in_pointer_level_is_read_on_top_level_items(
+            self, archive):
+        # Its top-level constituent carries a surface, the one below none.
+        corpus_id, seg_id = goriot(archive)
+        level = archive.add_level(corpus_id, "syntax", "none",
+                                  depends_on=[seg_id])
+        archive.deposit(corpus_id, "S:prop\tMadame\n=N:n\n",
+                        "syntax-constituency", levels=[level.id])
+        for reopened in (Archive(archive.root),
+                         Archive(archive.root, defer_parse=True)):
+            assert [(v.code, v.subject)
+                    for v in reopened.validate(corpus_id)] \
+                == [("surface-in-pointer-level", level.id)]
+
     def test_coverage_mismatch_between_full_levels(self, archive):
         corpus_id, seg_id = goriot(archive)
         other = archive.add_level(corpus_id, "segmentation", "full")
@@ -1742,7 +1776,7 @@ class TestValidateLoadedManifests:
             reloaded.withdraw(resource_id)
         assert outside.read_text(encoding="utf-8") == ONE_WORD
 
-    @pytest.mark.parametrize("block", ["level", "resource"])
+    @pytest.mark.parametrize("block", ["level", "resource", "version"])
     def test_repeated_block_makes_its_manifest_unreadable(
             self, tmp_path, block):
         archive = Archive(tmp_path / "store")

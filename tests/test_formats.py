@@ -562,14 +562,16 @@ class TestStructuralInlineCodec:
             parse_structural_inline(doc)
         assert err.value.message == message
 
-    def test_flat_view_lists_each_item_once(self):
+    def test_every_column_lists_each_item_once(self):
         roots = parse_structural_inline(fixture("fig02_structure.xml"))
-        flat = roots.flat()
+        items = iter_items(roots)
         assert len(roots) == 1
-        assert len(flat) == len(iter_items(flat)) == 18
-        assert flat.flat() is flat
-        assert list(flat) == [dataclasses.replace(item, children=())
-                              for item in iter_items(roots)]
+        assert roots.rows == len(items) == 18
+        for name in ("id", "surface", "element", "categories"):
+            assert roots.column(name) == [getattr(i, name) for i in items]
+        assert roots.column("depth") == [
+            0, 1, 2, 3, 3, 2, 3, 2, 3, 4, 3, 4, 3, 4, 1, 2, 3, 2]
+        assert Items.of(roots).column("depth") == roots.column("depth")
 
 
 class TestSyntaxConstituencyCodec:
@@ -882,7 +884,7 @@ class TestValueTypes:
         copy = item
         for _ in range(3):
             copy = dataclasses.replace(copy, group="g")
-        (terminal,) = syntax_terminals([copy])
+        (terminal,) = syntax_terminals(Items.of([copy]))
         assert copy.categories is item.categories
         assert terminal.categories is item.categories
         assert [type(r) for r in gc.get_referents(terminal.categories)] \

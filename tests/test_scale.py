@@ -1,6 +1,7 @@
 """Scale gates: the engine's time grows linearly with a corpus's size,
-with the number of corpora, and with the length of a malformed document;
-a parsed item keeps a bounded number of bytes.
+with the number of corpora, with the rows of a tree level and with the
+length of a malformed document; a parsed item keeps a bounded number of
+bytes.
 
 One round through ``Archive`` (a segmentation deposit, a stand-off
 morphology level over it, ``coverage`` and ``validate``) is timed at n
@@ -150,6 +151,54 @@ def test_unclosed_tags_scan_linearly():
     assert ratio < 8, (
         f"4x the unclosed tags took {ratio:.1f}x as long "
         f"(median of {sorted(round(r, 1) for r in ratios)})")
+
+
+# ``level_items`` and ``coverage`` of a structure level each read its rows
+# in one pass, so their time grows with its rows: about 4x for 4x the
+# rows, whether the trees stay shallow or grow as deep as they are long.
+# A read that rescans each item's subtree grows as the rows times their
+# depth, and one that finds each top-level item by a scan of the rows as
+# the square of the rows: about 16x at the depth or the top-level count
+# that grows with the rows.
+
+TREE_ROWS = 1_000
+
+
+def structure(rows: int, deep: bool) -> str:
+    """A structure payload of ``rows`` tracked elements: paragraphs of
+    four segments, or one chain of divisions nested ``rows`` deep."""
+    if deep:
+        return "<div>" * rows + "Madame" + "</div>" * rows
+    return "\n".join(
+        "<p>" + " ".join(["<seg>Madame Vauquer .</seg>"] * 4) + "</p>"
+        for _ in range(rows // 5))
+
+
+@pytest.mark.parametrize("deep", [False, True],
+                         ids=["fixed-depth", "growing-depth"])
+def test_tree_reads_grow_linearly_in_rows(tmp_path, deep):
+    levels = {}
+    for rows in (TREE_ROWS, 4 * TREE_ROWS):
+        archive = Archive(tmp_path / str(rows))
+        archive.register_corpus("Tree", corpus_id="tree")
+        result = archive.deposit(
+            "tree", structure(rows, deep), "structural-inline",
+            new_levels=[LevelSpec("structure", "full")])
+        assert archive.level(result.levels[0]).summary.items == rows
+        levels[rows] = archive, result.levels[0]
+
+    def seconds(rows, round_):
+        archive, level_id = levels[rows]
+        start = time.perf_counter()
+        for _ in range(5):
+            archive.level_items(level_id)
+            archive.coverage(level_id)
+        return time.perf_counter() - start
+    ratios = median_ratio(seconds, TREE_ROWS, 4 * TREE_ROWS, rounds=9)
+    ratio = statistics.median(ratios)
+    assert ratio < 8, (
+        f"tree reads of {4 * TREE_ROWS} rows took {ratio:.1f}x as long as "
+        f"of {TREE_ROWS} (median of {sorted(round(r, 1) for r in ratios)})")
 
 
 def median_ratio(seconds, small: int, large: int, rounds: int) -> list:

@@ -425,3 +425,45 @@ def test_span_cells_cover_what_their_parts_cover(spans_):
                   Items.of([AnnotationItem(children=tuple(items))])):
         assert _outcome(lambda: reconstruct_coverage(
             "morphosyntax", [], level, ANCHOR)) == expected
+
+
+def tree_coverage(trees, anchor) -> list[str]:
+    """``reconstruct_coverage`` of a level of item trees, read item by
+    item: a surfaced item accounts for the items below it, one without a
+    surface leaves that to the items below it, and a leaf with a span but
+    no surface makes the level a pointer level."""
+    def accounted(item):
+        if item.surface is not None:
+            return True
+        if item.children:
+            return all(map(accounted, item.children))
+        return item.span is None
+
+    def carried(items):
+        return [text for item in items for text in (
+            [item.surface] if item.surface is not None
+            else carried(item.children))]
+    if not all(map(accounted, trees)):
+        return pointer_coverage(trees, anchor)
+    return [form for form, _, _
+            in tokenize_with_offsets(" ".join(carried(trees)))]
+
+
+node_fields = {"surface": st.none() | st.sampled_from(["Madame", "née De ,"]),
+               "span": st.none() | anchor_ids.map(
+                   lambda unit_id: SpanExpr(((unit_id, None),)))}
+trees = st.recursive(
+    st.builds(AnnotationItem, **node_fields),
+    lambda children: st.builds(
+        AnnotationItem, **node_fields,
+        children=st.lists(children, min_size=1, max_size=3).map(tuple)),
+    max_leaves=10)
+
+
+@given(st.lists(trees, min_size=1, max_size=4))
+def test_a_tree_level_covers_what_its_items_cover(roots):
+    """One pass over a level's rows covers what reading its trees item by
+    item covers, or raises its first error."""
+    assert _outcome(lambda: reconstruct_coverage(
+        "syntax", [], Items.of(roots), ANCHOR)) \
+        == _outcome(lambda: tree_coverage(roots, ANCHOR))
